@@ -29,6 +29,7 @@ __all__ = [
     "intra_a_prime",
     "inter_a_t",
     "inter_a_m",
+    "pooled_sum",
     "top_down_pass",
     "inter_a_b",
 ]
@@ -59,7 +60,7 @@ class ScalePyramid:
 @dataclass
 class GlobalFeatures:
     s_g: Tensor
-    v_g: Tensor
+    v_g: Tensor | None  # None in an audio-only cycle
 
 
 @dataclass
@@ -106,7 +107,7 @@ def intra_a_prime(x: Tensor, y: Tensor) -> Tensor:
     return T.ew_mul(T.sigmoid(interp_resample(y, x.shape[1])), x)
 
 
-def _pooled_sum(levels: list[Tensor]) -> Tensor:
+def pooled_sum(levels: list[Tensor]) -> Tensor:
     """sum_i pool(level_i) + coarsest, all at the coarsest temporal length."""
     d = len(levels) - 1
     acc = levels[d]
@@ -130,8 +131,8 @@ def inter_a_t(
     (the ablation wiring)."""
     if audio.depth != video.depth:
         raise GeometryError("pyramids must have the same number of levels")
-    f_s = _pooled_sum(audio.levels)
-    f_v = _pooled_sum(video.levels)
+    f_s = pooled_sum(audio.levels)
+    f_v = pooled_sum(video.levels)
     if cross_attention:
         ga = dropout(q_op(f_v, p.q_av), dropout_p, training, rng)
         gv = dropout(q_op(f_s, p.q_va), dropout_p, training, rng)
@@ -153,37 +154,42 @@ def inter_a_m(s_bar: Tensor, v_bar: Tensor, q: QParams) -> Tensor:
     return T.ew_mul(T.sigmoid(gate), s_bar)
 
 
+def _global_modulation(levels: list[Tensor], g: Tensor, qs: list[QParams] | None):
+    """Modulate every scale by ``g``; gate-only when ``qs`` is None."""
+    if qs is None:
+        return [intra_a_prime(x, g) for x in levels]
+    return [intra_a_global(x, g, qs[i]) for i, x in enumerate(levels)]
+
+
+def _coarse_to_fine(levels: list[Tensor], qs: list[QParams]) -> Tensor:
+    """Fold each scale into the next finer one, coarsest first."""
+    d = len(levels) - 1
+    chk = intra_a_global(levels[d - 1], levels[d], qs[d - 1])
+    for i in range(d - 2, -1, -1):
+        chk = intra_a_global(levels[i], chk, qs[i])
+    return chk
+
+
 def top_down_pass(
     audio: ScalePyramid,
-    video: ScalePyramid,
+    video: ScalePyramid | None,
     g: GlobalFeatures,
     p: TopDownParams,
-) -> tuple[Tensor, Tensor]:
+) -> tuple[Tensor, Tensor | None]:
     """Global modulation per scale, optional mid-level cross-modal gating,
     then the coarse-to-fine reconstruction; returns the two finest-scale
-    outputs."""
+    outputs. Without video only the audio half runs, with no mid-level
+    gating, and the video output is None."""
     d = audio.depth
     if d < 1:
         raise GeometryError("top-down pass needs depth >= 1")
-
-    if p.global_s is None:
-        s_bar = [intra_a_prime(x, g.s_g) for x in audio.levels]
-        v_bar = [intra_a_prime(x, g.v_g) for x in video.levels]
-    else:
-        s_bar = [intra_a_global(x, g.s_g, p.global_s[i]) for i, x in enumerate(audio.levels)]
-        v_bar = [intra_a_global(x, g.v_g, p.global_v[i]) for i, x in enumerate(video.levels)]
-
-    if p.inter_m is None:
-        s_mod = s_bar
-    else:
-        s_mod = [inter_a_m(s_bar[i], v_bar[i], p.inter_m[i]) for i in range(d + 1)]
-
-    s_chk = intra_a_global(s_mod[d - 1], s_mod[d], p.local_s[d - 1])
-    v_chk = intra_a_global(v_bar[d - 1], v_bar[d], p.local_v[d - 1])
-    for i in range(d - 2, -1, -1):
-        s_chk = intra_a_global(s_mod[i], s_chk, p.local_s[i])
-        v_chk = intra_a_global(v_bar[i], v_chk, p.local_v[i])
-    return s_chk, v_chk
+    s_bar = _global_modulation(audio.levels, g.s_g, p.global_s)
+    if video is None:
+        return _coarse_to_fine(s_bar, p.local_s), None
+    v_bar = _global_modulation(video.levels, g.v_g, p.global_v)
+    if p.inter_m is not None:
+        s_bar = [inter_a_m(s_bar[i], v_bar[i], p.inter_m[i]) for i in range(d + 1)]
+    return _coarse_to_fine(s_bar, p.local_s), _coarse_to_fine(v_bar, p.local_v)
 
 
 def inter_a_b(s0: Tensor, v0: Tensor, p: InterBParams) -> tuple[Tensor, Tensor]:

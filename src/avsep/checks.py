@@ -24,9 +24,7 @@ from .blocks import (
     top_down_pass,
 )
 from .metrics import si_snr_loss
-from .model import ModelConfig, build_params, named_tensors
-from .model import separate as model_separate
-from .model import separation_features
+from .model import ModelConfig, build_params, encode, named_tensors, separate, separation_features
 from .nn import (
     Conv1dParams,
     GlnParams,
@@ -126,7 +124,7 @@ def _check_primitives() -> list[CheckResult]:
 
     out.append(_gradcheck("avg_pool1d",
                           lambda: _weighted_sum(avg_pool1d(x, 2), _rng(7)), [x]))
-    out.append(_gradcheck("interp_upsample",
+    out.append(_gradcheck("interp_resample",
                           lambda: _weighted_sum(interp_resample(x, 13), _rng(8)), [x]))
 
     gp = GlnParams(gain=_t(r, 3, lo=0.5, hi=1.5), bias=_t(r, 3, lo=-0.5, hi=0.5))
@@ -242,31 +240,19 @@ def _check_full_model() -> CheckResult:
         wave = Tensor(mix[None, :], dtype=np.float64)
         vt = Tensor(vfeat, dtype=np.float64)
 
-        feats = _premask_features(wave, vt, cfg, p)
+        feats = separation_features(*encode(wave, vt, cfg, p), cfg, p).data
         if float(np.abs(feats).min()) <= 1e-3:
             continue  # pre-mask value too close to the relu kink; reseed
 
         leaves = [t for _, t in named_tensors(p)]
 
         def loss():
-            out = model_separate(wave, vt, cfg, p)
+            out = separate(wave, vt, cfg, p)
             return si_snr_loss(out.waveform, ref[None, :])
 
         res = _gradcheck("full_model_si_snr", loss, leaves)
         return res
     raise RuntimeError("no seed kept the pre-mask margin away from the relu kink")
-
-
-def _premask_features(wave, vt, cfg, p) -> np.ndarray:
-    from .model import _ceil_to, apply_video_stub, encode_audio
-    from .nn import pad_right
-
-    e_raw = encode_audio(wave, p)
-    step = 1 << cfg.depth
-    e_s = pad_right(e_raw, _ceil_to(e_raw.shape[1], step) - e_raw.shape[1])
-    ev = apply_video_stub(vt, p)
-    e_v = pad_right(ev, _ceil_to(ev.shape[1], step) - ev.shape[1])
-    return separation_features(e_s, e_v, cfg, p).data
 
 
 def run_all() -> list[CheckResult]:

@@ -17,14 +17,14 @@ from .data import load_embedding, load_wav, save_wav
 from .errors import ConfigConflictError, ConfigError, FormatError, GeometryError, TrainingError
 from .model import (
     check_config_compatible,
-    _mac_breakdown,
-    _param_breakdown,
     count_macs,
     count_params,
     load_checkpoint,
+    mac_breakdown,
+    param_breakdown,
     save_checkpoint,
+    separate,
 )
-from .model import separate as model_separate
 from .tensor import Tensor
 from .trainer import train_toy
 
@@ -53,10 +53,16 @@ def _load_configs(path):
 # subcommands
 
 
-def cmd_separate(args) -> int:
+def _load_model(args):
+    """The checkpoint's parameters and config, checked against ``--config``."""
     params, cfg = load_checkpoint(args.checkpoint)
     if args.config:
         check_config_compatible(cfg, _load_configs(args.config)[0])
+    return params, cfg
+
+
+def cmd_separate(args) -> int:
+    params, cfg = _load_model(args)
     if args.fast:
         cfg = replace(cfg, n_audio_cycles=FAST_AUDIO_CYCLES)
     mixture, rate = load_wav(args.mixture)
@@ -64,11 +70,14 @@ def cmd_separate(args) -> int:
         raise FormatError(
             f"{args.mixture}: sample rate {rate} != model rate {cfg.sample_rate}")
     wave = Tensor(mixture[None, :])
-    for k, emb_path in enumerate(args.embedding):
-        feat = Tensor(load_embedding(emb_path))
-        out = model_separate(wave, feat if not cfg.audio_only else None, cfg, params)
+    if cfg.audio_only:  # one output per speaker, no embedding read
+        waves = separate(wave, None, cfg, params).waveforms
+    else:  # one output per embedding, computed as the loop asks for it
+        waves = (separate(wave, Tensor(load_embedding(e)), cfg, params).waveform
+                 for e in args.embedding)
+    for k, out in enumerate(waves):
         dest = f"{args.out}.{k}.wav"
-        save_wav(dest, out.waveform.data[0], cfg.sample_rate)
+        save_wav(dest, out.data[0], cfg.sample_rate)
         print(f"wrote {dest}")
     return EXIT_OK
 
@@ -94,9 +103,7 @@ def cmd_train_toy(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    params, cfg = load_checkpoint(args.checkpoint)
-    if args.config:
-        check_config_compatible(cfg, _load_configs(args.config)[0])
+    params, cfg = _load_model(args)
     with open(args.pairs, "r", encoding="utf-8", newline="") as fh:
         rows = [r for r in csv.reader(fh) if r and any(c.strip() for c in r)]
     if rows and rows[0][:2] == ["mixture", "reference"]:
@@ -122,8 +129,10 @@ def cmd_eval(args) -> int:
             if len(reference) != len(mixture):
                 raise FormatError("mixture/reference length mismatch")
             feat = None if cfg.audio_only else Tensor(load_embedding(emb_path))
-            out = model_separate(Tensor(mixture[None, :]), feat, cfg, params)
-            est = out.waveform.data[0]
+            out = separate(Tensor(mixture[None, :]), feat, cfg, params)
+            # a multi-speaker model is scored on its output nearest the reference
+            est = max((w.data[0] for w in out.waveforms),
+                      key=lambda e: metrics.si_snr(reference, e))
             si = _clamp_db(metrics.si_snri(mixture, reference, est))
             sd = _clamp_db(metrics.sdri(mixture, reference, est))
             writer.writerow([mix_path, f"{si:.4f}", f"{sd:.4f}"])
@@ -149,11 +158,11 @@ def cmd_bench(args) -> int:
     if args.fast:
         cfg = replace(cfg, n_audio_cycles=FAST_AUDIO_CYCLES)
     print(f"parameters: {count_params(cfg)}")
-    for name, n in _param_breakdown(cfg):
+    for name, n in param_breakdown(cfg):
         print(f"  {name:16s} {n}")
     macs = count_macs(cfg, args.audio_seconds)
     print(f"macs @ {args.audio_seconds:g}s: {macs}")
-    for name, n in _mac_breakdown(cfg, args.audio_seconds):
+    for name, n in mac_breakdown(cfg, args.audio_seconds):
         print(f"  {name:16s} {n}")
     return EXIT_OK
 

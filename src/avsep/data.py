@@ -39,7 +39,6 @@ class MixtureSpec:
     sources: list[np.ndarray]
     gains: list[float]
     target_snr_db: float
-    seed: int
 
     @property
     def mixture(self) -> np.ndarray:
@@ -160,7 +159,6 @@ def dynamic_mix_batch(
                 sources=[pool[int(i)], pool[int(j)]],
                 gains=[1.0, gain],
                 target_snr_db=snr,
-                seed=-1,
             )
         )
     return out
@@ -191,7 +189,10 @@ def load_embedding(path) -> np.ndarray:
     expected = 12 + 4 * nv * tv
     if len(blob) != expected:
         raise FormatError(f"{path}: payload is {len(blob) - 12} bytes, header says {4 * nv * tv}")
-    return np.frombuffer(blob[12:], dtype="<f4").reshape(nv, tv).copy()
+    arr = np.frombuffer(blob[12:], dtype="<f4").reshape(nv, tv)
+    if not np.all(np.isfinite(arr)):
+        raise FormatError(f"{path}: non-finite values in the embedding")
+    return arr.copy()
 
 
 def energy_envelope(wave: np.ndarray, sample_rate: int) -> np.ndarray:

@@ -15,19 +15,18 @@ import numpy as np
 
 from . import tensor as T
 from .blocks import (
+    GlobalFeatures,
     InterBParams,
     InterTParams,
     ScalePyramid,
     TopDownParams,
     inter_a_b,
     inter_a_t,
-    intra_a_global,
-    intra_a_prime,
+    pooled_sum,
     top_down_pass,
 )
 from .errors import ConfigConflictError, ConfigError, FormatError, GeometryError
 from .nn import (
-    avg_pool1d,
     Conv1dParams,
     FfnParams,
     GlnParams,
@@ -39,6 +38,7 @@ from .nn import (
     ffn,
     gln,
     pad_right,
+    slice_channels,
 )
 from .tensor import Tensor
 
@@ -49,11 +49,14 @@ __all__ = [
     "build_params",
     "named_tensors",
     "encode_audio",
+    "encode",
     "separation_forward",
     "audio_only_cycle",
     "separate",
     "count_params",
     "count_macs",
+    "param_breakdown",
+    "mac_breakdown",
     "save_checkpoint",
     "load_checkpoint",
     "full_scale_config",
@@ -178,9 +181,18 @@ class ModelParams:
 
 @dataclass
 class SeparationOutput:
-    mask: Tensor
-    masked_embedding: Tensor
-    waveform: Tensor
+    """One mask and one waveform per speaker; ``mask``/``waveform`` are speaker 0's."""
+
+    masks: list[Tensor]
+    waveforms: list[Tensor]
+
+    @property
+    def mask(self) -> Tensor:
+        return self.masks[0]
+
+    @property
+    def waveform(self) -> Tensor:
+        return self.waveforms[0]
 
 
 # ---------------------------------------------------------------------------
@@ -360,6 +372,35 @@ def encode_audio(wave: Tensor, p: ModelParams) -> Tensor:
     return conv1d(wave, p.encoder)
 
 
+def apply_video_stub(feat: Tensor, p: ModelParams) -> Tensor:
+    if p.video_stub is None:
+        raise ConfigError("this model has no video pathway")
+    h = T.sigmoid(conv1d(feat, p.video_stub[0]))
+    return conv1d(h, p.video_stub[1])
+
+
+def encode(
+    mixture: Tensor, video_feat: Tensor | None, cfg: ModelConfig, p: ModelParams
+) -> tuple[Tensor, Tensor | None]:
+    """Encode the mixture, and for the fused model the video (raw features
+    through the stub, or already at embedding width), each zero-padded to
+    a multiple of 2^depth frames."""
+    pad = lambda x: pad_right(x, _ceil_to(x.shape[1], 1 << cfg.depth) - x.shape[1])
+    e_s = pad(encode_audio(mixture, p))
+    if cfg.audio_only:
+        return e_s, None
+    if video_feat is None:
+        raise GeometryError("the fused model needs video features")
+    ev_raw = apply_video_stub(video_feat, p) if video_feat.shape[0] == cfg.n_video_in \
+        else video_feat
+    if ev_raw.shape[0] != cfg.n_video_channels:
+        raise GeometryError(
+            f"video features must have {cfg.n_video_in} or "
+            f"{cfg.n_video_channels} channels, got {video_feat.shape[0]}"
+        )
+    return e_s, pad(ev_raw)
+
+
 def _bottom_up(x: Tensor, stack, modality: str) -> ScalePyramid:
     levels = [x]
     for cp, gp in stack:
@@ -369,24 +410,11 @@ def _bottom_up(x: Tensor, stack, modality: str) -> ScalePyramid:
 
 def audio_only_cycle(e_s: Tensor, cfg: ModelConfig, p: ModelParams) -> Tensor:
     """One refinement cycle through the audio network alone, sharing the
-    audio-side parameters of the fused network."""
-    if e_s.shape[1] % (1 << cfg.depth):
-        raise GeometryError("audio length must divide by 2^depth")
+    audio-side parameters of the fused network (no dropout)."""
     pyr = _bottom_up(e_s, p.audio_down, "audio")
-    d = cfg.depth
-    acc = pyr.levels[d]
-    for i in range(d):
-        acc = T.ew_add(acc, avg_pool1d(pyr.levels[i], 2 ** (d - i)))
-    s_g = ffn(acc, p.inter_t.ffn_s)
-    td = p.top_down
-    if td.global_s is None:
-        bar = [intra_a_prime(x, s_g) for x in pyr.levels]
-    else:
-        bar = [intra_a_global(x, s_g, td.global_s[i]) for i, x in enumerate(pyr.levels)]
-    chk = intra_a_global(bar[d - 1], bar[d], td.local_s[d - 1])
-    for i in range(d - 2, -1, -1):
-        chk = intra_a_global(bar[i], chk, td.local_s[i])
-    return chk
+    s_g = ffn(pooled_sum(pyr.levels), p.inter_t.ffn_s)
+    s0, _ = top_down_pass(pyr, None, GlobalFeatures(s_g=s_g, v_g=None), p.top_down)
+    return s0
 
 
 def separation_forward(
@@ -410,14 +438,14 @@ def separation_features(
     rng: np.random.Generator | None = None,
 ) -> Tensor:
     """All cycles of the separation network, without the final
-    rectification (exposed so verification can see the pre-mask margin)."""
+    rectification (exposed so verification can see the pre-mask margin).
+    The audio-only variant runs its fusion cycles as audio cycles too."""
     step = 1 << cfg.depth
     if e_s.shape[1] % step:
         raise GeometryError("audio embedding length must divide by 2^depth")
-    cur_s = e_s
+    cur_s, n_audio = e_s, cfg.n_audio_cycles
     if cfg.audio_only:
-        for _ in range(cfg.n_fusion_cycles + cfg.n_audio_cycles):
-            cur_s = audio_only_cycle(cur_s, cfg, p)
+        n_audio += cfg.n_fusion_cycles
     else:
         if e_v is None:
             raise GeometryError("the fused model needs video features")
@@ -437,39 +465,9 @@ def separation_features(
                 cur_s, cur_v = inter_a_b(s0, v0, p.inter_b)
             else:
                 cur_s, cur_v = s0, v0
-        for _ in range(cfg.n_audio_cycles):
-            cur_s = audio_only_cycle(cur_s, cfg, p)
+    for _ in range(n_audio):
+        cur_s = audio_only_cycle(cur_s, cfg, p)
     return cur_s
-
-
-def multi_speaker_masks(e_s: Tensor, cfg: ModelConfig, p: ModelParams) -> list[Tensor]:
-    """Audio-only variant: one mask per speaker via a 1x1 head conv."""
-    if p.mask_head is None:
-        raise ConfigError("multi-speaker masks need a mask head (n_speakers > 1)")
-    cur = e_s
-    for _ in range(cfg.n_fusion_cycles + cfg.n_audio_cycles):
-        cur = audio_only_cycle(cur, cfg, p)
-    stacked = T.relu(conv1d(cur, p.mask_head))
-    na = cfg.n_audio_channels
-    return [_slice_channels(stacked, k * na, (k + 1) * na) for k in range(cfg.n_speakers)]
-
-
-def _slice_channels(x: Tensor, lo: int, hi: int) -> Tensor:
-    from .tensor import _accum, _unary
-
-    def back(g):
-        gx = np.zeros_like(x.data)
-        gx[lo:hi] = g
-        _accum(x, gx)
-
-    return _unary(x, x.data[lo:hi].copy(), back)
-
-
-def apply_video_stub(feat: Tensor, p: ModelParams) -> Tensor:
-    if p.video_stub is None:
-        raise ConfigError("this model has no video pathway")
-    h = T.sigmoid(conv1d(feat, p.video_stub[0]))
-    return conv1d(h, p.video_stub[1])
 
 
 def separate(
@@ -480,32 +478,24 @@ def separate(
     training: bool = False,
     rng: np.random.Generator | None = None,
 ) -> SeparationOutput:
-    """Full pipeline: pad, encode, separate, mask, decode, trim."""
+    """Full pipeline: encode and pad, separate, mask, decode, trim. A model
+    with a mask head (``n_speakers > 1``) gets one mask per speaker from it."""
     t_a = mixture.shape[1]
-    e_raw = encode_audio(mixture, p)
-    step = 1 << cfg.depth
-    e_s = pad_right(e_raw, _ceil_to(e_raw.shape[1], step) - e_raw.shape[1])
-
-    e_v = None
-    if not cfg.audio_only:
-        if video_feat is None:
-            raise GeometryError("the fused model needs video features")
-        ev_raw = apply_video_stub(video_feat, p) if video_feat.shape[0] == cfg.n_video_in \
-            else video_feat
-        if ev_raw.shape[0] != cfg.n_video_channels:
-            raise GeometryError(
-                f"video features must have {cfg.n_video_in} or "
-                f"{cfg.n_video_channels} channels, got {video_feat.shape[0]}"
-            )
-        e_v = pad_right(ev_raw, _ceil_to(ev_raw.shape[1], step) - ev_raw.shape[1])
-
-    mask = separation_forward(e_s, e_v, cfg, p, training=training, rng=rng)
-    masked = T.ew_mul(e_s, mask)
-    wave = conv_transpose1d(masked, p.decoder)
-    if wave.shape[1] < t_a:
-        raise GeometryError("decoded waveform shorter than the input")
-    return SeparationOutput(mask=mask, masked_embedding=masked,
-                            waveform=crop_time(wave, t_a))
+    e_s, e_v = encode(mixture, video_feat, cfg, p)
+    if p.mask_head is None:
+        masks = [separation_forward(e_s, e_v, cfg, p, training=training, rng=rng)]
+    else:
+        feats = separation_features(e_s, e_v, cfg, p, training=training, rng=rng)
+        stacked = T.relu(conv1d(feats, p.mask_head))
+        na = cfg.n_audio_channels
+        masks = [slice_channels(stacked, k * na, (k + 1) * na) for k in range(cfg.n_speakers)]
+    waves = []
+    for mask in masks:
+        wave = conv_transpose1d(T.ew_mul(e_s, mask), p.decoder)
+        if wave.shape[1] < t_a:
+            raise GeometryError("decoded waveform shorter than the input")
+        waves.append(crop_time(wave, t_a))
+    return SeparationOutput(masks=masks, waveforms=waves)
 
 
 # ---------------------------------------------------------------------------
@@ -518,7 +508,7 @@ def count_params(cfg: ModelConfig) -> int:
     Cycle counts do not enter (one shared weight set). The toy video stub
     and the multi-speaker mask head are auxiliary and excluded.
     """
-    return sum(n for _, n in _param_breakdown(cfg))
+    return sum(n for _, n in param_breakdown(cfg))
 
 
 def _conv_weights(c_out: int, c_in: int, k: int, groups: int = 1) -> int:
@@ -536,7 +526,7 @@ def _ffn_weights(cfg: ModelConfig, c_in: int, triple) -> int:
             + _conv_weights(c3, c2, 1))
 
 
-def _param_breakdown(cfg: ModelConfig) -> list[tuple[str, int]]:
+def param_breakdown(cfg: ModelConfig) -> list[tuple[str, int]]:
     na, nv, d, kq = cfg.n_audio_channels, cfg.n_video_channels, cfg.depth, cfg.q_kernel
     q = lambda ci, co: _conv_weights(co, ci, kq) + 2 * co  # conv (no bias) + gln affine
     down = lambda c: d * (_down_weights(cfg, c) + 2 * c)  # + gln affine
@@ -586,10 +576,10 @@ def count_macs(cfg: ModelConfig, audio_seconds: float) -> int:
     application. Element-wise gates, pooling and resampling are excluded."""
     if audio_seconds <= 0:
         raise ValueError("audio_seconds must be positive")
-    return sum(n for _, n in _mac_breakdown(cfg, audio_seconds))
+    return sum(n for _, n in mac_breakdown(cfg, audio_seconds))
 
 
-def _mac_breakdown(cfg: ModelConfig, audio_seconds: float) -> list[tuple[str, int]]:
+def mac_breakdown(cfg: ModelConfig, audio_seconds: float) -> list[tuple[str, int]]:
     na, nv, d, kq = cfg.n_audio_channels, cfg.n_video_channels, cfg.depth, cfg.q_kernel
     ls, lv, _ = _grid_lengths(cfg, audio_seconds)
     qm = lambda ci, co, l: _conv_weights(co, ci, kq) * l
@@ -688,29 +678,28 @@ def load_checkpoint(path) -> tuple[ModelParams, ModelConfig]:
     try:
         manifest = json.loads(blob[16 : 16 + mlen].decode())
         cfg = _config_from_dict(manifest["config"])
-        listed = manifest["tensors"]
-    except (ValueError, KeyError) as e:
+        listed = [(e["name"], tuple(e["shape"])) for e in manifest["tensors"]]
+    except (ValueError, KeyError, TypeError) as e:
         raise FormatError(f"unreadable checkpoint manifest: {e}") from e
 
     params = build_params(cfg, seed=0)
-    entries = dict(named_tensors(params))
-    if [e["name"] for e in listed] != [n for n, _ in named_tensors(params)]:
-        raise FormatError("checkpoint tensor list does not match its config")
+    entries = list(named_tensors(params))
+    if listed != [(n, t.shape) for n, t in entries]:
+        raise FormatError("checkpoint tensor names or shapes do not match its config")
 
     payload = blob[16 + mlen :]
-    expected = sum(int(np.prod(e["shape"])) for e in listed) * 4
+    expected = sum(t.size for _, t in entries) * 4
     if len(payload) != expected:
         raise FormatError(
             f"corrupt checkpoint payload: {len(payload)} bytes, expected {expected}"
         )
     off = 0
-    for e in listed:
-        shape = tuple(e["shape"])
-        t = entries[e["name"]]
-        if t.shape != shape:
-            raise FormatError(f"shape mismatch for {e['name']}: {shape} vs {t.shape}")
-        n = int(np.prod(shape)) * 4
-        t.data = np.frombuffer(payload[off : off + n], dtype="<f4").reshape(shape).copy()
+    for name, t in entries:
+        n = t.size * 4
+        data = np.frombuffer(payload[off : off + n], dtype="<f4").reshape(t.shape)
+        if not np.all(np.isfinite(data)):
+            raise FormatError(f"non-finite values in checkpoint tensor {name}")
+        t.data = data.copy()
         off += n
     return params, cfg
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import GeometryError
-from .tensor import Tensor, _accum, _unary
+from .tensor import Tensor, _accum, _node
 
 __all__ = [
     "Conv1dParams",
@@ -23,12 +23,12 @@ __all__ = [
     "conv1d",
     "conv_transpose1d",
     "avg_pool1d",
-    "interp_upsample",
     "interp_resample",
     "gln",
     "q_op",
     "ffn",
     "dropout",
+    "slice_channels",
     "conv1d_out_len",
     "conv_transpose1d_out_len",
 ]
@@ -154,7 +154,7 @@ def conv1d(x: Tensor, p: Conv1dParams) -> Tensor:
     if p.bias is not None:
         y = y + p.bias.data[:, None]
 
-    parents = [x, p.weight] + ([p.bias] if p.bias is not None else [])
+    parents = (x, p.weight) + ((p.bias,) if p.bias is not None else ())
 
     def back(grad):
         gg = grad.reshape(g, -1, l_out)
@@ -165,9 +165,7 @@ def conv1d(x: Tensor, p: Conv1dParams) -> Tensor:
         gxp = _scatter_taps(tmp, stride, xp.shape[1], xp.dtype)
         _accum(x, gxp[:, pad : pad + l_in] if pad else gxp)
 
-    track = any(t.requires_grad or t._parents for t in parents)
-    return Tensor(y, _parents=tuple(parents) if track else (),
-                  _backward=back if track else None)
+    return _node(y, parents, back)
 
 
 def conv_transpose1d(x: Tensor, p: Conv1dParams) -> Tensor:
@@ -200,7 +198,7 @@ def conv_transpose1d(x: Tensor, p: Conv1dParams) -> Tensor:
             raise GeometryError("conv_transpose1d bias length mismatch")
         y = y + p.bias.data[:, None]
 
-    parents = [x, p.weight] + ([p.bias] if p.bias is not None else [])
+    parents = (x, p.weight) + ((p.bias,) if p.bias is not None else ())
 
     def back(grad):
         if p.bias is not None:
@@ -211,9 +209,7 @@ def conv_transpose1d(x: Tensor, p: Conv1dParams) -> Tensor:
         _accum(x, (wmat @ cols).reshape(c, l_in))
         _accum(p.weight, (xg @ cols.transpose(0, 2, 1)).reshape(p.weight.shape))
 
-    track = any(t.requires_grad or t._parents for t in parents)
-    return Tensor(y, _parents=tuple(parents) if track else (),
-                  _backward=back if track else None)
+    return _node(y, parents, back)
 
 
 def avg_pool1d(x: Tensor, ratio: int) -> Tensor:
@@ -231,7 +227,7 @@ def avg_pool1d(x: Tensor, ratio: int) -> Tensor:
     def back(g):
         _accum(x, np.repeat(g / ratio, ratio, axis=1) if ratio > 1 else g)
 
-    return _unary(x, y, back)
+    return _node(y, (x,), back)
 
 
 def interp_resample(x: Tensor, target_len: int) -> Tensor:
@@ -254,15 +250,7 @@ def interp_resample(x: Tensor, target_len: int) -> Tensor:
             np.add.at(gx, (np.arange(c)[:, None], idx[None, :]), g)
             _accum(x, gx)
 
-    return _unary(x, y, back)
-
-
-def interp_upsample(x: Tensor, target_len: int) -> Tensor:
-    if target_len < x.shape[1]:
-        raise GeometryError(
-            f"upsample target {target_len} shorter than input {x.shape[1]}"
-        )
-    return interp_resample(x, target_len)
+    return _node(y, (x,), back)
 
 
 def gln(x: Tensor, p: GlnParams) -> Tensor:
@@ -278,8 +266,6 @@ def gln(x: Tensor, p: GlnParams) -> Tensor:
     xhat = (x.data - m) * inv
     y = p.gain.data[:, None] * xhat + p.bias.data[:, None]
 
-    parents = (x, p.gain, p.bias)
-
     def back(g):
         _accum(p.gain, (g * xhat).sum(axis=1))
         _accum(p.bias, g.sum(axis=1))
@@ -287,8 +273,7 @@ def gln(x: Tensor, p: GlnParams) -> Tensor:
         gx = inv * (u - u.mean() - xhat * (u * xhat).sum() / n)
         _accum(x, gx)
 
-    track = any(t.requires_grad or t._parents for t in parents)
-    return Tensor(y, _parents=parents if track else (), _backward=back if track else None)
+    return _node(y, (x, p.gain, p.bias), back)
 
 
 def q_op(x: Tensor, p: QParams) -> Tensor:
@@ -316,7 +301,7 @@ def pad_right(x: Tensor, n: int) -> Tensor:
     def back(g):
         _accum(x, g[:, : x.shape[1]])
 
-    return _unary(x, np.pad(x.data, ((0, 0), (0, n))), back)
+    return _node(np.pad(x.data, ((0, 0), (0, n))), (x,), back)
 
 
 def crop_time(x: Tensor, length: int) -> Tensor:
@@ -331,7 +316,18 @@ def crop_time(x: Tensor, length: int) -> Tensor:
         gx[:, :length] = g
         _accum(x, gx)
 
-    return _unary(x, x.data[:, :length].copy(), back)
+    return _node(x.data[:, :length].copy(), (x,), back)
+
+
+def slice_channels(x: Tensor, lo: int, hi: int) -> Tensor:
+    """Keep channels ``lo:hi``."""
+
+    def back(g):
+        gx = np.zeros_like(x.data)
+        gx[lo:hi] = g
+        _accum(x, gx)
+
+    return _node(x.data[lo:hi].copy(), (x,), back)
 
 
 def dropout(x: Tensor, p: float, training: bool, rng: np.random.Generator | None) -> Tensor:
@@ -349,4 +345,4 @@ def dropout(x: Tensor, p: float, training: bool, rng: np.random.Generator | None
     def back(g):
         _accum(x, g * keep * inv)
 
-    return _unary(x, y, back)
+    return _node(y, (x,), back)

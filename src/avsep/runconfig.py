@@ -8,67 +8,33 @@ are an error, naming the key.
 
 from __future__ import annotations
 
+from dataclasses import fields
+
 from .errors import ConfigError
 from .model import ModelConfig
 from .trainer import TrainSettings
 
 __all__ = ["parse_file", "parse_text", "make_model_config", "make_train_settings"]
 
-_BOOL = {"true": True, "false": False}
-
-# key -> converter
-_MODEL_SCHEMA = {
-    "sample_rate": int,
-    "enc_kernel": int,
-    "enc_stride": int,
-    "n_audio_channels": int,
-    "n_video_channels": int,
-    "n_video_in": int,
-    "depth": int,
-    "n_fusion_cycles": int,
-    "n_audio_cycles": int,
-    "intra_variant": str,
-    "inter_t_enabled": "bool",
-    "inter_m_enabled": "bool",
-    "inter_b_enabled": "bool",
-    "dropout_p": float,
-    "ffn_channels": "int_triple",
-    "q_kernel": int,
-    "audio_only": "bool",
-    "n_speakers": int,
-    "depthwise": "bool",
-}
-
-_TRAIN_SCHEMA = {
-    "lr": float,
-    "max_steps": int,
-    "steps_per_epoch": int,
-    "clip_norm": float,
-    "plateau_patience": int,
-    "stop_patience": int,
-    "seed": int,
-    "snr_db": float,
-    "mixture_seconds": float,
-    "target_si_snri_db": float,
-    "dynamic_mix": "bool",
-    "pool_size": int,
-}
+def _bool(raw: str) -> bool:
+    if raw.lower() not in ("true", "false"):
+        raise ValueError("expected true or false")
+    return raw.lower() == "true"
 
 
-def _convert(key: str, raw: str, conv):
-    try:
-        if conv == "bool":
-            if raw.lower() not in _BOOL:
-                raise ValueError("expected true or false")
-            return _BOOL[raw.lower()]
-        if conv == "int_triple":
-            parts = [int(p.strip()) for p in raw.split(",")]
-            if len(parts) != 3:
-                raise ValueError("expected three comma-separated integers")
-            return tuple(parts)
-        return conv(raw)
-    except ValueError as e:
-        raise ConfigError(f"bad value for {key!r}: {raw!r} ({e})") from e
+def _int_triple(raw: str) -> tuple[int, int, int]:
+    parts = [int(p.strip()) for p in raw.split(",")]
+    if len(parts) != 3:
+        raise ValueError("expected three comma-separated integers")
+    return tuple(parts)
+
+
+# field annotation -> converter from the config text
+_CONVERTERS = {"int": int, "float": float, "str": str, "bool": _bool,
+               "tuple[int, int, int]": _int_triple}
+# key -> converter, one key per dataclass field
+_MODEL_SCHEMA = {f.name: _CONVERTERS[f.type] for f in fields(ModelConfig)}
+_TRAIN_SCHEMA = {f.name: _CONVERTERS[f.type] for f in fields(TrainSettings)}
 
 
 def parse_text(text: str) -> dict:
@@ -81,15 +47,15 @@ def parse_text(text: str) -> dict:
         if "=" not in line:
             raise ConfigError(f"line {lineno}: expected 'key = value', got {line!r}")
         key, raw = (s.strip() for s in line.split("=", 1))
-        if key in _MODEL_SCHEMA:
-            conv = _MODEL_SCHEMA[key]
-        elif key in _TRAIN_SCHEMA:
-            conv = _TRAIN_SCHEMA[key]
-        else:
+        conv = _MODEL_SCHEMA.get(key) or _TRAIN_SCHEMA.get(key)
+        if conv is None:
             raise ConfigError(f"line {lineno}: unknown config key {key!r}")
         if key in out:
             raise ConfigError(f"line {lineno}: duplicate key {key!r}")
-        out[key] = _convert(key, raw, conv)
+        try:
+            out[key] = conv(raw)
+        except ValueError as e:
+            raise ConfigError(f"bad value for {key!r}: {raw!r} ({e})") from e
     return out
 
 

@@ -16,7 +16,7 @@ bugs early.
 
 from __future__ import annotations
 
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -177,9 +177,13 @@ def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return g.reshape(shape)
 
 
-def _binary(a: Tensor, b: Tensor, out: np.ndarray, back) -> Tensor:
-    track = a.requires_grad or b.requires_grad or a._parents or b._parents
-    return Tensor(out, _parents=(a, b) if track else (), _backward=back if track else None)
+def _node(out: np.ndarray, parents: tuple[Tensor, ...], back) -> Tensor:
+    """The result of an op: a tape node over ``parents`` with backward
+    ``back``, or a plain tensor when no parent needs a gradient."""
+    for t in parents:
+        if t.requires_grad or t._parents:
+            return Tensor(out, _parents=parents, _backward=back)
+    return Tensor(out)
 
 
 def ew_add(a: Tensor, b: Tensor) -> Tensor:
@@ -189,7 +193,7 @@ def ew_add(a: Tensor, b: Tensor) -> Tensor:
         _accum(a, _unbroadcast(g, a.shape))
         _accum(b, _unbroadcast(g, b.shape))
 
-    return _binary(a, b, a.data + b.data, back)
+    return _node(a.data + b.data, (a, b), back)
 
 
 def ew_sub(a: Tensor, b: Tensor) -> Tensor:
@@ -199,7 +203,7 @@ def ew_sub(a: Tensor, b: Tensor) -> Tensor:
         _accum(a, _unbroadcast(g, a.shape))
         _accum(b, _unbroadcast(-g, b.shape))
 
-    return _binary(a, b, a.data - b.data, back)
+    return _node(a.data - b.data, (a, b), back)
 
 
 def ew_mul(a: Tensor, b: Tensor) -> Tensor:
@@ -209,7 +213,7 @@ def ew_mul(a: Tensor, b: Tensor) -> Tensor:
         _accum(a, _unbroadcast(g * b.data, a.shape))
         _accum(b, _unbroadcast(g * a.data, b.shape))
 
-    return _binary(a, b, a.data * b.data, back)
+    return _node(a.data * b.data, (a, b), back)
 
 
 def ew_div(a: Tensor, b: Tensor) -> Tensor:
@@ -220,20 +224,14 @@ def ew_div(a: Tensor, b: Tensor) -> Tensor:
         _accum(a, _unbroadcast(g / b.data, a.shape))
         _accum(b, _unbroadcast(-g * a.data / (b.data * b.data), b.shape))
 
-    return _binary(a, b, out, back)
+    return _node(out, (a, b), back)
 
 
 def scale(x: Tensor, c: float) -> Tensor:
     def back(g):
         _accum(x, g * c)
 
-    track = x.requires_grad or x._parents
-    return Tensor(x.data * c, _parents=(x,) if track else (), _backward=back if track else None)
-
-
-def _unary(x: Tensor, out: np.ndarray, back) -> Tensor:
-    track = x.requires_grad or x._parents
-    return Tensor(out, _parents=(x,) if track else (), _backward=back if track else None)
+    return _node(x.data * c, (x,), back)
 
 
 def sigmoid(x: Tensor) -> Tensor:
@@ -245,28 +243,28 @@ def sigmoid(x: Tensor) -> Tensor:
     def back(g):
         _accum(x, g * y * (1.0 - y))
 
-    return _unary(x, y, back)
+    return _node(y, (x,), back)
 
 
 def relu(x: Tensor) -> Tensor:
     def back(g):
         _accum(x, g * (x.data > 0))
 
-    return _unary(x, np.maximum(x.data, 0), back)
+    return _node(np.maximum(x.data, 0), (x,), back)
 
 
 def log(x: Tensor) -> Tensor:
     def back(g):
         _accum(x, g / x.data)
 
-    return _unary(x, np.log(x.data), back)
+    return _node(np.log(x.data), (x,), back)
 
 
 def sum_all(x: Tensor) -> Tensor:
     def back(g):
         _accum(x, np.broadcast_to(g, x.shape))
 
-    return _unary(x, x.data.sum(keepdims=False).reshape(()), back)
+    return _node(x.data.sum(keepdims=False).reshape(()), (x,), back)
 
 
 def finite_difference_grad(
@@ -292,7 +290,3 @@ def finite_difference_grad(
         flat[i] = orig
         gflat[i] = (fp - fm) / (2.0 * eps)
     return g
-
-
-def parameters_of(tensors: Sequence[Tensor]) -> list[Tensor]:
-    return [t for t in tensors if t.requires_grad]

@@ -11,20 +11,8 @@ import numpy as np
 from . import metrics
 from .data import dynamic_mix_batch, energy_envelope, mix_at_snr, synth_sources
 from .errors import TrainingError
-from .model import (
-    ModelConfig,
-    ModelParams,
-    build_params,
-    multi_speaker_masks,
-    named_tensors,
-    conv_transpose1d,
-    encode_audio,
-)
-from .model import separate as model_separate
-from .model import _ceil_to
-from .nn import crop_time, pad_right
+from .model import ModelConfig, ModelParams, build_params, named_tensors, separate
 from .tensor import Tensor
-from . import tensor as T
 
 __all__ = [
     "AdamState",
@@ -146,23 +134,20 @@ class TrainResult:
     video_feat: np.ndarray | None
 
 
-def _forward_loss_av(mixture, video_feat, reference, cfg, p):
-    out = model_separate(Tensor(mixture[None, :].astype(np.float32)),
-                         Tensor(video_feat.astype(np.float32)), cfg, p)
-    return metrics.si_snr_loss(out.waveform, reference[None, :]), out
+def _separate(mixture: np.ndarray, video_feat: np.ndarray | None, cfg, p):
+    return separate(Tensor(mixture[None, :].astype(np.float32)),
+                    None if video_feat is None else Tensor(video_feat.astype(np.float32)),
+                    cfg, p)
 
 
-def _forward_masks_audio_only(mixture, cfg, p):
-    wave = Tensor(mixture[None, :].astype(np.float32))
-    e_raw = encode_audio(wave, p)
-    step = 1 << cfg.depth
-    e_s = pad_right(e_raw, _ceil_to(e_raw.shape[1], step) - e_raw.shape[1])
-    masks = multi_speaker_masks(e_s, cfg, p)
-    waves = []
-    for m in masks:
-        decoded = conv_transpose1d(T.ew_mul(e_s, m), p.decoder)
-        waves.append(crop_time(decoded, wave.shape[1]))
-    return waves
+def _forward_loss_av(mixture, video_feat, refs, cfg, p) -> Tensor:
+    """Separate one mixture and return the training loss: negative SI-SNR
+    against ``refs[0]``, or the PIT loss over ``refs`` when the model
+    separates several speakers."""
+    out = _separate(mixture, video_feat, cfg, p)
+    if cfg.n_speakers > 1:
+        return metrics.pit_si_snr_loss(out.waveforms, [r[None, :] for r in refs])
+    return metrics.si_snr_loss(out.waveform, refs[0][None, :])
 
 
 def train_toy(cfg: ModelConfig, settings: TrainSettings,
@@ -184,17 +169,13 @@ def train_toy(cfg: ModelConfig, settings: TrainSettings,
                           stop_patience=settings.stop_patience)
 
     def eval_si_snri() -> float:
-        if cfg.audio_only and cfg.n_speakers > 1:
-            waves = _forward_masks_audio_only(mixture, cfg, p)
-            ests = [w.data[0] for w in waves]
-            refs = [target, scaled_interf]
-            _, val = metrics.pit_best(refs, ests)
-            base = sum(metrics.si_snr(r, mixture) for r in refs) / len(refs)
-            return val - base
-        out = model_separate(Tensor(mixture[None, :].astype(np.float32)),
-                             None if video_feat is None else Tensor(video_feat),
-                             cfg, p)
-        return metrics.si_snri(mixture, target, out.waveform.data[0])
+        out = _separate(mixture, video_feat, cfg, p)
+        if cfg.n_speakers == 1:
+            return metrics.si_snri(mixture, target, out.waveform.data[0])
+        refs = [target, scaled_interf]
+        _, val = metrics.pit_best(refs, [w.data[0] for w in out.waveforms])
+        base = sum(metrics.si_snr(r, mixture) for r in refs) / len(refs)
+        return val - base
 
     history: list[dict] = []
     steps_run = 0
@@ -207,21 +188,11 @@ def train_toy(cfg: ModelConfig, settings: TrainSettings,
             if settings.dynamic_mix:
                 spec = dynamic_mix_batch(pool, 1, rng)[0]
                 mix = spec.mixture
-                ref = spec.sources[0] * spec.gains[0]
-                vfeat = None if cfg.audio_only else energy_envelope(ref, cfg.sample_rate)
+                refs = [src * g for src, g in zip(spec.sources, spec.gains)]
+                vfeat = None if cfg.audio_only else energy_envelope(refs[0], cfg.sample_rate)
             else:
-                mix, ref, vfeat = mixture, target, video_feat
-
-            if cfg.audio_only and cfg.n_speakers > 1:
-                if settings.dynamic_mix:
-                    refs = [spec.sources[k] * spec.gains[k] for k in range(2)]
-                else:
-                    refs = [target, scaled_interf]
-                waves = _forward_masks_audio_only(mix, cfg, p)
-                loss = metrics.pit_si_snr_loss(waves, [r[None, :] for r in refs])
-            else:
-                loss, _ = _forward_loss_av(mix, vfeat, ref, cfg, p)
-
+                mix, refs, vfeat = mixture, [target, scaled_interf], video_feat
+            loss = _forward_loss_av(mix, vfeat, refs, cfg, p)
             train_loss = loss.item()
             if not math.isfinite(train_loss):
                 raise TrainingError(f"non-finite loss at step {steps_run}")

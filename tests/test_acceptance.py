@@ -31,11 +31,11 @@ from avsep.data import (
 from avsep.metrics import pit_best, sdr, sdri, si_snr, si_snri
 from avsep.model import (
     ModelConfig,
-    _mac_breakdown,
     build_params,
     count_macs,
     count_params,
     load_checkpoint,
+    mac_breakdown,
     named_tensors,
     full_scale_config,
     paper_scale_config,
@@ -152,8 +152,8 @@ def test_criterion_7_weight_sharing_invariant():
 
 def test_criterion_8_relative_cost_properties():
     cfg = full_scale_config()
-    full = dict(_mac_breakdown(cfg, 1.0))
-    fast = dict(_mac_breakdown(replace(cfg, n_audio_cycles=6), 1.0))
+    full = dict(mac_breakdown(cfg, 1.0))
+    fast = dict(mac_breakdown(replace(cfg, n_audio_cycles=6), 1.0))
     ok = fast["audio_cycles"] == full["audio_cycles"] // 2
     ok &= fast["fusion_cycles"] == full["fusion_cycles"]
     ok &= count_params(cfg) == count_params(replace(cfg, n_audio_cycles=6))

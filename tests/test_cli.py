@@ -4,8 +4,17 @@ import numpy as np
 import pytest
 
 from avsep.cli import main
-from avsep.data import energy_envelope, mix_at_snr, save_embedding, save_wav, synth_sources
-from avsep.model import count_macs, count_params, load_checkpoint, paper_scale_config
+from avsep.data import (
+    energy_envelope,
+    load_wav,
+    mix_at_snr,
+    save_embedding,
+    save_wav,
+    synth_sources,
+)
+from avsep.metrics import si_snri
+from avsep.model import count_macs, count_params, load_checkpoint, paper_scale_config, separate
+from avsep.tensor import Tensor
 
 TINY_CFG = """\
 # small model, fast training
@@ -122,6 +131,46 @@ class TestSeparate:
                    "--checkpoint", str(workdir / "tiny.iiac"), "--fast",
                    "--out", str(tmp_path / "f")])
         assert rc == 0
+
+
+    def test_nan_embedding_exits_2(self, workdir, tmp_path, capsys):
+        nan = tmp_path / "nan.iiav"
+        save_embedding(nan, np.full((1, 2), np.nan, dtype=np.float32))
+        rc = main(["separate", "--mixture", str(workdir / "mix.wav"),
+                   "--embedding", str(nan),
+                   "--checkpoint", str(workdir / "tiny.iiac"),
+                   "--out", str(tmp_path / "x")])
+        assert rc == 2
+        assert "non-finite" in capsys.readouterr().err
+
+    def test_audio_only_writes_one_wav_per_speaker(self, workdir, tmp_path):
+        # the two-speaker audio-only model separates both speakers at once;
+        # the embedding is not read, and eval scores the nearer output
+        cfg = tmp_path / "tiny.cfg"
+        cfg.write_text(TINY_CFG.replace("max_steps = 30", "max_steps = 10"))
+        ckpt = tmp_path / "ao.iiac"
+        assert main(["train-toy", "--config", str(cfg), "--audio-only",
+                     "--out", str(ckpt)]) == 0
+        rc = main(["separate", "--mixture", str(workdir / "mix.wav"),
+                   "--embedding", str(tmp_path / "absent.iiav"),
+                   "--checkpoint", str(ckpt), "--out", str(tmp_path / "sep")])
+        assert rc == 0
+        wavs = [(tmp_path / f"sep.{k}.wav").read_bytes() for k in range(2)]
+        assert wavs[0] != wavs[1]
+        assert not (tmp_path / "sep.2.wav").exists()
+
+        pairs = tmp_path / "pairs.csv"
+        pairs.write_text(f"{workdir / 'mix.wav'},{workdir / 'ref.wav'},unused\n")
+        report = tmp_path / "report.csv"
+        assert main(["eval", "--pairs", str(pairs), "--checkpoint", str(ckpt),
+                     "--out", str(report)]) == 0
+        mixture, _ = load_wav(workdir / "mix.wav")
+        reference, _ = load_wav(workdir / "ref.wav")
+        params, model_cfg = load_checkpoint(ckpt)
+        out = separate(Tensor(mixture[None, :]), None, model_cfg, params)
+        best = max(si_snri(mixture, reference, w.data[0]) for w in out.waveforms)
+        rows = list(csv.reader(report.open()))
+        assert float(rows[1][1]) == pytest.approx(best, abs=1e-4)
 
 
 class TestEval:

@@ -19,7 +19,7 @@ from avsep.model import (
     count_params,
     encode_audio,
     load_checkpoint,
-    multi_speaker_masks,
+    mac_breakdown,
     named_tensors,
     full_scale_config,
     paper_scale_config,
@@ -219,11 +219,9 @@ class TestMacAccounting:
     def test_audio_cycles_share(self):
         from dataclasses import replace
 
-        from avsep.model import _mac_breakdown
-
         cfg = full_scale_config()
-        full = dict(_mac_breakdown(cfg, 1.0))
-        half = dict(_mac_breakdown(replace(cfg, n_audio_cycles=6), 1.0))
+        full = dict(mac_breakdown(cfg, 1.0))
+        half = dict(mac_breakdown(replace(cfg, n_audio_cycles=6), 1.0))
         assert half["audio_cycles"] == full["audio_cycles"] // 2
         assert half["fusion_cycles"] == full["fusion_cycles"]
 
@@ -285,6 +283,29 @@ class TestCheckpointIO:
         assert cfg2 == cfg and not cfg2.depthwise
         for (_, t1), (_, t2) in zip(named_tensors(p), named_tensors(p2)):
             np.testing.assert_array_equal(t1.data, t2.data)
+
+    def test_nan_payload_rejected(self, tmp_path):
+        # the last payload float is video_stub.1.bias
+        cfg = tiny_config()
+        path = tmp_path / "m.iiac"
+        save_checkpoint(build_params(cfg, seed=0), cfg, path)
+        path.write_bytes(path.read_bytes()[:-4] + struct.pack("<f", float("nan")))
+        with pytest.raises(FormatError, match="video_stub.1.bias"):
+            load_checkpoint(path)
+
+    def test_non_integer_manifest_shape_rejected(self, tmp_path):
+        cfg = tiny_config()
+        path = tmp_path / "m.iiac"
+        save_checkpoint(build_params(cfg, seed=0), cfg, path)
+        blob = path.read_bytes()
+        (mlen,) = struct.unpack_from("<Q", blob, 8)
+        manifest = json.loads(blob[16 : 16 + mlen])
+        manifest["tensors"][0]["shape"] = ["x"]
+        mbytes = json.dumps(manifest).encode()
+        path.write_bytes(blob[:8] + struct.pack("<Q", len(mbytes)) + mbytes
+                         + blob[16 + mlen :])
+        with pytest.raises(FormatError):
+            load_checkpoint(path)
 
     def test_magic_and_version(self, tmp_path):
         cfg = tiny_config()
@@ -355,18 +376,14 @@ class TestMultiSpeaker:
     def test_one_mask_per_speaker(self, rng):
         cfg = tiny_config(audio_only=True, n_speakers=2)
         p = build_params(cfg, seed=0)
-        e_s = Tensor(rng.standard_normal((4, 16)).astype(np.float32))
-        masks = multi_speaker_masks(e_s, cfg, p)
-        assert len(masks) == 2
-        for m in masks:
-            assert m.shape == (4, 16)
+        wave = Tensor(rng.uniform(-0.5, 0.5, (1, 100)).astype(np.float32))
+        out = separate(wave, None, cfg, p)
+        assert len(out.masks) == 2 and len(out.waveforms) == 2
+        for m, w in zip(out.masks, out.waveforms):
+            assert m.shape == (4, 52)
             assert m.data.min() >= 0.0
-
-    def test_head_required(self, rng):
-        cfg = tiny_config(audio_only=True)
-        p = build_params(cfg, seed=0)
-        with pytest.raises(ConfigError):
-            multi_speaker_masks(Tensor(np.zeros((4, 16))), cfg, p)
+            assert w.shape == (1, 100)
+        assert np.any(out.waveforms[0].data != out.waveforms[1].data)
 
 
 class TestDeterminism:

@@ -20,9 +20,9 @@ from avsep.nn import (
     ffn,
     gln,
     interp_resample,
-    interp_upsample,
     pad_right,
     q_op,
+    slice_channels,
 )
 from avsep.tensor import Tensor
 
@@ -164,10 +164,6 @@ class TestPoolingAndResampling:
         idx = (np.arange(12) * 5) // 12
         np.testing.assert_array_equal(got, x[:, idx])
 
-    def test_upsample_rejects_shrinking(self):
-        with pytest.raises(GeometryError):
-            interp_upsample(Tensor(np.zeros((1, 8))), 4)
-
     def test_resample_identity(self, rng):
         x = rng.standard_normal((2, 7))
         np.testing.assert_array_equal(interp_resample(Tensor(x), 7).data, x)
@@ -233,6 +229,15 @@ class TestPadCrop:
     def test_crop_bounds(self):
         with pytest.raises(GeometryError):
             crop_time(Tensor(np.zeros((1, 4))), 5)
+
+    def test_slice_channels_routes_gradient_to_its_rows(self, rng):
+        x = Tensor(rng.standard_normal((6, 5)), dtype=np.float64, requires_grad=True)
+        y = slice_channels(x, 2, 4)
+        np.testing.assert_array_equal(y.data, x.data[2:4])
+        T.sum_all(T.scale(y, 3.0)).backward()
+        want = np.zeros((6, 5))
+        want[2:4] = 3.0
+        np.testing.assert_array_equal(x.grad, want)
 
 
 class TestDropout:
