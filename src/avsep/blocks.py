@@ -120,20 +120,19 @@ def inter_a_t(
     audio: ScalePyramid,
     video: ScalePyramid,
     p: InterTParams,
-    cross_attention: bool = True,
     dropout_p: float = 0.0,
     training: bool = False,
     rng: np.random.Generator | None = None,
 ) -> GlobalFeatures:
     """Coarsest-scale fusion producing the per-modality global features.
 
-    With ``cross_attention`` off the pooled sums feed the FFNs directly
-    (the ablation wiring)."""
+    Without the cross-modal Q pair (``p.q_av is None``) the pooled sums
+    feed the FFNs directly (the ablation wiring)."""
     if audio.depth != video.depth:
         raise GeometryError("pyramids must have the same number of levels")
     f_s = pooled_sum(audio.levels)
     f_v = pooled_sum(video.levels)
-    if cross_attention:
+    if p.q_av is not None:
         ga = dropout(q_op(f_v, p.q_av), dropout_p, training, rng)
         gv = dropout(q_op(f_s, p.q_va), dropout_p, training, rng)
         s_in = T.ew_mul(f_s, T.sigmoid(interp_resample(ga, f_s.shape[1])))

@@ -104,8 +104,11 @@ def cmd_train_toy(args) -> int:
 
 def cmd_eval(args) -> int:
     params, cfg = _load_model(args)
-    with open(args.pairs, "r", encoding="utf-8", newline="") as fh:
-        rows = [r for r in csv.reader(fh) if r and any(c.strip() for c in r)]
+    try:
+        with open(args.pairs, "r", encoding="utf-8", newline="") as fh:
+            rows = [r for r in csv.reader(fh) if r and any(c.strip() for c in r)]
+    except (UnicodeDecodeError, csv.Error) as e:
+        raise FormatError(f"{args.pairs}: unreadable pairs manifest ({e})") from e
     if rows and rows[0][:2] == ["mixture", "reference"]:
         rows = rows[1:]
     if not rows:

@@ -64,8 +64,11 @@ def load_wav(path) -> tuple[np.ndarray, int]:
                 raise FormatError(f"{path}: only 16-bit PCM supported")
             raw = fh.readframes(fh.getnframes())
             rate = fh.getframerate()
-    except _wave.Error as e:
-        raise FormatError(f"{path}: malformed WAV ({e})") from e
+    except (_wave.Error, EOFError, RuntimeError) as e:
+        # wave raises EOFError on a truncated header, RuntimeError on a bad chunk seek
+        raise FormatError(f"{path}: malformed WAV ({e or type(e).__name__})") from e
+    if len(raw) % 2:
+        raise FormatError(f"{path}: truncated PCM16 sample data")
     samples = np.frombuffer(raw, dtype="<i2").astype(np.float32) / 32768.0
     return samples, rate
 

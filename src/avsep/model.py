@@ -8,8 +8,9 @@ has its own parameters.
 from __future__ import annotations
 
 import json
+import math
 import struct
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, fields, is_dataclass, replace
 
 import numpy as np
 
@@ -116,15 +117,6 @@ class ModelConfig:
             raise ConfigError("depthwise video FFN needs ffn_channels[1] divisible by "
                               "n_video_channels")
 
-    @property
-    def video_ffn_channels(self) -> tuple[int, int, int]:
-        return (self.n_video_channels, self.ffn_channels[1], self.n_video_channels)
-
-    def routed_groups(self, c_in: int) -> int:
-        """Groups of a depthwise-routed conv (down-conv, FFN middle conv)
-        reading ``c_in`` channels: ``c_in`` when depthwise, else 1."""
-        return c_in if self.depthwise else 1
-
 
 def full_scale_config() -> ModelConfig:
     """The dense 512-channel reference configuration: ~25M parameters and
@@ -200,21 +192,24 @@ class SeparationOutput:
 
 
 class _Init:
-    """Deterministic parameter factory; draws are consumed in field order."""
+    """Parameter factory. With a generator, draws are consumed in field
+    order; without one every weight is zero, which builds the skeleton
+    that the cost accounting reads and checkpoint loading fills."""
 
-    def __init__(self, seed: int, dtype, routed_groups):
-        self.rng = np.random.default_rng(seed)
+    def __init__(self, rng: np.random.Generator | None, dtype, depthwise: bool):
+        self.rng = rng
         self.dtype = dtype
-        self.routed_groups = routed_groups  # ModelConfig.routed_groups
+        self.depthwise = depthwise  # down-convs and FFN middle conv get groups=C_in
+
+    def _uniform(self, bound: float, shape) -> Tensor:
+        data = (np.zeros(shape, self.dtype) if self.rng is None
+                else self.rng.uniform(-bound, bound, shape).astype(self.dtype))
+        return Tensor(data, requires_grad=True)
 
     def conv(self, c_out, c_in, k, stride=1, padding=0, bias=False, groups=1) -> Conv1dParams:
         bound = 1.0 / np.sqrt((c_in // groups) * k)
-        w = Tensor(self.rng.uniform(-bound, bound, (c_out, c_in // groups, k))
-                   .astype(self.dtype), requires_grad=True)
-        b = None
-        if bias:
-            b = Tensor(self.rng.uniform(-bound, bound, (c_out,)).astype(self.dtype),
-                       requires_grad=True)
+        w = self._uniform(bound, (c_out, c_in // groups, k))
+        b = self._uniform(bound, (c_out,)) if bias else None
         return Conv1dParams(weight=w, bias=b, stride=stride, padding=padding, groups=groups)
 
     def gln(self, c) -> GlnParams:
@@ -228,7 +223,7 @@ class _Init:
         return QParams(conv=self.conv(c_out, c_in, kernel, padding=pad), gln=self.gln(c_out))
 
     def down(self, c) -> tuple[Conv1dParams, GlnParams]:
-        conv = self.conv(c, c, 5, stride=2, padding=2, groups=self.routed_groups(c))
+        conv = self.conv(c, c, 5, stride=2, padding=2, groups=c if self.depthwise else 1)
         return conv, self.gln(c)
 
     def ffn(self, c_in, triple) -> FfnParams:
@@ -236,7 +231,8 @@ class _Init:
         return FfnParams(
             convs=[
                 self.conv(c1, c_in, 1, bias=False),
-                self.conv(c2, c1, 5, padding=2, bias=True, groups=self.routed_groups(c1)),
+                self.conv(c2, c1, 5, padding=2, bias=True,
+                          groups=c1 if self.depthwise else 1),
                 self.conv(c3, c2, 1, bias=False),
             ],
             gln=self.gln(c3),
@@ -244,43 +240,48 @@ class _Init:
 
 
 def build_params(cfg: ModelConfig, seed: int = 0, dtype=np.float32) -> ModelParams:
-    ini = _Init(seed, dtype, cfg.routed_groups)
+    return _build(cfg, _Init(np.random.default_rng(seed), dtype, cfg.depthwise))
+
+
+def _skeleton(cfg: ModelConfig) -> ModelParams:
+    """The parameter tree of ``cfg`` with every weight zero, built without a
+    random draw. A config too large to allocate raises ConfigError."""
+    try:
+        return _build(cfg, _Init(None, np.float32, cfg.depthwise))
+    except (MemoryError, ValueError) as e:  # numpy: out of memory, or "array is too big"
+        raise ConfigError(f"model too large to build: {e}") from e
+
+
+def _build(cfg: ModelConfig, ini: _Init) -> ModelParams:
     na, nv, d, kq = cfg.n_audio_channels, cfg.n_video_channels, cfg.depth, cfg.q_kernel
 
     encoder = ini.conv(na, 1, cfg.enc_kernel, stride=cfg.enc_stride)
     decoder = ini.conv(na, 1, cfg.enc_kernel, stride=cfg.enc_stride)  # used transposed
     audio_down = [ini.down(na) for _ in range(d)]
 
-    if cfg.audio_only:
-        video_down = None
-        inter_t = InterTParams(q_av=None, q_va=None,
-                               ffn_s=ini.ffn(na, cfg.ffn_channels), ffn_v=None)
-        inter_m = None
-        global_v = None
-        local_v = []
-        inter_b = None
-        video_stub = None
-    else:
-        video_down = [ini.down(nv) for _ in range(d)]
-        inter_t = InterTParams(
-            q_av=ini.q(nv, na, kq) if cfg.inter_t_enabled else None,
-            q_va=ini.q(na, nv, kq) if cfg.inter_t_enabled else None,
-            ffn_s=ini.ffn(na, cfg.ffn_channels),
-            ffn_v=ini.ffn(nv, cfg.video_ffn_channels),
-        )
-        inter_m = ([ini.q(nv, na, kq) for _ in range(d + 1)]
-                   if cfg.inter_m_enabled else None)
-        global_v = ([ini.q(nv, nv, kq) for _ in range(d + 1)]
-                    if cfg.intra_variant == "phi" else None)
-        local_v = [ini.q(nv, nv, kq) for _ in range(d)]
-        inter_b = (InterBParams(
-            gate_s=ini.q(na, nv, kq), out_s=ini.q(nv, na, kq),
-            gate_v=ini.q(nv, na, kq), out_v=ini.q(na, nv, kq),
-        ) if cfg.inter_b_enabled else None)
-        video_stub = [
-            ini.conv(nv, cfg.n_video_in, 3, padding=1, bias=True),
-            ini.conv(nv, nv, 3, padding=1, bias=True),
-        ]
+    # draws follow statement order; the audio-only variant has no video side
+    fused = not cfg.audio_only
+    video_down = [ini.down(nv) for _ in range(d)] if fused else None
+    cross = fused and cfg.inter_t_enabled
+    inter_t = InterTParams(
+        q_av=ini.q(nv, na, kq) if cross else None,
+        q_va=ini.q(na, nv, kq) if cross else None,
+        ffn_s=ini.ffn(na, cfg.ffn_channels),
+        ffn_v=ini.ffn(nv, (nv, cfg.ffn_channels[1], nv)) if fused else None,
+    )
+    inter_m = ([ini.q(nv, na, kq) for _ in range(d + 1)]
+               if fused and cfg.inter_m_enabled else None)
+    global_v = ([ini.q(nv, nv, kq) for _ in range(d + 1)]
+                if fused and cfg.intra_variant == "phi" else None)
+    local_v = [ini.q(nv, nv, kq) for _ in range(d)] if fused else []
+    inter_b = (InterBParams(
+        gate_s=ini.q(na, nv, kq), out_s=ini.q(nv, na, kq),
+        gate_v=ini.q(nv, na, kq), out_v=ini.q(na, nv, kq),
+    ) if fused and cfg.inter_b_enabled else None)
+    video_stub = [
+        ini.conv(nv, cfg.n_video_in, 3, padding=1, bias=True),
+        ini.conv(nv, nv, 3, padding=1, bias=True),
+    ] if fused else None
 
     global_s = ([ini.q(na, na, kq) for _ in range(d + 1)]
                 if cfg.intra_variant == "phi" else None)
@@ -366,6 +367,13 @@ def _ceil_to(n: int, m: int) -> int:
     return -(-n // m) * m
 
 
+def _frames(cfg: ModelConfig, t_a: int) -> int:
+    """Audio embedding frames for a ``t_a``-sample mixture: the fewest from
+    which the decoder covers every input sample, rounded up to a multiple
+    of 2^depth for the scale pyramid."""
+    return _ceil_to(-(-(t_a - cfg.enc_kernel) // cfg.enc_stride) + 1, 1 << cfg.depth)
+
+
 def encode_audio(wave: Tensor, p: ModelParams) -> Tensor:
     if wave.shape[1] < p.encoder.kernel:
         raise GeometryError("waveform shorter than the encoder kernel")
@@ -382,11 +390,11 @@ def apply_video_stub(feat: Tensor, p: ModelParams) -> Tensor:
 def encode(
     mixture: Tensor, video_feat: Tensor | None, cfg: ModelConfig, p: ModelParams
 ) -> tuple[Tensor, Tensor | None]:
-    """Encode the mixture, and for the fused model the video (raw features
-    through the stub, or already at embedding width), each zero-padded to
-    a multiple of 2^depth frames."""
-    pad = lambda x: pad_right(x, _ceil_to(x.shape[1], 1 << cfg.depth) - x.shape[1])
-    e_s = pad(encode_audio(mixture, p))
+    """Encode the mixture, zero-padded to :func:`_frames`, and for the fused
+    model the video (raw features through the stub, or already at
+    embedding width), zero-padded to a multiple of 2^depth frames."""
+    e_s = encode_audio(mixture, p)
+    e_s = pad_right(e_s, _frames(cfg, mixture.shape[1]) - e_s.shape[1])
     if cfg.audio_only:
         return e_s, None
     if video_feat is None:
@@ -398,7 +406,7 @@ def encode(
             f"video features must have {cfg.n_video_in} or "
             f"{cfg.n_video_channels} channels, got {video_feat.shape[0]}"
         )
-    return e_s, pad(ev_raw)
+    return e_s, pad_right(ev_raw, _ceil_to(ev_raw.shape[1], 1 << cfg.depth) - ev_raw.shape[1])
 
 
 def _bottom_up(x: Tensor, stack, modality: str) -> ScalePyramid:
@@ -455,11 +463,8 @@ def separation_features(
         for _ in range(cfg.n_fusion_cycles):
             s_pyr = _bottom_up(cur_s, p.audio_down, "audio")
             v_pyr = _bottom_up(cur_v, p.video_down, "video")
-            g = inter_a_t(
-                s_pyr, v_pyr, p.inter_t,
-                cross_attention=cfg.inter_t_enabled,
-                dropout_p=cfg.dropout_p, training=training, rng=rng,
-            )
+            g = inter_a_t(s_pyr, v_pyr, p.inter_t,
+                          dropout_p=cfg.dropout_p, training=training, rng=rng)
             s0, v0 = top_down_pass(s_pyr, v_pyr, g, p.top_down)
             if p.inter_b is not None:
                 cur_s, cur_v = inter_a_b(s0, v0, p.inter_b)
@@ -489,12 +494,8 @@ def separate(
         stacked = T.relu(conv1d(feats, p.mask_head))
         na = cfg.n_audio_channels
         masks = [slice_channels(stacked, k * na, (k + 1) * na) for k in range(cfg.n_speakers)]
-    waves = []
-    for mask in masks:
-        wave = conv_transpose1d(T.ew_mul(e_s, mask), p.decoder)
-        if wave.shape[1] < t_a:
-            raise GeometryError("decoded waveform shorter than the input")
-        waves.append(crop_time(wave, t_a))
+    waves = [crop_time(conv_transpose1d(T.ew_mul(e_s, mask), p.decoder), t_a)
+             for mask in masks]
     return SeparationOutput(masks=masks, waveforms=waves)
 
 
@@ -511,61 +512,19 @@ def count_params(cfg: ModelConfig) -> int:
     return sum(n for _, n in param_breakdown(cfg))
 
 
-def _conv_weights(c_out: int, c_in: int, k: int, groups: int = 1) -> int:
-    """Weight count of a conv, which is also its MACs per output frame."""
-    return c_out * (c_in // groups) * k
-
-
-def _down_weights(cfg: ModelConfig, c: int) -> int:
-    return _conv_weights(c, c, 5, cfg.routed_groups(c))
-
-
-def _ffn_weights(cfg: ModelConfig, c_in: int, triple) -> int:
-    c1, c2, c3 = triple
-    return (_conv_weights(c1, c_in, 1) + _conv_weights(c2, c1, 5, cfg.routed_groups(c1))
-            + _conv_weights(c3, c2, 1))
-
-
 def param_breakdown(cfg: ModelConfig) -> list[tuple[str, int]]:
-    na, nv, d, kq = cfg.n_audio_channels, cfg.n_video_channels, cfg.depth, cfg.q_kernel
-    q = lambda ci, co: _conv_weights(co, ci, kq) + 2 * co  # conv (no bias) + gln affine
-    down = lambda c: d * (_down_weights(cfg, c) + 2 * c)  # + gln affine
-
-    def ffn_count(c_in, triple):
-        # + middle-conv bias + gln affine
-        return _ffn_weights(cfg, c_in, triple) + triple[1] + 2 * triple[2]
-
-    out: list[tuple[str, int]] = [
-        ("encoder", na * cfg.enc_kernel),
-        ("decoder", na * cfg.enc_kernel),
-        ("audio_down", down(na)),
-        ("ffn_s", ffn_count(na, cfg.ffn_channels)),
-        ("local_intra_s", d * q(na, na)),
-    ]
-    if cfg.intra_variant == "phi":
-        out.append(("global_intra_s", (d + 1) * q(na, na)))
-    if not cfg.audio_only:
-        out.append(("video_down", down(nv)))
-        out.append(("ffn_v", ffn_count(nv, cfg.video_ffn_channels)))
-        out.append(("local_intra_v", d * q(nv, nv)))
-        if cfg.intra_variant == "phi":
-            out.append(("global_intra_v", (d + 1) * q(nv, nv)))
-        if cfg.inter_t_enabled:
-            out.append(("inter_t", q(nv, na) + q(na, nv)))
-        if cfg.inter_m_enabled:
-            out.append(("inter_m", (d + 1) * q(nv, na)))
-        if cfg.inter_b_enabled:
-            out.append(("inter_b", 2 * q(na, nv) + 2 * q(nv, na)))
-    return out
+    """Parameters per top-level checkpoint name, read off the built tree."""
+    rows: dict[str, int] = {}
+    for name, t in named_tensors(_skeleton(cfg), include_aux=False):
+        group = name.split(".", 1)[0]
+        rows[group] = rows.get(group, 0) + t.size
+    return list(rows.items())
 
 
 def _grid_lengths(cfg: ModelConfig, audio_seconds: float) -> tuple[list[int], list[int], int]:
     t_a = int(round(audio_seconds * cfg.sample_rate))
-    t_raw = conv1d_out_len(t_a, cfg.enc_kernel, cfg.enc_stride, 0)
-    step = 1 << cfg.depth
-    l0 = _ceil_to(t_raw, step)
-    t_v = max(1, (t_a * VIDEO_FPS) // cfg.sample_rate)
-    lv0 = _ceil_to(t_v, step)
+    l0 = _frames(cfg, t_a)
+    lv0 = _ceil_to(max(1, (t_a * VIDEO_FPS) // cfg.sample_rate), 1 << cfg.depth)
     ls = [l0 >> i for i in range(cfg.depth + 1)]
     lv = [lv0 >> i for i in range(cfg.depth + 1)]
     return ls, lv, t_a
@@ -579,45 +538,52 @@ def count_macs(cfg: ModelConfig, audio_seconds: float) -> int:
     return sum(n for _, n in mac_breakdown(cfg, audio_seconds))
 
 
+def _weights(node) -> int:
+    """Weight count of every conv in a parameter subtree, which is also its
+    MACs per output frame; an ablated block (``None``) counts 0."""
+    if isinstance(node, Conv1dParams):
+        return node.weight.size
+    if isinstance(node, (list, tuple)):
+        return sum(_weights(n) for n in node)
+    if is_dataclass(node):
+        return sum(_weights(getattr(node, f.name)) for f in fields(node))
+    return 0
+
+
+def _on_grid(stack, lens: list[int]) -> int:
+    """MACs of a per-scale stack whose entry ``i`` runs on ``lens[i]`` frames."""
+    return sum(_weights(n) * l for n, l in zip(stack or (), lens))
+
+
 def mac_breakdown(cfg: ModelConfig, audio_seconds: float) -> list[tuple[str, int]]:
-    na, nv, d, kq = cfg.n_audio_channels, cfg.n_video_channels, cfg.depth, cfg.q_kernel
-    ls, lv, _ = _grid_lengths(cfg, audio_seconds)
-    qm = lambda ci, co, l: _conv_weights(co, ci, kq) * l
-    ffn_macs = lambda c_in, triple, l: _ffn_weights(cfg, c_in, triple) * l
-    audio_bottom = sum(_down_weights(cfg, na) * ls[i] for i in range(1, d + 1))
-    video_bottom = sum(_down_weights(cfg, nv) * lv[i] for i in range(1, d + 1))
-
-    audio_global = (sum(qm(na, na, ls[i]) for i in range(d + 1))
-                    if cfg.intra_variant == "phi" else 0)
-    video_global = (sum(qm(nv, nv, lv[i]) for i in range(d + 1))
-                    if cfg.intra_variant == "phi" else 0)
-    audio_local = sum(qm(na, na, ls[i]) for i in range(d))
-    video_local = sum(qm(nv, nv, lv[i]) for i in range(d))
-
-    audio_cycle = audio_bottom + ffn_macs(na, cfg.ffn_channels, ls[d]) \
-        + audio_global + audio_local
-
+    """Conv MACs by stage: every conv of the built tree at its weight count
+    times the frames it runs on, times its applications. The video stub is
+    left out; the mask head and one decode per speaker are counted."""
+    p = _skeleton(cfg)
+    ls, lv, t_a = _grid_lengths(cfg, audio_seconds)
+    d, td, it = cfg.depth, p.top_down, p.inter_t
+    audio_cycle = (_on_grid(p.audio_down, ls[1:]) + _weights(it.ffn_s) * ls[d]
+                   + _on_grid(td.global_s, ls) + _on_grid(td.local_s, ls))
     if cfg.audio_only:
-        total_cycles = cfg.n_fusion_cycles + cfg.n_audio_cycles
-        out = [("audio_cycles", total_cycles * audio_cycle)]
+        out = [("audio_cycles", (cfg.n_fusion_cycles + cfg.n_audio_cycles) * audio_cycle)]
     else:
-        av = audio_cycle + video_bottom + video_global + video_local \
-            + ffn_macs(nv, cfg.video_ffn_channels, lv[d])
-        if cfg.inter_t_enabled:
-            av += qm(nv, na, lv[d]) + qm(na, nv, ls[d])
-        if cfg.inter_m_enabled:
-            av += sum(qm(nv, na, ls[i]) for i in range(d + 1))
-        if cfg.inter_b_enabled:
-            av += qm(na, nv, ls[0]) + qm(nv, na, ls[0]) \
-                + qm(nv, na, lv[0]) + qm(na, nv, lv[0])
+        fusion = (audio_cycle + _on_grid(p.video_down, lv[1:]) + _weights(it.ffn_v) * lv[d]
+                  + _on_grid(td.global_v, lv) + _on_grid(td.local_v, lv)
+                  + _weights(it.q_av) * lv[d] + _weights(it.q_va) * ls[d]
+                  + _on_grid(td.inter_m, ls))
+        if p.inter_b is not None:
+            ib = p.inter_b
+            fusion += (_weights([ib.gate_s, ib.out_s]) * ls[0]
+                       + _weights([ib.gate_v, ib.out_v]) * lv[0])
         out = [
-            ("fusion_cycles", cfg.n_fusion_cycles * av),
+            ("fusion_cycles", cfg.n_fusion_cycles * fusion),
             ("audio_cycles", cfg.n_audio_cycles * audio_cycle),
         ]
-    t_raw = conv1d_out_len(int(round(audio_seconds * cfg.sample_rate)),
-                           cfg.enc_kernel, cfg.enc_stride, 0)
-    out.append(("encoder", na * cfg.enc_kernel * t_raw))
-    out.append(("decoder", na * cfg.enc_kernel * ls[0]))
+    t_raw = conv1d_out_len(t_a, cfg.enc_kernel, cfg.enc_stride, 0)
+    out.append(("encoder", _weights(p.encoder) * t_raw))
+    out.append(("decoder", cfg.n_speakers * _weights(p.decoder) * ls[0]))
+    if p.mask_head is not None:
+        out.append(("mask_head", _weights(p.mask_head) * ls[0]))
     return out
 
 
@@ -681,18 +647,23 @@ def load_checkpoint(path) -> tuple[ModelParams, ModelConfig]:
         listed = [(e["name"], tuple(e["shape"])) for e in manifest["tensors"]]
     except (ValueError, KeyError, TypeError) as e:
         raise FormatError(f"unreadable checkpoint manifest: {e}") from e
+    if not all(type(n) is int and n >= 0 for _, shape in listed for n in shape):
+        raise FormatError("checkpoint tensor shapes must be non-negative integers")
 
-    params = build_params(cfg, seed=0)
-    entries = list(named_tensors(params))
-    if listed != [(n, t.shape) for n, t in entries]:
-        raise FormatError("checkpoint tensor names or shapes do not match its config")
-
+    # the listed shapes must account for the payload before anything is built
     payload = blob[16 + mlen :]
-    expected = sum(t.size for _, t in entries) * 4
+    expected = 4 * sum(math.prod(shape) for _, shape in listed)
     if len(payload) != expected:
         raise FormatError(
             f"corrupt checkpoint payload: {len(payload)} bytes, expected {expected}"
         )
+    try:
+        params = _skeleton(cfg)
+    except (ConfigError, TypeError) as e:  # TypeError: a mistyped config value
+        raise FormatError(f"bad config in checkpoint: {e}") from e
+    entries = list(named_tensors(params))
+    if listed != [(n, t.shape) for n, t in entries]:
+        raise FormatError("checkpoint tensor names or shapes do not match its config")
     off = 0
     for name, t in entries:
         n = t.size * 4

@@ -63,7 +63,7 @@ def parse_file(path) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return parse_text(fh.read())
-    except OSError as e:
+    except (OSError, UnicodeDecodeError) as e:
         raise ConfigError(f"cannot read config {path}: {e}") from e
 
 

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -148,7 +150,7 @@ class TestInterT:
         p = self._params(rng, na, nv)
         audio = _pyramid(rng, na, 16, 2, "audio")
         video = _pyramid(rng, nv, 8, 2, "video")
-        g = inter_a_t(audio, video, p, cross_attention=False)
+        g = inter_a_t(audio, video, replace(p, q_av=None, q_va=None))
 
         def pooled(levels):
             d = len(levels) - 1

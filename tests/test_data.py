@@ -61,6 +61,15 @@ class TestWavIO:
         with pytest.raises(FormatError):
             load_wav(path)
 
+    @pytest.mark.parametrize("keep", [30, 45])
+    def test_truncated_file_rejected(self, tmp_path, keep):
+        # 30 bytes end inside the header; 45 split the first PCM16 sample
+        path = tmp_path / "t.wav"
+        save_wav(path, np.zeros(8), 8000)
+        path.write_bytes(path.read_bytes()[:keep])
+        with pytest.raises(FormatError):
+            load_wav(path)
+
     def test_garbage_rejected(self, tmp_path):
         path = tmp_path / "junk.wav"
         path.write_bytes(b"not a wav file")

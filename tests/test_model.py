@@ -56,7 +56,7 @@ class TestConfigValidation:
 
 
 class TestGeometry:
-    @pytest.mark.parametrize("t_a", [97, 400, 1001, 4000])
+    @pytest.mark.parametrize("t_a", [97, 400, 1001, 4000, 107, 139])
     def test_output_length_matches_input(self, t_a, rng):
         cfg = tiny_config()
         p = build_params(cfg, seed=0)
@@ -225,10 +225,15 @@ class TestMacAccounting:
         assert half["audio_cycles"] == full["audio_cycles"] // 2
         assert half["fusion_cycles"] == full["fusion_cycles"]
 
-    @pytest.mark.parametrize("over", [{}, {"depthwise": True}, {"q_kernel": 3}])
+    @pytest.mark.parametrize("over", [{}, {"depthwise": True}, {"q_kernel": 3},
+                                      {"audio_only": True, "n_speakers": 2},
+                                      {"samples": 4003}])
     def test_count_matches_convs_run(self, over, monkeypatch, rng):
         # every conv that separate() runs, at weight-count x output frames;
-        # video enters at embedding width, so the aux stub does not run
+        # video enters at embedding width, so the aux stub does not run.
+        # ``samples`` is the mixture length (default 0.5 s), the rest config
+        over = dict(over)
+        t_a = over.pop("samples", 4000)
         cfg = tiny_config(**over)
         p = build_params(cfg, seed=0)
         ran = []
@@ -245,12 +250,11 @@ class TestMacAccounting:
         monkeypatch.setattr(M, "conv1d", conv)
         monkeypatch.setattr(M, "conv_transpose1d",
                             counted(nn.conv_transpose1d, lambda x, y: x.shape[1]))
-        t_a = cfg.sample_rate // 2
         wave = Tensor(rng.uniform(-0.5, 0.5, (1, t_a)).astype(np.float32))
         feat = Tensor(rng.uniform(0, 0.3, (4, t_a * 25 // cfg.sample_rate))
                       .astype(np.float32))
         separate(wave, feat, cfg, p)
-        assert sum(ran) == count_macs(cfg, 0.5)
+        assert sum(ran) == count_macs(cfg, t_a / cfg.sample_rate)
 
     def test_rejects_nonpositive_duration(self):
         with pytest.raises(ValueError):
@@ -305,6 +309,37 @@ class TestCheckpointIO:
         path.write_bytes(blob[:8] + struct.pack("<Q", len(mbytes)) + mbytes
                          + blob[16 + mlen :])
         with pytest.raises(FormatError):
+            load_checkpoint(path)
+
+    def test_load_makes_no_random_draw(self, tmp_path, monkeypatch):
+        cfg = tiny_config()
+        p = build_params(cfg, seed=7)
+        path = tmp_path / "m.iiac"
+        save_checkpoint(p, cfg, path)
+
+        def no_draw(*args, **kwargs):
+            raise AssertionError("load_checkpoint drew random numbers")
+
+        monkeypatch.setattr(np.random, "default_rng", no_draw)
+        p2, _ = load_checkpoint(path)
+        for (_, t1), (_, t2) in zip(named_tensors(p), named_tensors(p2)):
+            np.testing.assert_array_equal(t1.data, t2.data)
+
+    def test_oversized_config_rejected(self, tmp_path):
+        # a 2**60-channel config over a valid tiny payload: numpy refuses
+        # the shape before allocating, and the loader reports a bad file
+        cfg = tiny_config()
+        path = tmp_path / "m.iiac"
+        save_checkpoint(build_params(cfg, seed=0), cfg, path)
+        blob = path.read_bytes()
+        (mlen,) = struct.unpack_from("<Q", blob, 8)
+        manifest = json.loads(blob[16 : 16 + mlen])
+        manifest["config"]["n_audio_channels"] = 2**60
+        manifest["config"]["ffn_channels"][2] = 2**60
+        mbytes = json.dumps(manifest).encode()
+        path.write_bytes(blob[:8] + struct.pack("<Q", len(mbytes)) + mbytes
+                         + blob[16 + mlen :])
+        with pytest.raises(FormatError, match="too large"):
             load_checkpoint(path)
 
     def test_magic_and_version(self, tmp_path):
