@@ -40,7 +40,6 @@ class ScalePyramid:
     """Multi-scale features: level i has shape [C x L / 2^i], i = 0..depth."""
 
     levels: list[Tensor]
-    modality: str  # "audio" | "video"
 
     def __post_init__(self):
         if not self.levels:
@@ -121,10 +120,10 @@ def inter_a_t(
     video: ScalePyramid,
     p: InterTParams,
     dropout_p: float = 0.0,
-    training: bool = False,
     rng: np.random.Generator | None = None,
 ) -> GlobalFeatures:
     """Coarsest-scale fusion producing the per-modality global features.
+    Dropout draws from ``rng`` while training; without one it is off.
 
     Without the cross-modal Q pair (``p.q_av is None``) the pooled sums
     feed the FFNs directly (the ablation wiring)."""
@@ -133,14 +132,14 @@ def inter_a_t(
     f_s = pooled_sum(audio.levels)
     f_v = pooled_sum(video.levels)
     if p.q_av is not None:
-        ga = dropout(q_op(f_v, p.q_av), dropout_p, training, rng)
-        gv = dropout(q_op(f_s, p.q_va), dropout_p, training, rng)
+        ga = dropout(q_op(f_v, p.q_av), dropout_p, rng)
+        gv = dropout(q_op(f_s, p.q_va), dropout_p, rng)
         s_in = T.ew_mul(f_s, T.sigmoid(interp_resample(ga, f_s.shape[1])))
         v_in = T.ew_mul(f_v, T.sigmoid(interp_resample(gv, f_v.shape[1])))
     else:
         s_in, v_in = f_s, f_v
-    s_g = dropout(ffn(s_in, p.ffn_s), dropout_p, training, rng)
-    v_g = dropout(ffn(v_in, p.ffn_v), dropout_p, training, rng)
+    s_g = dropout(ffn(s_in, p.ffn_s), dropout_p, rng)
+    v_g = dropout(ffn(v_in, p.ffn_v), dropout_p, rng)
     return GlobalFeatures(s_g=s_g, v_g=v_g)
 
 

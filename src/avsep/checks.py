@@ -159,10 +159,8 @@ def _block_fixture(seed=0, depth=2, na=2, nv=3, la=16, lv=8):
     )
     p = _tiny_params(cfg, seed)
     rng = _rng(seed + 100)
-    audio = ScalePyramid(
-        levels=[_t(rng, na, la >> i) for i in range(depth + 1)], modality="audio")
-    video = ScalePyramid(
-        levels=[_t(rng, nv, lv >> i) for i in range(depth + 1)], modality="video")
+    audio = ScalePyramid(levels=[_t(rng, na, la >> i) for i in range(depth + 1)])
+    video = ScalePyramid(levels=[_t(rng, nv, lv >> i) for i in range(depth + 1)])
     return cfg, p, audio, video, rng
 
 

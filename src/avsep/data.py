@@ -74,8 +74,12 @@ def load_wav(path) -> tuple[np.ndarray, int]:
 
 
 def save_wav(path, samples: np.ndarray, sample_rate: int) -> None:
-    """Quantize (round half away from zero, clipped) and write PCM16 mono."""
-    x = np.asarray(samples, dtype=np.float64).reshape(-1) * 32768.0
+    """Quantize (round half away from zero, clipped) and write PCM16 mono.
+    Non-finite samples are a FormatError, raised before the file is opened."""
+    x = np.asarray(samples, dtype=np.float64).reshape(-1)
+    if not np.all(np.isfinite(x)):
+        raise FormatError(f"{path}: non-finite samples; nothing written")
+    x = x * 32768.0
     q = np.sign(x) * np.floor(np.abs(x) + 0.5)
     q = np.clip(q, -32768, 32767).astype("<i2")
     with _wave.open(str(path), "wb") as fh:

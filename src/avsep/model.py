@@ -51,7 +51,6 @@ __all__ = [
     "named_tensors",
     "encode_audio",
     "encode",
-    "separation_forward",
     "audio_only_cycle",
     "separate",
     "count_params",
@@ -409,32 +408,20 @@ def encode(
     return e_s, pad_right(ev_raw, _ceil_to(ev_raw.shape[1], 1 << cfg.depth) - ev_raw.shape[1])
 
 
-def _bottom_up(x: Tensor, stack, modality: str) -> ScalePyramid:
+def _bottom_up(x: Tensor, stack) -> ScalePyramid:
     levels = [x]
     for cp, gp in stack:
         levels.append(gln(conv1d(levels[-1], cp), gp))
-    return ScalePyramid(levels=levels, modality=modality)
+    return ScalePyramid(levels=levels)
 
 
 def audio_only_cycle(e_s: Tensor, cfg: ModelConfig, p: ModelParams) -> Tensor:
     """One refinement cycle through the audio network alone, sharing the
     audio-side parameters of the fused network (no dropout)."""
-    pyr = _bottom_up(e_s, p.audio_down, "audio")
+    pyr = _bottom_up(e_s, p.audio_down)
     s_g = ffn(pooled_sum(pyr.levels), p.inter_t.ffn_s)
     s0, _ = top_down_pass(pyr, None, GlobalFeatures(s_g=s_g, v_g=None), p.top_down)
     return s0
-
-
-def separation_forward(
-    e_s: Tensor,
-    e_v: Tensor | None,
-    cfg: ModelConfig,
-    p: ModelParams,
-    training: bool = False,
-    rng: np.random.Generator | None = None,
-) -> Tensor:
-    """Run the cyclic separation network and return the nonnegative mask."""
-    return T.relu(separation_features(e_s, e_v, cfg, p, training=training, rng=rng))
 
 
 def separation_features(
@@ -442,12 +429,12 @@ def separation_features(
     e_v: Tensor | None,
     cfg: ModelConfig,
     p: ModelParams,
-    training: bool = False,
     rng: np.random.Generator | None = None,
 ) -> Tensor:
     """All cycles of the separation network, without the final
     rectification (exposed so verification can see the pre-mask margin).
-    The audio-only variant runs its fusion cycles as audio cycles too."""
+    The audio-only variant runs its fusion cycles as audio cycles too.
+    Dropout draws from ``rng``; without one it is off."""
     step = 1 << cfg.depth
     if e_s.shape[1] % step:
         raise GeometryError("audio embedding length must divide by 2^depth")
@@ -461,10 +448,9 @@ def separation_features(
             raise GeometryError("video embedding length must divide by 2^depth")
         cur_v = e_v
         for _ in range(cfg.n_fusion_cycles):
-            s_pyr = _bottom_up(cur_s, p.audio_down, "audio")
-            v_pyr = _bottom_up(cur_v, p.video_down, "video")
-            g = inter_a_t(s_pyr, v_pyr, p.inter_t,
-                          dropout_p=cfg.dropout_p, training=training, rng=rng)
+            s_pyr = _bottom_up(cur_s, p.audio_down)
+            v_pyr = _bottom_up(cur_v, p.video_down)
+            g = inter_a_t(s_pyr, v_pyr, p.inter_t, cfg.dropout_p, rng)
             s0, v0 = top_down_pass(s_pyr, v_pyr, g, p.top_down)
             if p.inter_b is not None:
                 cur_s, cur_v = inter_a_b(s0, v0, p.inter_b)
@@ -480,17 +466,17 @@ def separate(
     video_feat: Tensor | None,
     cfg: ModelConfig,
     p: ModelParams,
-    training: bool = False,
     rng: np.random.Generator | None = None,
 ) -> SeparationOutput:
     """Full pipeline: encode and pad, separate, mask, decode, trim. A model
-    with a mask head (``n_speakers > 1``) gets one mask per speaker from it."""
+    with a mask head (``n_speakers > 1``) gets one mask per speaker from it.
+    Training passes ``rng`` for dropout; inference passes none."""
     t_a = mixture.shape[1]
     e_s, e_v = encode(mixture, video_feat, cfg, p)
+    feats = separation_features(e_s, e_v, cfg, p, rng)
     if p.mask_head is None:
-        masks = [separation_forward(e_s, e_v, cfg, p, training=training, rng=rng)]
+        masks = [T.relu(feats)]
     else:
-        feats = separation_features(e_s, e_v, cfg, p, training=training, rng=rng)
         stacked = T.relu(conv1d(feats, p.mask_head))
         na = cfg.n_audio_channels
         masks = [slice_channels(stacked, k * na, (k + 1) * na) for k in range(cfg.n_speakers)]
@@ -522,7 +508,11 @@ def param_breakdown(cfg: ModelConfig) -> list[tuple[str, int]]:
 
 
 def _grid_lengths(cfg: ModelConfig, audio_seconds: float) -> tuple[list[int], list[int], int]:
-    t_a = int(round(audio_seconds * cfg.sample_rate))
+    samples = audio_seconds * cfg.sample_rate
+    if not (math.isfinite(samples) and round(samples) >= cfg.enc_kernel):  # NaN fails too
+        raise GeometryError(f"{audio_seconds:g} s is not a duration of at least one "
+                            f"encoder kernel ({cfg.enc_kernel} samples)")
+    t_a = int(round(samples))
     l0 = _frames(cfg, t_a)
     lv0 = _ceil_to(max(1, (t_a * VIDEO_FPS) // cfg.sample_rate), 1 << cfg.depth)
     ls = [l0 >> i for i in range(cfg.depth + 1)]
@@ -533,8 +523,6 @@ def _grid_lengths(cfg: ModelConfig, audio_seconds: float) -> tuple[list[int], li
 def count_macs(cfg: ModelConfig, audio_seconds: float) -> int:
     """Multiply-accumulate count; convolutions only, counted per cycle
     application. Element-wise gates, pooling and resampling are excluded."""
-    if audio_seconds <= 0:
-        raise ValueError("audio_seconds must be positive")
     return sum(n for _, n in mac_breakdown(cfg, audio_seconds))
 
 
@@ -559,8 +547,8 @@ def mac_breakdown(cfg: ModelConfig, audio_seconds: float) -> list[tuple[str, int
     """Conv MACs by stage: every conv of the built tree at its weight count
     times the frames it runs on, times its applications. The video stub is
     left out; the mask head and one decode per speaker are counted."""
-    p = _skeleton(cfg)
     ls, lv, t_a = _grid_lengths(cfg, audio_seconds)
+    p = _skeleton(cfg)
     d, td, it = cfg.depth, p.top_down, p.inter_t
     audio_cycle = (_on_grid(p.audio_down, ls[1:]) + _weights(it.ffn_s) * ls[d]
                    + _on_grid(td.global_s, ls) + _on_grid(td.local_s, ls))

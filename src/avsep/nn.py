@@ -106,64 +106,68 @@ def conv_transpose1d_out_len(l_in: int, kernel: int, stride: int, padding: int) 
     return (l_in - 1) * stride + kernel - 2 * padding
 
 
-def _windows(x: np.ndarray, kernel: int, stride: int) -> np.ndarray:
-    """Strided view [C, K, L_out] over a padded [C, L] array."""
+def _correlate(x: np.ndarray, p: Conv1dParams) -> tuple[np.ndarray, np.ndarray]:
+    """Zero-pad ``x`` [C_in, L] by ``p.padding`` and cross-correlate it with
+    the weight: each channel group is one matrix product over its im2col
+    columns, and the groups run as one batched matmul. Returns the result
+    [C_out, L_out] and the columns [G, C_in/G*K, L_out] the weight
+    gradient reads."""
+    k, stride, pad = p.kernel, p.stride, p.padding
+    if pad:  # zero-filled copy; np.pad costs more than the conv at small sizes
+        xp = np.zeros((x.shape[0], x.shape[1] + 2 * pad), dtype=x.dtype)
+        xp[:, pad:-pad] = x
+        x = xp
     c, lp = x.shape
-    l_out = (lp - kernel) // stride + 1
+    l_out = (lp - k) // stride + 1
     s0, s1 = x.strides
-    return np.lib.stride_tricks.as_strided(
-        x, shape=(c, kernel, l_out), strides=(s0, s1, s1 * stride)
-    )
+    win = np.lib.stride_tricks.as_strided(x, shape=(c, k, l_out), strides=(s0, s1, s1 * stride))
+    cols = np.ascontiguousarray(win).reshape(p.groups, -1, l_out)
+    return (p.weight_blocks() @ cols).reshape(p.out_channels, l_out), cols
 
 
-def _scatter_taps(tmp: np.ndarray, stride: int, length: int, dtype) -> np.ndarray:
-    """Overlap-add [C, K, L] per-tap columns into a [C, length] signal:
-    tap ``k`` of frame ``t`` lands at ``t*stride + k``."""
-    c, k, l = tmp.shape
-    out = np.zeros((c, length), dtype=dtype)
+def _overlap_add(y: np.ndarray, p: Conv1dParams, length: int, dtype) -> np.ndarray:
+    """Adjoint of :func:`_correlate` on [C_out, L] ``y``: spread each frame
+    over its K taps through the transposed weight, overlap-add tap ``k`` of
+    frame ``t`` at ``t*stride + k`` into a ``dtype`` buffer, and crop the
+    padding to ``length`` samples of [C_in, length]."""
+    k, stride, pad = p.kernel, p.stride, p.padding
+    l = y.shape[1]
+    tmp = p.weight_blocks().transpose(0, 2, 1) @ y.reshape(p.groups, -1, l)
+    tmp = tmp.reshape(p.in_channels, k, l)
+    out = np.zeros((p.in_channels, length + 2 * pad), dtype=dtype)
     for kk in range(k):
         out[:, kk : kk + stride * l : stride] += tmp[:, kk, :]
-    return out
+    return out[:, pad : pad + length]
+
+
+def _weight_grad(y: np.ndarray, cols: np.ndarray, p: Conv1dParams) -> np.ndarray:
+    """Weight gradient from the [C_out, L] side and the [C_in] side's columns."""
+    return (y.reshape(p.groups, -1, cols.shape[2]) @ cols.transpose(0, 2, 1)).reshape(
+        p.weight.shape)
 
 
 def conv1d(x: Tensor, p: Conv1dParams) -> Tensor:
-    """Cross-correlation with zero padding over the time axis.
-
-    Each channel group is one matrix product over its im2col columns; the
-    groups run as one batched matmul, of a single matrix when dense.
-    """
+    """Cross-correlation with zero padding over the time axis."""
     if x.data.ndim != 2:
         raise GeometryError(f"conv1d expects [C, L], got {x.shape}")
     c_in, l_in = x.shape
     if c_in != p.in_channels:
         raise GeometryError(f"conv1d channel mismatch: input {c_in}, weight {p.in_channels}")
-    k, stride, pad, g = p.kernel, p.stride, p.padding, p.groups
-    l_out = conv1d_out_len(l_in, k, stride, pad)
-    if l_out < 1:
+    k, stride, pad = p.kernel, p.stride, p.padding
+    if conv1d_out_len(l_in, k, stride, pad) < 1:
         raise GeometryError(f"conv1d input too short: L={l_in}, K={k}, stride={stride}, pad={pad}")
 
-    if pad:  # zero-filled copy; np.pad costs more than the conv at small sizes
-        xp = np.zeros((c_in, l_in + 2 * pad), dtype=x.dtype)
-        xp[:, pad : pad + l_in] = x.data
-    else:
-        xp = x.data
-    win = _windows(xp, k, stride)  # [C_in, K, L_out]
-    wmat = p.weight_blocks()  # [G, C_out/G, C_in/G*K]
-    cols = np.ascontiguousarray(win).reshape(g, -1, l_out)  # [G, C_in/G*K, L_out]
-    y = (wmat @ cols).reshape(p.out_channels, l_out)
+    y, cols = _correlate(x.data, p)
     if p.bias is not None:
         y = y + p.bias.data[:, None]
 
     parents = (x, p.weight) + ((p.bias,) if p.bias is not None else ())
 
     def back(grad):
-        gg = grad.reshape(g, -1, l_out)
-        _accum(p.weight, (gg @ cols.transpose(0, 2, 1)).reshape(p.weight.shape))
+        _accum(p.weight, _weight_grad(grad, cols, p))
         if p.bias is not None:
             _accum(p.bias, grad.sum(axis=1))
-        tmp = (wmat.transpose(0, 2, 1) @ gg).reshape(c_in, k, l_out)
-        gxp = _scatter_taps(tmp, stride, xp.shape[1], xp.dtype)
-        _accum(x, gxp[:, pad : pad + l_in] if pad else gxp)
+        _accum(x, _overlap_add(grad, p, l_in, x.dtype))
 
     return _node(y, parents, back)
 
@@ -181,20 +185,14 @@ def conv_transpose1d(x: Tensor, p: Conv1dParams) -> Tensor:
         raise GeometryError(
             f"conv_transpose1d channel mismatch: input {c}, weight {p.out_channels}"
         )
-    k, stride, pad, g = p.kernel, p.stride, p.padding, p.groups
-    l_out = conv_transpose1d_out_len(l_in, k, stride, pad)
+    l_out = conv_transpose1d_out_len(l_in, p.kernel, p.stride, p.padding)
     if l_out < 1:
         raise GeometryError("conv_transpose1d output would be empty")
 
-    c_res = p.in_channels
-    wmat = p.weight_blocks()  # [G, C/G, C_res/G*K]
-    xg = x.data.reshape(g, -1, l_in)
-    tmp = (wmat.transpose(0, 2, 1) @ xg).reshape(c_res, k, l_in)
-    full = _scatter_taps(tmp, stride, (l_in - 1) * stride + k, x.dtype)
-    y = full[:, pad : pad + l_out] if pad else full
+    y = _overlap_add(x.data, p, l_out, x.dtype)
     if p.bias is not None:
         # transpose-direction bias lives on the result channels (C_in of p)
-        if p.bias.shape[0] != c_res:
+        if p.bias.shape[0] != p.in_channels:
             raise GeometryError("conv_transpose1d bias length mismatch")
         y = y + p.bias.data[:, None]
 
@@ -203,11 +201,9 @@ def conv_transpose1d(x: Tensor, p: Conv1dParams) -> Tensor:
     def back(grad):
         if p.bias is not None:
             _accum(p.bias, grad.sum(axis=1))
-        gf = np.zeros((c_res, (l_in - 1) * stride + k), dtype=grad.dtype)
-        gf[:, pad : pad + l_out] = grad
-        cols = np.ascontiguousarray(_windows(gf, k, stride)).reshape(g, -1, l_in)
-        _accum(x, (wmat @ cols).reshape(c, l_in))
-        _accum(p.weight, (xg @ cols.transpose(0, 2, 1)).reshape(p.weight.shape))
+        gx, cols = _correlate(grad, p)
+        _accum(x, gx)
+        _accum(p.weight, _weight_grad(x.data, cols, p))
 
     return _node(y, parents, back)
 
@@ -330,14 +326,13 @@ def slice_channels(x: Tensor, lo: int, hi: int) -> Tensor:
     return _node(x.data[lo:hi].copy(), (x,), back)
 
 
-def dropout(x: Tensor, p: float, training: bool, rng: np.random.Generator | None) -> Tensor:
-    """Inverted dropout; identity at inference or p=0."""
+def dropout(x: Tensor, p: float, rng: np.random.Generator | None) -> Tensor:
+    """Inverted dropout with its keep mask drawn from ``rng``; the identity,
+    drawing nothing, when ``rng`` is None (inference) or p=0."""
     if not 0.0 <= p < 1.0:
         raise ValueError("dropout probability must be in [0, 1)")
-    if not training or p == 0.0:
+    if rng is None or p == 0.0:
         return x
-    if rng is None:
-        raise ValueError("training-mode dropout needs an explicit rng")
     keep = (rng.random(x.shape) >= p).astype(x.dtype)
     inv = 1.0 / (1.0 - p)
     y = x.data * keep * inv

@@ -27,7 +27,6 @@ __all__ = [
     "ew_add",
     "ew_sub",
     "ew_mul",
-    "ew_div",
     "scale",
     "sigmoid",
     "relu",
@@ -40,14 +39,13 @@ __all__ = [
 class Tensor:
     """A dense row-major array plus the tape bookkeeping for autodiff."""
 
-    __slots__ = ("data", "requires_grad", "grad", "_parents", "_backward", "name")
+    __slots__ = ("data", "requires_grad", "grad", "_parents", "_backward")
 
     def __init__(
         self,
         data,
         requires_grad: bool = False,
         dtype=None,
-        name: str | None = None,
         _parents: tuple["Tensor", ...] = (),
         _backward: Callable[[np.ndarray], None] | None = None,
     ):
@@ -55,13 +53,12 @@ class Tensor:
         if arr.dtype not in (np.float32, np.float64):
             arr = arr.astype(np.float32)
         if _backward is None and not np.all(np.isfinite(arr)):
-            raise ValueError(f"non-finite values in tensor {name or ''}".strip())
+            raise ValueError("non-finite values in tensor")
         self.data = arr
         self.requires_grad = requires_grad
         self.grad: np.ndarray | None = None
         self._parents = _parents
         self._backward = _backward
-        self.name = name
 
     # -- introspection -------------------------------------------------
 
@@ -78,34 +75,12 @@ class Tensor:
         return self.data.dtype
 
     def __repr__(self) -> str:
-        tag = f" name={self.name}" if self.name else ""
-        return f"Tensor(shape={self.shape}, dtype={self.dtype.name}{tag})"
+        return f"Tensor(shape={self.shape}, dtype={self.dtype.name})"
 
     def item(self) -> float:
         if self.size != 1:
             raise GeometryError(f"item() on non-scalar tensor of shape {self.shape}")
         return float(self.data.reshape(-1)[0])
-
-    # -- operators -----------------------------------------------------
-
-    def __add__(self, other):
-        return ew_add(self, _as_tensor(other, self.dtype))
-
-    def __sub__(self, other):
-        return ew_sub(self, _as_tensor(other, self.dtype))
-
-    def __mul__(self, other):
-        if isinstance(other, (int, float)):
-            return scale(self, float(other))
-        return ew_mul(self, other)
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return scale(self, -1.0)
-
-    def sum(self) -> "Tensor":
-        return sum_all(self)
 
     # -- autodiff ------------------------------------------------------
 
@@ -136,12 +111,6 @@ class Tensor:
         for node in reversed(topo):
             if node._backward is not None and node.grad is not None:
                 node._backward(node.grad)
-
-
-def _as_tensor(x, dtype) -> Tensor:
-    if isinstance(x, Tensor):
-        return x
-    return Tensor(np.asarray(x, dtype=dtype))
 
 
 def _accum(t: Tensor, g: np.ndarray) -> None:
@@ -214,17 +183,6 @@ def ew_mul(a: Tensor, b: Tensor) -> Tensor:
         _accum(b, _unbroadcast(g * a.data, b.shape))
 
     return _node(a.data * b.data, (a, b), back)
-
-
-def ew_div(a: Tensor, b: Tensor) -> Tensor:
-    _check_broadcast(a, b)
-    out = a.data / b.data
-
-    def back(g):
-        _accum(a, _unbroadcast(g / b.data, a.shape))
-        _accum(b, _unbroadcast(-g * a.data / (b.data * b.data), b.shape))
-
-    return _node(out, (a, b), back)
 
 
 def scale(x: Tensor, c: float) -> Tensor:

@@ -134,20 +134,17 @@ class TrainResult:
     video_feat: np.ndarray | None
 
 
-def _separate(mixture: np.ndarray, video_feat: np.ndarray | None, cfg, p):
+def _separate(mixture: np.ndarray, video_feat: np.ndarray | None, cfg, p, rng=None):
     return separate(Tensor(mixture[None, :].astype(np.float32)),
                     None if video_feat is None else Tensor(video_feat.astype(np.float32)),
-                    cfg, p)
+                    cfg, p, rng)
 
 
-def _forward_loss_av(mixture, video_feat, refs, cfg, p) -> Tensor:
-    """Separate one mixture and return the training loss: negative SI-SNR
-    against ``refs[0]``, or the PIT loss over ``refs`` when the model
-    separates several speakers."""
-    out = _separate(mixture, video_feat, cfg, p)
-    if cfg.n_speakers > 1:
-        return metrics.pit_si_snr_loss(out.waveforms, [r[None, :] for r in refs])
-    return metrics.si_snr_loss(out.waveform, refs[0][None, :])
+def _forward_loss_av(mixture, video_feat, refs, cfg, p, rng) -> Tensor:
+    """Separate one mixture, with dropout drawn from ``rng``, and return the
+    PIT loss of its ``n_speakers`` outputs against the first ``refs``."""
+    out = _separate(mixture, video_feat, cfg, p, rng)
+    return metrics.pit_si_snr_loss(out.waveforms, refs[:cfg.n_speakers])
 
 
 def train_toy(cfg: ModelConfig, settings: TrainSettings,
@@ -170,9 +167,7 @@ def train_toy(cfg: ModelConfig, settings: TrainSettings,
 
     def eval_si_snri() -> float:
         out = _separate(mixture, video_feat, cfg, p)
-        if cfg.n_speakers == 1:
-            return metrics.si_snri(mixture, target, out.waveform.data[0])
-        refs = [target, scaled_interf]
+        refs = [target, scaled_interf][:cfg.n_speakers]
         _, val = metrics.pit_best(refs, [w.data[0] for w in out.waveforms])
         base = sum(metrics.si_snr(r, mixture) for r in refs) / len(refs)
         return val - base
@@ -192,7 +187,7 @@ def train_toy(cfg: ModelConfig, settings: TrainSettings,
                 vfeat = None if cfg.audio_only else energy_envelope(refs[0], cfg.sample_rate)
             else:
                 mix, refs, vfeat = mixture, [target, scaled_interf], video_feat
-            loss = _forward_loss_av(mix, vfeat, refs, cfg, p)
+            loss = _forward_loss_av(mix, vfeat, refs, cfg, p, rng)
             train_loss = loss.item()
             if not math.isfinite(train_loss):
                 raise TrainingError(f"non-finite loss at step {steps_run}")

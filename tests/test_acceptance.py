@@ -16,6 +16,7 @@ from conftest import tiny_config
 from test_model import unrolled_reference
 
 from avsep import checks
+from avsep import tensor as T
 from avsep.blocks import InterBParams, inter_a_b, inter_a_m, intra_a_global, intra_a_prime
 from avsep.cli import main
 from avsep.data import (
@@ -41,7 +42,7 @@ from avsep.model import (
     paper_scale_config,
     save_checkpoint,
     separate,
-    separation_forward,
+    separation_features,
 )
 from avsep.nn import Conv1dParams, GlnParams, QParams
 from avsep.tensor import Tensor
@@ -75,7 +76,7 @@ def test_criterion_2_compositional_oracles():
     p = build_params(cfg, seed=4)
     e_s = Tensor(rng.standard_normal((4, 32)).astype(np.float32))
     e_v = Tensor(rng.standard_normal((4, 8)).astype(np.float32))
-    got = separation_forward(e_s, e_v, cfg, p).data
+    got = T.relu(separation_features(e_s, e_v, cfg, p)).data
     want = unrolled_reference(e_s, e_v, cfg, p).data
     diff = float(np.max(np.abs(got - want)))
     ok = diff < 1e-6
@@ -201,7 +202,8 @@ def test_criterion_9_ablation_matrix():
     outputs = []
     for c in combos:
         cfg = tiny_config(**c)
-        outputs.append(separation_forward(e_s, e_v, cfg, build_params(cfg, seed=1)).data)
+        feats = separation_features(e_s, e_v, cfg, build_params(cfg, seed=1))
+        outputs.append(T.relu(feats).data)
     ok = all(np.max(np.abs(outputs[i] - outputs[j])) > 1e-6
              for i in range(len(outputs)) for j in range(i + 1, len(outputs)))
     assert _report(9, f"{len(combos)} flag/variant combinations all live and "

@@ -3,6 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from avsep import checks
 from avsep import tensor as T
 from avsep.blocks import (
     InterBParams,
@@ -46,22 +47,19 @@ def _zero_q(c_in, c_out):
     )
 
 
-def _pyramid(rng, c, l0, depth, modality, dtype=np.float64):
+def _pyramid(rng, c, l0, depth, dtype=np.float64):
     return ScalePyramid(
         levels=[Tensor(rng.standard_normal((c, l0 >> i)), dtype=dtype)
-                for i in range(depth + 1)],
-        modality=modality)
+                for i in range(depth + 1)])
 
 
 class TestScalePyramid:
     def test_rejects_wrong_halving(self):
         with pytest.raises(GeometryError):
-            ScalePyramid(levels=[Tensor(np.zeros((2, 8))), Tensor(np.zeros((2, 5)))],
-                         modality="audio")
+            ScalePyramid(levels=[Tensor(np.zeros((2, 8))), Tensor(np.zeros((2, 5)))])
 
     def test_depth(self):
-        p = ScalePyramid(levels=[Tensor(np.zeros((2, 8))), Tensor(np.zeros((2, 4)))],
-                         modality="audio")
+        p = ScalePyramid(levels=[Tensor(np.zeros((2, 8))), Tensor(np.zeros((2, 4)))])
         assert p.depth == 1
 
 
@@ -126,8 +124,8 @@ class TestInterT:
     def test_composition_oracle(self, rng):
         na, nv = 4, 3
         p = self._params(rng, na, nv)
-        audio = _pyramid(rng, na, 16, 2, "audio")
-        video = _pyramid(rng, nv, 8, 2, "video")
+        audio = _pyramid(rng, na, 16, 2)
+        video = _pyramid(rng, nv, 8, 2)
         g = inter_a_t(audio, video, p)
 
         def pooled(levels):
@@ -148,8 +146,8 @@ class TestInterT:
     def test_cross_attention_off_feeds_ffn_directly(self, rng):
         na, nv = 4, 3
         p = self._params(rng, na, nv)
-        audio = _pyramid(rng, na, 16, 2, "audio")
-        video = _pyramid(rng, nv, 8, 2, "video")
+        audio = _pyramid(rng, na, 16, 2)
+        video = _pyramid(rng, nv, 8, 2)
         g = inter_a_t(audio, video, replace(p, q_av=None, q_va=None))
 
         def pooled(levels):
@@ -162,10 +160,32 @@ class TestInterT:
         np.testing.assert_array_equal(g.s_g.data, ffn(pooled(audio.levels), p.ffn_s).data)
         np.testing.assert_array_equal(g.v_g.data, ffn(pooled(video.levels), p.ffn_v).data)
 
+    def test_dropout_gradient_matches_finite_difference(self, rng):
+        # every evaluation draws from a freshly seeded generator, so the
+        # finite differences see the keep masks the tape recorded
+        na, nv = 3, 2
+        p = self._params(rng, na, nv)
+        audio = _pyramid(rng, na, 16, 2)
+        video = _pyramid(rng, nv, 8, 2)
+        w_s = Tensor(rng.uniform(-1, 1, (na, 4)))
+        w_v = Tensor(rng.uniform(-1, 1, (nv, 2)))
+
+        def loss():
+            g = inter_a_t(audio, video, p, 0.3, np.random.default_rng(7))
+            return T.ew_add(T.sum_all(T.ew_mul(g.s_g, w_s)), T.sum_all(T.ew_mul(g.v_g, w_v)))
+
+        dropped = inter_a_t(audio, video, p, 0.3, np.random.default_rng(7)).s_g.data == 0
+        assert np.any(dropped)
+        leaves = [audio.levels[0], video.levels[1], p.q_av.conv.weight,
+                  p.q_va.gln.gain, p.ffn_s.convs[1].weight, p.ffn_v.gln.bias]
+        for t in leaves:
+            t.requires_grad = True
+        assert checks._gradcheck("inter_a_t_dropout", loss, leaves).passed
+
     def test_depth_mismatch_rejected(self, rng):
         p = self._params(rng, 4, 3)
-        audio = _pyramid(rng, 4, 16, 2, "audio")
-        video = _pyramid(rng, 3, 8, 1, "video")
+        audio = _pyramid(rng, 4, 16, 2)
+        video = _pyramid(rng, 3, 8, 1)
         with pytest.raises(GeometryError):
             inter_a_t(audio, video, p)
 
@@ -212,8 +232,8 @@ class TestTopDown:
                           depth=depth, ffn_channels=(channels, 2 * channels, channels))
         p = build_params(cfg, seed=0, dtype=np.float64)
         l0 = 8 << depth
-        audio = _pyramid(rng, channels, l0, depth, "audio")
-        video = _pyramid(rng, channels, l0 // 2, depth, "video")
+        audio = _pyramid(rng, channels, l0, depth)
+        video = _pyramid(rng, channels, l0 // 2, depth)
         g = inter_a_t(audio, video, p.inter_t)
         s0, v0 = top_down_pass(audio, video, g, p.top_down)
         assert s0.shape == (channels, l0)
@@ -223,8 +243,8 @@ class TestTopDown:
         cfg = ModelConfig(n_audio_channels=4, n_video_channels=4, depth=2,
                           ffn_channels=(4, 8, 4))
         p = build_params(cfg, seed=1, dtype=np.float64)
-        audio = _pyramid(rng, 4, 16, 2, "audio")
-        video = _pyramid(rng, 4, 8, 2, "video")
+        audio = _pyramid(rng, 4, 16, 2)
+        video = _pyramid(rng, 4, 8, 2)
         g = inter_a_t(audio, video, p.inter_t)
         s0, v0 = top_down_pass(audio, video, g, p.top_down)
 
@@ -244,8 +264,8 @@ class TestTopDown:
                           ffn_channels=(4, 8, 4), intra_variant="phi_prime")
         p = build_params(cfg, seed=1, dtype=np.float64)
         assert p.top_down.global_s is None and p.top_down.global_v is None
-        audio = _pyramid(rng, 4, 16, 2, "audio")
-        video = _pyramid(rng, 4, 8, 2, "video")
+        audio = _pyramid(rng, 4, 16, 2)
+        video = _pyramid(rng, 4, 8, 2)
         g = inter_a_t(audio, video, p.inter_t)
         s0, v0 = top_down_pass(audio, video, g, p.top_down)
         assert s0.shape == (4, 16) and v0.shape == (4, 8)

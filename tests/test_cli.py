@@ -13,7 +13,16 @@ from avsep.data import (
     synth_sources,
 )
 from avsep.metrics import si_snri
-from avsep.model import count_macs, count_params, load_checkpoint, paper_scale_config, separate
+from avsep.model import (
+    ModelConfig,
+    build_params,
+    count_macs,
+    count_params,
+    load_checkpoint,
+    paper_scale_config,
+    save_checkpoint,
+    separate,
+)
 from avsep.tensor import Tensor
 
 TINY_CFG = """\
@@ -132,6 +141,21 @@ class TestSeparate:
                    "--out", str(tmp_path / "f")])
         assert rc == 0
 
+
+    def test_non_finite_waveform_exits_2_and_writes_nothing(self, workdir, tmp_path, capsys):
+        cfg = ModelConfig(n_audio_channels=4, n_video_channels=4, depth=2, n_fusion_cycles=1,
+                          n_audio_cycles=1, ffn_channels=(4, 8, 4))
+        p = build_params(cfg, seed=0)
+        p.encoder.weight.data[:] = 3e38  # finite, but float32 overflows in the forward pass
+        save_checkpoint(p, cfg, tmp_path / "big.iiac")
+        with np.errstate(over="ignore", invalid="ignore"):
+            rc = main(["separate", "--mixture", str(workdir / "mix.wav"),
+                       "--embedding", str(workdir / "a.iiav"),
+                       "--checkpoint", str(tmp_path / "big.iiac"),
+                       "--out", str(tmp_path / "sep")])
+        assert rc == 2
+        assert "non-finite" in capsys.readouterr().err
+        assert not (tmp_path / "sep.0.wav").exists()
 
     def test_nan_embedding_exits_2(self, workdir, tmp_path, capsys):
         nan = tmp_path / "nan.iiav"
@@ -253,6 +277,11 @@ class TestBench:
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("depth = zero\n")
         assert main(["bench", "--config", str(cfg)]) == 2
+
+    @pytest.mark.parametrize("seconds", ["0", "nan", "inf", "0.0001"])
+    def test_duration_under_one_encoder_kernel_exits_2(self, seconds, capsys):
+        assert main(["bench", "--audio-seconds", seconds]) == 2
+        assert "encoder kernel" in capsys.readouterr().err
 
 
 class TestGradcheck:

@@ -70,6 +70,13 @@ class TestWavIO:
         with pytest.raises(FormatError):
             load_wav(path)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_samples_not_written(self, tmp_path, bad):
+        path = tmp_path / "n.wav"
+        with pytest.raises(FormatError):
+            save_wav(path, np.array([0.0, bad, 0.1]), 8000)
+        assert not path.exists()
+
     def test_garbage_rejected(self, tmp_path):
         path = tmp_path / "junk.wav"
         path.write_bytes(b"not a wav file")

@@ -1,5 +1,6 @@
 import json
 import struct
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -25,7 +26,7 @@ from avsep.model import (
     paper_scale_config,
     save_checkpoint,
     separate,
-    separation_forward,
+    separation_features,
 )
 from avsep.nn import avg_pool1d, conv1d, ffn, gln
 from avsep.tensor import Tensor
@@ -115,21 +116,21 @@ def unrolled_reference(e_s, e_v, cfg, p):
     """Equation-by-equation unroll of the cyclic network, written directly
     against the block functions rather than the driver loop."""
 
-    def bottom_up(x, stack, modality):
+    def bottom_up(x, stack):
         levels = [x]
         for cp, gp in stack:
             levels.append(gln(conv1d(levels[-1], cp), gp))
-        return ScalePyramid(levels=levels, modality=modality)
+        return ScalePyramid(levels=levels)
 
     cur_s, cur_v = e_s, e_v
     for _ in range(cfg.n_fusion_cycles):
-        sp = bottom_up(cur_s, p.audio_down, "audio")
-        vp = bottom_up(cur_v, p.video_down, "video")
+        sp = bottom_up(cur_s, p.audio_down)
+        vp = bottom_up(cur_v, p.video_down)
         g = inter_a_t(sp, vp, p.inter_t)
         s0, v0 = top_down_pass(sp, vp, g, p.top_down)
         cur_s, cur_v = inter_a_b(s0, v0, p.inter_b)
     for _ in range(cfg.n_audio_cycles):
-        sp = bottom_up(cur_s, p.audio_down, "audio")
+        sp = bottom_up(cur_s, p.audio_down)
         d = cfg.depth
         acc = sp.levels[d]
         for i in range(d):
@@ -150,7 +151,7 @@ class TestUnrolledReference:
         p = build_params(cfg, seed=4)
         e_s = Tensor(rng.standard_normal((4, 32)).astype(np.float32))
         e_v = Tensor(rng.standard_normal((4, 8)).astype(np.float32))
-        got = separation_forward(e_s, e_v, cfg, p).data
+        got = T.relu(separation_features(e_s, e_v, cfg, p)).data
         want = unrolled_reference(e_s, e_v, cfg, p).data
         assert np.max(np.abs(got - want)) < 1e-6
 
@@ -257,7 +258,7 @@ class TestMacAccounting:
         assert sum(ran) == count_macs(cfg, t_a / cfg.sample_rate)
 
     def test_rejects_nonpositive_duration(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(GeometryError):
             count_macs(ModelConfig(), 0.0)
 
 
@@ -387,7 +388,7 @@ class TestAblations:
         rng = np.random.default_rng(rng_seed)
         e_s = Tensor(rng.standard_normal((4, 16)).astype(np.float32))
         e_v = Tensor(rng.standard_normal((4, 8)).astype(np.float32))
-        return separation_forward(e_s, e_v, cfg, p).data
+        return T.relu(separation_features(e_s, e_v, cfg, p)).data
 
     def test_every_block_is_live(self):
         combos = [
@@ -405,6 +406,31 @@ class TestAblations:
         for i in range(len(outputs)):
             for j in range(i + 1, len(outputs)):
                 assert np.max(np.abs(outputs[i] - outputs[j])) > 1e-6, (i, j)
+
+
+class TestDropout:
+    def _inputs(self, rng):
+        wave = Tensor(rng.uniform(-0.5, 0.5, (1, 200)).astype(np.float32))
+        feat = Tensor(rng.uniform(0, 0.3, (1, 1)).astype(np.float32))
+        return wave, feat
+
+    def test_off_without_rng(self, rng):
+        cfg = tiny_config(dropout_p=0.5)
+        p = build_params(cfg, seed=2)
+        wave, feat = self._inputs(rng)
+        a, b = (separate(wave, feat, cfg, p).waveform.data for _ in range(2))
+        np.testing.assert_array_equal(a, b)
+        off = separate(wave, feat, replace(cfg, dropout_p=0.0), p).waveform.data
+        np.testing.assert_array_equal(a, off)
+
+    def test_drawn_from_rng(self, rng):
+        cfg = tiny_config(dropout_p=0.5)
+        p = build_params(cfg, seed=2)
+        wave, feat = self._inputs(rng)
+        a, b = (separate(wave, feat, cfg, p, np.random.default_rng(s)).waveform.data
+                for s in (1, 1))
+        np.testing.assert_array_equal(a, b)
+        assert np.any(a != separate(wave, feat, cfg, p).waveform.data)
 
 
 class TestMultiSpeaker:

@@ -243,20 +243,18 @@ class TestPadCrop:
 class TestDropout:
     def test_identity_at_inference(self, rng):
         x = Tensor(rng.standard_normal((3, 7)))
-        assert dropout(x, 0.5, training=False, rng=None) is x
+        assert dropout(x, 0.5, rng=None) is x
 
     def test_identity_at_p_zero(self, rng):
         x = Tensor(rng.standard_normal((3, 7)))
-        assert dropout(x, 0.0, training=True, rng=None) is x
-
-    def test_training_requires_rng(self):
-        with pytest.raises(ValueError):
-            dropout(Tensor(np.zeros((2, 2))), 0.5, training=True, rng=None)
+        g = np.random.default_rng(3)
+        assert dropout(x, 0.0, rng=g) is x
+        assert g.random() == np.random.default_rng(3).random()  # nothing drawn
 
     def test_inverted_scaling(self):
         g = np.random.default_rng(0)
         x = Tensor(np.ones((50, 50)))
-        y = dropout(x, 0.25, training=True, rng=g).data
+        y = dropout(x, 0.25, rng=g).data
         kept = y[y != 0]
         np.testing.assert_allclose(kept, 1.0 / 0.75)
         assert abs(kept.size / y.size - 0.75) < 0.03
@@ -264,6 +262,6 @@ class TestDropout:
     def test_mask_reused_in_backward(self):
         g = np.random.default_rng(1)
         x = Tensor(np.ones((4, 4), dtype=np.float64), requires_grad=True)
-        y = dropout(x, 0.5, training=True, rng=g)
+        y = dropout(x, 0.5, rng=g)
         T.sum_all(y).backward()
         np.testing.assert_array_equal((x.grad != 0), (y.data != 0))

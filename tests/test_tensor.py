@@ -94,7 +94,7 @@ class TestBackward:
 
 
 class TestOpGradients:
-    @pytest.mark.parametrize("op", [T.ew_add, T.ew_sub, T.ew_mul, T.ew_div])
+    @pytest.mark.parametrize("op", [T.ew_add, T.ew_sub, T.ew_mul])
     def test_binary_ops_match_finite_difference(self, op, rng):
         a = _leaf(rng.uniform(0.5, 2.0, (3, 4)))
         b = _leaf(rng.uniform(0.5, 2.0, (3, 4)))

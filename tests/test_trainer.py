@@ -145,6 +145,12 @@ class TestTrainToy:
         for (_, t1), (_, t2) in zip(named_tensors(a.params), named_tensors(b.params)):
             np.testing.assert_array_equal(t1.data, t2.data)
 
+    def test_dropout_applies_in_training(self):
+        runs = [train_toy(tiny_config(dropout_p=d), self._settings(max_steps=5))
+                for d in (0.0, 0.5)]
+        assert any(np.any(a.data != b.data) for (_, a), (_, b)
+                   in zip(named_tensors(runs[0].params), named_tensors(runs[1].params)))
+
     def test_history_schema(self):
         res = train_toy(tiny_config(), self._settings())
         assert res.steps_run == 10
