@@ -1,7 +1,8 @@
 """Finite-difference verification of every differentiable unit.
 
-Each check rebuilds its graph at float64, computes analytic gradients via
-the tape, and compares against the central-difference oracle in
+Each check rebuilds its graph at float64, marks its leaves
+``requires_grad``, computes analytic gradients via the tape, and compares
+against the central-difference oracle in
 :func:`avsep.tensor.finite_difference_grad`. The error reported is
 max |analytic - numeric| normalized by the gradient scale.
 """
@@ -54,6 +55,7 @@ class CheckResult:
 
 def _gradcheck(name: str, make_loss, leaves: list[Tensor]) -> CheckResult:
     for t in leaves:
+        t.requires_grad = True
         t.grad = None
     loss = make_loss()
     loss.backward()
@@ -82,7 +84,7 @@ def _rng(seed=0):
 
 
 def _t(rng, *shape, lo=-2.0, hi=2.0) -> Tensor:
-    return Tensor(rng.uniform(lo, hi, shape), dtype=np.float64, requires_grad=True)
+    return Tensor(rng.uniform(lo, hi, shape), dtype=np.float64)
 
 
 def _weighted_sum(x: Tensor, rng) -> Tensor:
@@ -105,8 +107,7 @@ def _check_primitives() -> list[CheckResult]:
     out.append(_gradcheck("ew_mul", lambda: _weighted_sum(T.ew_mul(x, y), _rng(2)), [x, y]))
     out.append(_gradcheck("sigmoid", lambda: _weighted_sum(T.sigmoid(x), _rng(3)), [x]))
 
-    xr = Tensor(np.where(np.abs(x.data) < 1e-2, 0.5, x.data), dtype=np.float64,
-                requires_grad=True)  # keep clear of the kink
+    xr = Tensor(np.where(np.abs(x.data) < 1e-2, 0.5, x.data), dtype=np.float64)  # off the kink
     out.append(_gradcheck("relu", lambda: _weighted_sum(T.relu(xr), _rng(4)), [xr]))
 
     w = _t(r, 4, 3, 5, lo=-1, hi=1)

@@ -1,8 +1,9 @@
 """Separation quality metrics and the training objective.
 
 All dB-valued functions return ``math.inf`` (the documented sentinel) when
-the residual is exactly zero; they never return NaN. Report writers clamp
-the sentinel for display, see :data:`DISPLAY_CLAMP_DB`.
+the residual is exactly zero; they never return NaN, and a non-finite
+signal raises ``ValueError``. Report writers clamp the sentinel for
+display, see :data:`DISPLAY_CLAMP_DB`.
 """
 
 from __future__ import annotations
@@ -33,6 +34,8 @@ _LOG10 = math.log(10.0)
 
 def _flat(x) -> np.ndarray:
     a = np.asarray(x, dtype=np.float64).reshape(-1)
+    if not np.all(np.isfinite(a)):
+        raise ValueError("non-finite signal")
     return a
 
 

@@ -203,7 +203,7 @@ class _Init:
     def _uniform(self, bound: float, shape) -> Tensor:
         data = (np.zeros(shape, self.dtype) if self.rng is None
                 else self.rng.uniform(-bound, bound, shape).astype(self.dtype))
-        return Tensor(data, requires_grad=True)
+        return Tensor(data)
 
     def conv(self, c_out, c_in, k, stride=1, padding=0, bias=False, groups=1) -> Conv1dParams:
         bound = 1.0 / np.sqrt((c_in // groups) * k)
@@ -213,8 +213,8 @@ class _Init:
 
     def gln(self, c) -> GlnParams:
         return GlnParams(
-            gain=Tensor(np.ones(c, dtype=self.dtype), requires_grad=True),
-            bias=Tensor(np.zeros(c, dtype=self.dtype), requires_grad=True),
+            gain=Tensor(np.ones(c, dtype=self.dtype)),
+            bias=Tensor(np.zeros(c, dtype=self.dtype)),
         )
 
     def q(self, c_in, c_out, kernel) -> QParams:
@@ -239,6 +239,9 @@ class _Init:
 
 
 def build_params(cfg: ModelConfig, seed: int = 0, dtype=np.float32) -> ModelParams:
+    """A randomly initialised parameter tree for ``cfg``. The tensors are
+    plain data (``requires_grad`` False), so a forward pass records no tape;
+    mark the ones you differentiate."""
     return _build(cfg, _Init(np.random.default_rng(seed), dtype, cfg.depthwise))
 
 
@@ -617,6 +620,9 @@ def save_checkpoint(params: ModelParams, cfg: ModelConfig, path) -> None:
 
 
 def load_checkpoint(path) -> tuple[ModelParams, ModelConfig]:
+    """Read an ``.iiac`` file into its parameter tree and config. The
+    tensors are plain data, as from ``build_params``. A malformed file or a
+    non-finite value raises ``FormatError``."""
     with open(path, "rb") as fh:
         blob = fh.read()
     if blob[:4] != CHECKPOINT_MAGIC:

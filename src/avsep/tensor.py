@@ -1,11 +1,19 @@
 """Dense tensors with reverse-mode automatic differentiation.
 
-The computation graph is a dynamic tape: every operation returns a new
-Tensor holding references to its parents and a closure that propagates the
-upstream gradient. ``Tensor.backward()`` walks the tape once in reverse
+The computation graph is a dynamic tape. Nothing is on it by default:
+parameters are plain data, and whoever differentiates sets
+``requires_grad = True`` on the leaves it wants gradients for (the trainer
+and the gradient harness do this for their own leaves). An operation with
+a marked or taped input returns a tape node holding references to its
+parents and a closure that propagates the upstream gradient; otherwise it
+returns plain data. ``Tensor.backward()`` walks the tape once in reverse
 topological order. The tape is rebuilt on every forward pass, so weight
 sharing across repeated applications of the same parameters needs no
 special handling: gradients simply accumulate on the shared leaves.
+
+``Tensor(data)`` rejects non-finite caller-supplied data. Op results are
+not scanned: finiteness is checked at the boundaries instead (the file
+readers, ``save_wav``, the trainer's loss and Adam step, and the metrics).
 
 Tensors are treated as immutable after construction. Broadcasting is
 deliberately restricted: operands must have the same number of axes and
@@ -41,24 +49,17 @@ class Tensor:
 
     __slots__ = ("data", "requires_grad", "grad", "_parents", "_backward")
 
-    def __init__(
-        self,
-        data,
-        requires_grad: bool = False,
-        dtype=None,
-        _parents: tuple["Tensor", ...] = (),
-        _backward: Callable[[np.ndarray], None] | None = None,
-    ):
+    def __init__(self, data, requires_grad: bool = False, dtype=None):
         arr = np.asarray(data, dtype=dtype)
         if arr.dtype not in (np.float32, np.float64):
             arr = arr.astype(np.float32)
-        if _backward is None and not np.all(np.isfinite(arr)):
+        if not np.all(np.isfinite(arr)):
             raise ValueError("non-finite values in tensor")
         self.data = arr
         self.requires_grad = requires_grad
         self.grad: np.ndarray | None = None
-        self._parents = _parents
-        self._backward = _backward
+        self._parents: tuple[Tensor, ...] = ()
+        self._backward: Callable[[np.ndarray], None] | None = None
 
     # -- introspection -------------------------------------------------
 
@@ -148,11 +149,16 @@ def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 
 def _node(out: np.ndarray, parents: tuple[Tensor, ...], back) -> Tensor:
     """The result of an op: a tape node over ``parents`` with backward
-    ``back``, or a plain tensor when no parent needs a gradient."""
-    for t in parents:
-        if t.requires_grad or t._parents:
-            return Tensor(out, _parents=parents, _backward=back)
-    return Tensor(out)
+    ``back`` when a parent is on the tape, else plain data. Not scanned for
+    non-finite values; the boundaries check those."""
+    t = Tensor.__new__(Tensor)
+    t.data = np.asarray(out)
+    t.requires_grad = False
+    t.grad = None
+    taped = any(p.requires_grad or p._parents for p in parents)
+    t._parents = parents if taped else ()
+    t._backward = back if taped else None
+    return t
 
 
 def ew_add(a: Tensor, b: Tensor) -> Tensor:

@@ -4,6 +4,7 @@ halving, early stopping, and the toy overfit experiment."""
 from __future__ import annotations
 
 import math
+import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -126,7 +127,7 @@ class TrainSettings:
 class TrainResult:
     params: ModelParams
     cfg: ModelConfig
-    history: list[dict]  # epoch, train_loss, val_si_snri, lr
+    history: list[dict]  # epoch, train_loss, val_si_snri, lr, grad_norm, step_s
     final_si_snri_db: float
     steps_run: int
     mixture: np.ndarray
@@ -161,6 +162,8 @@ def train_toy(cfg: ModelConfig, settings: TrainSettings,
 
     p = build_params(cfg, seed=settings.seed)
     trainables = list(named_tensors(p))
+    for _, t in trainables:
+        t.requires_grad = True
     state = AdamState(lr=settings.lr)
     sched = ScheduleState(plateau_patience=settings.plateau_patience,
                           stop_patience=settings.stop_patience)
@@ -178,8 +181,10 @@ def train_toy(cfg: ModelConfig, settings: TrainSettings,
     stop = False
     while steps_run < settings.max_steps and not stop:
         epoch += 1
-        train_loss = math.nan
-        for _ in range(min(settings.steps_per_epoch, settings.max_steps - steps_run)):
+        train_loss = grad_norm = math.nan
+        n_steps = min(settings.steps_per_epoch, settings.max_steps - steps_run)
+        t0 = time.perf_counter()
+        for _ in range(n_steps):
             if settings.dynamic_mix:
                 spec = dynamic_mix_batch(pool, 1, rng)[0]
                 mix = spec.mixture
@@ -192,19 +197,23 @@ def train_toy(cfg: ModelConfig, settings: TrainSettings,
             if not math.isfinite(train_loss):
                 raise TrainingError(f"non-finite loss at step {steps_run}")
             loss.backward()
-            clip_global_norm(trainables, settings.clip_norm)
+            grad_norm = clip_global_norm(trainables, settings.clip_norm)
             adam_step(trainables, state)
             for _, t in trainables:
                 t.grad = None
             steps_run += 1
+        step_s = (time.perf_counter() - t0) / max(n_steps, 1)
 
         val_si_snri = eval_si_snri()
         val_loss = -val_si_snri
+        # train_loss and grad_norm (pre-clip) are the epoch's last step's
         history.append({"epoch": epoch, "train_loss": train_loss,
-                        "val_si_snri": val_si_snri, "lr": state.lr})
+                        "val_si_snri": val_si_snri, "lr": state.lr,
+                        "grad_norm": grad_norm, "step_s": step_s})
         if log:
             log(f"epoch {epoch}: loss {train_loss:.3f}  "
-                f"si-snri {val_si_snri:.2f} dB  lr {state.lr:g}")
+                f"si-snri {val_si_snri:.2f} dB  lr {state.lr:g}  "
+                f"grad-norm {grad_norm:.3g}  step {step_s * 1e3:.1f} ms")
         if val_si_snri >= settings.target_si_snri_db:
             break
         stop = sched.update(val_loss, state)

@@ -178,8 +178,6 @@ class TestInterT:
         assert np.any(dropped)
         leaves = [audio.levels[0], video.levels[1], p.q_av.conv.weight,
                   p.q_va.gln.gain, p.ffn_s.convs[1].weight, p.ffn_v.gln.bias]
-        for t in leaves:
-            t.requires_grad = True
         assert checks._gradcheck("inter_a_t_dropout", loss, leaves).passed
 
     def test_depth_mismatch_rejected(self, rng):

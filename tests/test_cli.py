@@ -1,4 +1,5 @@
 import csv
+import math
 
 import numpy as np
 import pytest
@@ -57,6 +58,14 @@ dropout_p = 0.1
 """
 
 
+def _overflowing_checkpoint(path):
+    cfg = ModelConfig(n_audio_channels=4, n_video_channels=4, depth=2, n_fusion_cycles=1,
+                      n_audio_cycles=1, ffn_channels=(4, 8, 4))
+    p = build_params(cfg, seed=0)
+    p.encoder.weight.data[:] = 3e38  # finite, but float32 overflows in the forward pass
+    save_checkpoint(p, cfg, path)
+
+
 @pytest.fixture(scope="module")
 def workdir(tmp_path_factory):
     root = tmp_path_factory.mktemp("cli")
@@ -79,8 +88,12 @@ class TestTrainToy:
         assert (workdir / "tiny.iiac").exists()
         hist = workdir / "tiny.iiac.history.csv"
         rows = list(csv.reader(hist.open()))
-        assert rows[0] == ["epoch", "train_loss", "val_si_snri", "lr"]
+        assert rows[0] == ["epoch", "train_loss", "val_si_snri", "lr", "grad_norm", "step_s"]
         assert len(rows) == 4  # 30 steps / 10 per epoch
+        for row in rows[1:]:
+            grad_norm, step_s = float(row[4]), float(row[5])
+            assert math.isfinite(grad_norm) and grad_norm > 0
+            assert math.isfinite(step_s) and step_s > 0
 
     def test_unknown_config_key_names_it(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"
@@ -143,11 +156,7 @@ class TestSeparate:
 
 
     def test_non_finite_waveform_exits_2_and_writes_nothing(self, workdir, tmp_path, capsys):
-        cfg = ModelConfig(n_audio_channels=4, n_video_channels=4, depth=2, n_fusion_cycles=1,
-                          n_audio_cycles=1, ffn_channels=(4, 8, 4))
-        p = build_params(cfg, seed=0)
-        p.encoder.weight.data[:] = 3e38  # finite, but float32 overflows in the forward pass
-        save_checkpoint(p, cfg, tmp_path / "big.iiac")
+        _overflowing_checkpoint(tmp_path / "big.iiac")
         with np.errstate(over="ignore", invalid="ignore"):
             rc = main(["separate", "--mixture", str(workdir / "mix.wav"),
                        "--embedding", str(workdir / "a.iiav"),
@@ -230,6 +239,19 @@ class TestEval:
         assert rc == 1
         rows = list(csv.reader(out.open()))
         assert len(rows) == 3  # header + surviving row + mean
+
+    def test_non_finite_separation_fails_its_row(self, workdir, tmp_path, capsys):
+        _overflowing_checkpoint(tmp_path / "big.iiac")
+        pairs = self._pairs(workdir, tmp_path, [
+            [str(workdir / "mix.wav"), str(workdir / "ref.wav"), str(workdir / "a.iiav")],
+        ])
+        out = tmp_path / "report.csv"
+        with np.errstate(over="ignore", invalid="ignore"):
+            rc = main(["eval", "--pairs", str(pairs),
+                       "--checkpoint", str(tmp_path / "big.iiac"), "--out", str(out)])
+        assert rc == 1
+        assert "non-finite signal" in capsys.readouterr().err
+        assert list(csv.reader(out.open())) == [["path", "si_snri", "sdri"]]
 
     def test_empty_manifest_exits_2(self, workdir, tmp_path):
         pairs = tmp_path / "empty.csv"

@@ -40,6 +40,16 @@ class TestSiSnr:
         with pytest.raises(ValueError):
             si_snr(np.ones(4), np.ones(5))
 
+    @pytest.mark.parametrize("metric", [si_snr, sdr])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_signal_rejected(self, metric, bad):
+        est = np.ones(8)
+        est[3] = bad
+        with pytest.raises(ValueError, match="non-finite signal"):
+            metric(np.arange(1.0, 9.0), est)
+        with pytest.raises(ValueError, match="non-finite signal"):
+            metric(est, np.arange(1.0, 9.0))
+
     def test_improvement_vanishes_for_mixture(self, rng):
         ref = rng.standard_normal(128)
         mix = ref + rng.standard_normal(128)

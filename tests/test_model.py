@@ -447,6 +447,24 @@ class TestMultiSpeaker:
         assert np.any(out.waveforms[0].data != out.waveforms[1].data)
 
 
+class TestNoTapeByDefault:
+    """Parameters are plain data: separating with built or loaded params
+    records no tape, so every output is a bare array."""
+
+    @pytest.mark.parametrize("over", [{}, {"audio_only": True, "n_speakers": 2}])
+    def test_outputs_carry_no_tape(self, over, tmp_path, rng):
+        cfg = tiny_config(**over)
+        built = build_params(cfg, seed=0)
+        save_checkpoint(built, cfg, tmp_path / "m.iiac")
+        loaded, _ = load_checkpoint(tmp_path / "m.iiac")
+        wave = Tensor(rng.uniform(-0.5, 0.5, (1, 100)).astype(np.float32))
+        feat = None if cfg.audio_only else Tensor(rng.uniform(0, 0.3, (1, 1)).astype(np.float32))
+        for p in (built, loaded):
+            out = separate(wave, feat, cfg, p)
+            for t in out.masks + out.waveforms:
+                assert t._parents == () and t._backward is None
+
+
 class TestDeterminism:
     def test_build_params_deterministic(self):
         cfg = tiny_config()

@@ -29,6 +29,14 @@ class TestConstruction:
         with pytest.raises(ValueError):
             Tensor([math.inf])
 
+    def test_op_results_not_scanned(self):
+        # finiteness is checked where data enters and leaves, not per op,
+        # whether or not the op is on the tape
+        for requires_grad in (False, True):
+            with np.errstate(divide="ignore"):
+                y = T.log(Tensor([0.0, 1.0], requires_grad=requires_grad))
+            np.testing.assert_array_equal(y.data, [-np.inf, 0.0])
+
     def test_item_requires_scalar(self):
         with pytest.raises(GeometryError):
             Tensor([1.0, 2.0]).item()

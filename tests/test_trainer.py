@@ -156,7 +156,9 @@ class TestTrainToy:
         assert res.steps_run == 10
         assert len(res.history) == 2
         for row in res.history:
-            assert set(row) == {"epoch", "train_loss", "val_si_snri", "lr"}
+            assert set(row) == {"epoch", "train_loss", "val_si_snri", "lr", "grad_norm", "step_s"}
+            assert math.isfinite(row["grad_norm"]) and row["grad_norm"] > 0
+            assert math.isfinite(row["step_s"]) and row["step_s"] > 0
 
     def test_loss_decreases(self):
         res = train_toy(tiny_config(), self._settings(max_steps=50, steps_per_epoch=10))
