@@ -111,7 +111,8 @@ def _correlate(x: np.ndarray, p: Conv1dParams) -> tuple[np.ndarray, np.ndarray]:
     the weight: each channel group is one matrix product over its im2col
     columns, and the groups run as one batched matmul. Returns the result
     [C_out, L_out] and the columns [G, C_in/G*K, L_out] the weight
-    gradient reads."""
+    gradient reads. With K = 1 and stride 1 the columns are a view of
+    ``x``, so neither may be written to."""
     k, stride, pad = p.kernel, p.stride, p.padding
     if pad:  # zero-filled copy; np.pad costs more than the conv at small sizes
         xp = np.zeros((x.shape[0], x.shape[1] + 2 * pad), dtype=x.dtype)
@@ -121,7 +122,7 @@ def _correlate(x: np.ndarray, p: Conv1dParams) -> tuple[np.ndarray, np.ndarray]:
     l_out = (lp - k) // stride + 1
     s0, s1 = x.strides
     win = np.lib.stride_tricks.as_strided(x, shape=(c, k, l_out), strides=(s0, s1, s1 * stride))
-    cols = np.ascontiguousarray(win).reshape(p.groups, -1, l_out)
+    cols = win.reshape(p.groups, -1, l_out)  # copies only when K > 1 or stride > 1
     return (p.weight_blocks() @ cols).reshape(p.out_channels, l_out), cols
 
 
@@ -241,35 +242,40 @@ def interp_resample(x: Tensor, target_len: int) -> Tensor:
     def back(g):
         if idx is None:
             _accum(x, g)
-        else:
+        elif target_len < l:  # idx strictly increases: each source frame is read at most once
             gx = np.zeros((c, l), dtype=g.dtype)
-            np.add.at(gx, (np.arange(c)[:, None], idx[None, :]), g)
+            gx[:, idx] = g
             _accum(x, gx)
+        else:  # idx reads every source frame, each over one sorted run of outputs
+            _accum(x, np.add.reduceat(g, np.searchsorted(idx, np.arange(l)), axis=1))
 
     return _node(y, (x,), back)
 
 
 def gln(x: Tensor, p: GlnParams) -> Tensor:
-    """Global layer norm: zero mean / unit variance over all C*T entries,
-    then a learnable per-channel affine."""
+    """Global layer norm: ``y = gain[c] * (x - m) / sqrt(v + eps) + bias[c]``
+    with ``m`` and ``v`` the mean and variance over all C*T entries. ``v``
+    is the mean of ``(x - m)**2``, taken after the mean, so a large mean
+    does not cancel away a small spread."""
     c, l = x.shape
     if p.gain.shape[0] != c or p.bias.shape[0] != c:
         raise GeometryError("gln gain/bias length must equal channel count")
     n = c * l
     m = x.data.mean()
-    v = x.data.var()
-    inv = 1.0 / np.sqrt(v + p.eps)
-    xhat = (x.data - m) * inv
-    y = p.gain.data[:, None] * xhat + p.bias.data[:, None]
+    d = x.data - m
+    inv = 1.0 / np.sqrt(np.vdot(d, d) / n + p.eps)
+    d *= (p.gain.data * inv)[:, None]
+    d += p.bias.data[:, None]
 
     def back(g):
+        xhat = (x.data - m) * inv
         _accum(p.gain, (g * xhat).sum(axis=1))
         _accum(p.bias, g.sum(axis=1))
         u = g * p.gain.data[:, None]
         gx = inv * (u - u.mean() - xhat * (u * xhat).sum() / n)
         _accum(x, gx)
 
-    return _node(y, (x, p.gain, p.bias), back)
+    return _node(d, (x, p.gain, p.bias), back)
 
 
 def q_op(x: Tensor, p: QParams) -> Tensor:

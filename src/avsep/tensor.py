@@ -199,10 +199,14 @@ def scale(x: Tensor, c: float) -> Tensor:
 
 
 def sigmoid(x: Tensor) -> Tensor:
-    # numerically stable split keeps exp() off large positive arguments
-    y = np.where(x.data >= 0, 1.0 / (1.0 + np.exp(-np.abs(x.data))),
-                 np.exp(-np.abs(x.data)) / (1.0 + np.exp(-np.abs(x.data))))
-    y = y.astype(x.dtype, copy=False)
+    """``1 / (1 + exp(-x))`` in the input's dtype. Below about -88 at
+    float32 (-709 at float64) ``exp(-x)`` overflows to inf and the result
+    is exactly 0, where the true value is a denormal or smaller."""
+    y = np.negative(x.data, out=np.empty_like(x.data))
+    with np.errstate(over="ignore"):
+        np.exp(y, out=y)
+    y += 1
+    np.reciprocal(y, out=y)
 
     def back(g):
         _accum(x, g * y * (1.0 - y))

@@ -11,7 +11,7 @@ import numpy as np
 
 from . import metrics
 from .data import dynamic_mix_batch, energy_envelope, mix_at_snr, synth_sources
-from .errors import TrainingError
+from .errors import ConfigError, TrainingError
 from .model import ModelConfig, ModelParams, build_params, named_tensors, separate
 from .tensor import Tensor
 
@@ -122,6 +122,10 @@ class TrainSettings:
     dynamic_mix: bool = False
     pool_size: int = 4
 
+    def __post_init__(self):
+        if self.steps_per_epoch < 1 or self.max_steps < 1:
+            raise ConfigError("steps_per_epoch and max_steps must be at least 1")
+
 
 @dataclass
 class TrainResult:
@@ -181,7 +185,6 @@ def train_toy(cfg: ModelConfig, settings: TrainSettings,
     stop = False
     while steps_run < settings.max_steps and not stop:
         epoch += 1
-        train_loss = grad_norm = math.nan
         n_steps = min(settings.steps_per_epoch, settings.max_steps - steps_run)
         t0 = time.perf_counter()
         for _ in range(n_steps):
@@ -202,7 +205,7 @@ def train_toy(cfg: ModelConfig, settings: TrainSettings,
             for _, t in trainables:
                 t.grad = None
             steps_run += 1
-        step_s = (time.perf_counter() - t0) / max(n_steps, 1)
+        step_s = (time.perf_counter() - t0) / n_steps
 
         val_si_snri = eval_si_snri()
         val_loss = -val_si_snri

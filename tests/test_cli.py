@@ -102,6 +102,14 @@ class TestTrainToy:
                      "--out", str(tmp_path / "x.iiac")]) == 2
         assert "bogus_key" in capsys.readouterr().err
 
+    def test_zero_steps_per_epoch_exits_2(self, tmp_path, capsys):
+        cfg = tmp_path / "zero.cfg"
+        cfg.write_text(TINY_CFG.replace("steps_per_epoch = 10", "steps_per_epoch = 0"))
+        assert main(["train-toy", "--config", str(cfg),
+                     "--out", str(tmp_path / "x.iiac")]) == 2
+        assert "steps_per_epoch" in capsys.readouterr().err
+        assert not (tmp_path / "x.iiac").exists()
+
     def test_audio_only_flag(self, tmp_path):
         cfg = tmp_path / "tiny.cfg"
         cfg.write_text(TINY_CFG.replace("max_steps = 30", "max_steps = 5"))

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from avsep import checks
 from avsep import tensor as T
 from avsep.errors import GeometryError
 from avsep.nn import (
@@ -20,6 +21,7 @@ from avsep.nn import (
     ffn,
     gln,
     interp_resample,
+    _correlate,
     pad_right,
     q_op,
     slice_channels,
@@ -73,6 +75,18 @@ class TestConv1d:
                                     None if p.bias is None else p.bias.data,
                                     stride, padding, groups)
             np.testing.assert_allclose(got, want, atol=1e-12, err_msg=f"groups={groups}")
+
+    @pytest.mark.parametrize("k", [1, 5])
+    def test_columns_view_the_input_only_for_one_tap(self, k, rng):
+        # x[:, idx] (interp_resample) gives this transposed layout
+        x = rng.standard_normal((17, 4)).T
+        p = _conv_params(rng, 6, 4, k, bias=True)
+        _, cols = _correlate(x, p)
+        assert np.shares_memory(cols, x) == (k == 1)
+        got = conv1d(Tensor(x, dtype=np.float64), p).data
+        np.testing.assert_array_equal(got, conv1d(Tensor(x.copy(), dtype=np.float64), p).data)
+        want = conv1d_reference(x, p.weight.data, p.bias.data, 1, 0)
+        np.testing.assert_allclose(got, want, atol=1e-12)
 
     def test_channel_mismatch(self, rng):
         p = _conv_params(rng, 2, 3, 3)
@@ -164,6 +178,24 @@ class TestPoolingAndResampling:
         idx = (np.arange(12) * 5) // 12
         np.testing.assert_array_equal(got, x[:, idx])
 
+    @pytest.mark.parametrize("l,target", [
+        (5, 12), (12, 5), (7, 7), (7, 13), (13, 7), (125, 2000), (2000, 25),
+    ])
+    def test_resample_backward_matches_scatter_add(self, l, target, rng):
+        x = Tensor(rng.standard_normal((3, l)), dtype=np.float64, requires_grad=True)
+        g = rng.standard_normal((3, target))
+        T.sum_all(T.ew_mul(interp_resample(x, target), Tensor(g, dtype=np.float64))).backward()
+        want = np.zeros((3, l))
+        np.add.at(want, (slice(None), (np.arange(target) * l) // target), g)
+        np.testing.assert_allclose(x.grad, want, rtol=1e-12, atol=1e-12)
+
+    def test_downsampling_gradient_matches_finite_difference(self, rng):
+        x = Tensor(rng.uniform(-2, 2, (3, 13)), dtype=np.float64)
+        w = Tensor(rng.uniform(-1, 1, (3, 5)), dtype=np.float64)
+        res = checks._gradcheck(
+            "interp_resample_down", lambda: T.sum_all(T.ew_mul(interp_resample(x, 5), w)), [x])
+        assert res.passed
+
     def test_resample_identity(self, rng):
         x = rng.standard_normal((2, 7))
         np.testing.assert_array_equal(interp_resample(Tensor(x), 7).data, x)
@@ -176,6 +208,16 @@ class TestGln:
         y = gln(Tensor(x, dtype=np.float64), p).data
         assert y.mean() == pytest.approx(0.0, abs=1e-9)
         assert y.var() == pytest.approx(1.0, rel=1e-6)
+
+    def test_small_spread_about_a_large_mean(self, rng):
+        # an E[x^2] - m^2 variance would lose the 1e-6 variance against 1e6
+        x = 1e3 + 1e-3 * rng.standard_normal((4, 50))
+        p = GlnParams(gain=Tensor(np.ones(4), dtype=np.float64),
+                      bias=Tensor(np.zeros(4), dtype=np.float64))
+        y = gln(Tensor(x, dtype=np.float64), p).data
+        m = x.mean()
+        want = (x - m) / np.sqrt(((x - m) ** 2).mean() + p.eps)
+        np.testing.assert_allclose(y, want, rtol=0, atol=1e-9)
 
     def test_affine_is_per_channel(self, rng):
         x = rng.standard_normal((2, 6))

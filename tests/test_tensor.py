@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -148,6 +149,20 @@ class TestNumerics:
         y = T.sigmoid(Tensor([-1000.0, 0.0, 1000.0]))
         assert np.all(np.isfinite(y.data))
         np.testing.assert_allclose(y.data, [0.0, 0.5, 1.0], atol=1e-7)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_sigmoid_edges_match_float64_formula_without_warnings(self, dtype):
+        x = np.array([-1000, -100, -88.8, 0, 88.8, 100, 1000], dtype=dtype)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            y = T.sigmoid(Tensor(x)).data
+        assert y.dtype == dtype
+        assert np.all(np.isfinite(y)) and np.all((y >= 0) & (y <= 1))
+        with np.errstate(over="ignore"):
+            want = 1.0 / (1.0 + np.exp(-x.astype(np.float64)))
+        # below the smallest normal (x < -88 at float32) the result may be 0
+        fi = np.finfo(dtype)
+        np.testing.assert_allclose(y, want, rtol=fi.eps, atol=fi.tiny)
 
     @given(st.lists(st.floats(-1e3, 1e3), min_size=1, max_size=32))
     @settings(max_examples=50, deadline=None)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from conftest import tiny_config
 
-from avsep.errors import TrainingError
+from avsep.errors import ConfigError, TrainingError
 from avsep.model import named_tensors
 from avsep.tensor import Tensor
 from avsep.trainer import (
@@ -136,6 +136,11 @@ class TestTrainToy:
                     mixture_seconds=0.1, target_si_snri_db=1e9)
         base.update(over)
         return TrainSettings(**base)
+
+    @pytest.mark.parametrize("field", ["max_steps", "steps_per_epoch"])
+    def test_fewer_than_one_step_rejected(self, field):
+        with pytest.raises(ConfigError, match=field):
+            self._settings(**{field: 0})
 
     def test_deterministic_given_seed(self):
         cfg = tiny_config()
