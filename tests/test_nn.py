@@ -11,6 +11,7 @@ from avsep.nn import (
     FfnParams,
     GlnParams,
     QParams,
+    _correlate,
     avg_pool1d,
     conv1d,
     conv1d_out_len,
@@ -21,7 +22,6 @@ from avsep.nn import (
     ffn,
     gln,
     interp_resample,
-    _correlate,
     pad_right,
     q_op,
     slice_channels,
