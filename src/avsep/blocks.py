@@ -16,7 +16,8 @@ import numpy as np
 
 from .errors import GeometryError
 from . import tensor as T
-from .nn import FfnParams, QParams, avg_pool1d, dropout, ffn, interp_resample, q_op
+from .nn import (FfnParams, QParams, avg_pool1d, conv1d, dropout, ffn, gln, interp_resample,
+                 q_op)
 from .tensor import Tensor
 
 __all__ = [
@@ -87,13 +88,29 @@ class InterBParams:
     out_v: QParams
 
 
+def _q_up(y: Tensor, length: int, q: QParams) -> Tensor:
+    """``Q(up(y))``: ``q_op`` on ``y`` resampled to ``length`` frames.
+
+    A pointwise Q (one tap, stride 1, no padding) acts on each frame
+    alone, so on an upsample its conv runs at ``y``'s length, before the
+    resample. When ``length`` is a multiple of ``y``'s length every frame
+    repeats equally often, which leaves the gLN's mean and variance
+    unchanged, so the gLN runs before the resample too."""
+    c, l = q.conv, y.shape[1]
+    if c.kernel > 1 or c.stride > 1 or c.padding or l > length:
+        return q_op(interp_resample(y, length), q)
+    if length % l == 0:
+        return interp_resample(q_op(y, q), length)
+    return gln(interp_resample(conv1d(y, c), length), q.gln)
+
+
 def intra_a_global(x: Tensor, y: Tensor, q: QParams) -> Tensor:
     """sigmoid(Q(up(y))) * x + Q(up(y)); the modulation term is computed
     once and reused for both the gate and the additive path."""
-    m = q_op(interp_resample(y, x.shape[1]), q)
+    m = _q_up(y, x.shape[1], q)
     if m.shape != x.shape:
         raise GeometryError(f"modulation shape {m.shape} != input shape {x.shape}")
-    return T.ew_add(T.ew_mul(T.sigmoid(m), x), m)
+    return T.gate(x, m, add=True)
 
 
 def intra_a_prime(x: Tensor, y: Tensor) -> Tensor:
@@ -103,7 +120,7 @@ def intra_a_prime(x: Tensor, y: Tensor) -> Tensor:
         raise GeometryError(
             f"gate-only modulation needs matching channels: {y.shape[0]} vs {x.shape[0]}"
         )
-    return T.ew_mul(T.sigmoid(interp_resample(y, x.shape[1])), x)
+    return T.gate(x, interp_resample(y, x.shape[1]))
 
 
 def pooled_sum(levels: list[Tensor]) -> Tensor:
@@ -134,8 +151,8 @@ def inter_a_t(
     if p.q_av is not None:
         ga = dropout(q_op(f_v, p.q_av), dropout_p, rng)
         gv = dropout(q_op(f_s, p.q_va), dropout_p, rng)
-        s_in = T.ew_mul(f_s, T.sigmoid(interp_resample(ga, f_s.shape[1])))
-        v_in = T.ew_mul(f_v, T.sigmoid(interp_resample(gv, f_v.shape[1])))
+        s_in = T.gate(f_s, interp_resample(ga, f_s.shape[1]))
+        v_in = T.gate(f_v, interp_resample(gv, f_v.shape[1]))
     else:
         s_in, v_in = f_s, f_v
     s_g = dropout(ffn(s_in, p.ffn_s), dropout_p, rng)
@@ -146,10 +163,10 @@ def inter_a_t(
 def inter_a_m(s_bar: Tensor, v_bar: Tensor, q: QParams) -> Tensor:
     """Video-derived gate applied to same-scale audio features:
     sigmoid(Q(up(v))) * s."""
-    gate = q_op(interp_resample(v_bar, s_bar.shape[1]), q)
-    if gate.shape != s_bar.shape:
-        raise GeometryError(f"gate shape {gate.shape} != audio shape {s_bar.shape}")
-    return T.ew_mul(T.sigmoid(gate), s_bar)
+    m = _q_up(v_bar, s_bar.shape[1], q)
+    if m.shape != s_bar.shape:
+        raise GeometryError(f"gate shape {m.shape} != audio shape {s_bar.shape}")
+    return T.gate(s_bar, m)
 
 
 def _global_modulation(levels: list[Tensor], g: Tensor, qs: list[QParams] | None):
@@ -197,9 +214,9 @@ def inter_a_b(s0: Tensor, v0: Tensor, p: InterBParams) -> tuple[Tensor, Tensor]:
     time grid) with its own features, maps the product back to its own
     channel count, and adds the result to the original features."""
     t_a, t_v = s0.shape[1], v0.shape[1]
-    fused_s = T.ew_mul(interp_resample(v0, t_a), T.sigmoid(q_op(s0, p.gate_s)))
+    fused_s = T.gate(interp_resample(v0, t_a), q_op(s0, p.gate_s))
     e_s = T.ew_add(s0, q_op(fused_s, p.out_s))
-    fused_v = T.ew_mul(interp_resample(s0, t_v), T.sigmoid(q_op(v0, p.gate_v)))
+    fused_v = T.gate(interp_resample(s0, t_v), q_op(v0, p.gate_v))
     e_v = T.ew_add(v0, q_op(fused_v, p.out_v))
     if e_s.shape != s0.shape or e_v.shape != v0.shape:
         raise GeometryError("residual fusion must preserve input shapes")

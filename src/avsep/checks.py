@@ -106,6 +106,10 @@ def _check_primitives() -> list[CheckResult]:
     r = rng
     out.append(_gradcheck("ew_mul", lambda: _weighted_sum(T.ew_mul(x, y), _rng(2)), [x, y]))
     out.append(_gradcheck("sigmoid", lambda: _weighted_sum(T.sigmoid(x), _rng(3)), [x]))
+    for add in (False, True):
+        out.append(_gradcheck("gate_add" if add else "gate",
+                              lambda add=add: _weighted_sum(T.gate(x, y, add), _rng(10)),
+                              [x, y]))
 
     xr = Tensor(np.where(np.abs(x.data) < 1e-2, 0.5, x.data), dtype=np.float64)  # off the kink
     out.append(_gradcheck("relu", lambda: _weighted_sum(T.relu(xr), _rng(4)), [xr]))

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import struct
 from dataclasses import asdict, dataclass, fields, is_dataclass, replace
 
@@ -119,8 +120,9 @@ class ModelConfig:
 
 def full_scale_config() -> ModelConfig:
     """The dense 512-channel reference configuration: ~25M parameters and
-    ~87 GMAC per second of audio with every convolution dense. Separation
-    and training are timed on it."""
+    ~61 GMAC per second of audio with every convolution dense (its 1x1 Q
+    convs run before the upsample they feed). Separation and training are
+    timed on it."""
     return ModelConfig(
         sample_rate=16000,
         enc_kernel=16,
@@ -525,7 +527,9 @@ def _grid_lengths(cfg: ModelConfig, audio_seconds: float) -> tuple[list[int], li
 
 def count_macs(cfg: ModelConfig, audio_seconds: float) -> int:
     """Multiply-accumulate count; convolutions only, counted per cycle
-    application. Element-wise gates, pooling and resampling are excluded."""
+    application and at the frames each conv runs on (see
+    :func:`mac_breakdown` for the pointwise-Q rule). Element-wise gates,
+    pooling and resampling are excluded."""
     return sum(n for _, n in mac_breakdown(cfg, audio_seconds))
 
 
@@ -546,22 +550,35 @@ def _on_grid(stack, lens: list[int]) -> int:
     return sum(_weights(n) * l for n, l in zip(stack or (), lens))
 
 
+def _q_frames(cfg: ModelConfig, src: list[int], dst: list[int]) -> list[int]:
+    """Frames the conv of each ``Q(up(y))`` runs on, for ``y`` of ``src[i]``
+    frames resampled to ``dst[i]``: a pointwise Q upsamples after its conv."""
+    return [min(s, t) if cfg.q_kernel == 1 else t for s, t in zip(src, dst)]
+
+
 def mac_breakdown(cfg: ModelConfig, audio_seconds: float) -> list[tuple[str, int]]:
     """Conv MACs by stage: every conv of the built tree at its weight count
     times the frames it runs on, times its applications. The video stub is
-    left out; the mask head and one decode per speaker are counted."""
+    left out; the mask head and one decode per speaker are counted.
+
+    The Q of an intra or mid-level gate, ``Q(up(y))``, runs at the target
+    length, except that a pointwise Q (``q_kernel == 1``) runs its conv on
+    an upsample at ``y``'s own, shorter, length."""
     ls, lv, t_a = _grid_lengths(cfg, audio_seconds)
     p = _skeleton(cfg)
     d, td, it = cfg.depth, p.top_down, p.inter_t
+    coarsest_s, coarsest_v = [ls[d]] * (d + 1), [lv[d]] * (d + 1)
     audio_cycle = (_on_grid(p.audio_down, ls[1:]) + _weights(it.ffn_s) * ls[d]
-                   + _on_grid(td.global_s, ls) + _on_grid(td.local_s, ls))
+                   + _on_grid(td.global_s, _q_frames(cfg, coarsest_s, ls))
+                   + _on_grid(td.local_s, _q_frames(cfg, ls[1:], ls)))
     if cfg.audio_only:
         out = [("audio_cycles", (cfg.n_fusion_cycles + cfg.n_audio_cycles) * audio_cycle)]
     else:
         fusion = (audio_cycle + _on_grid(p.video_down, lv[1:]) + _weights(it.ffn_v) * lv[d]
-                  + _on_grid(td.global_v, lv) + _on_grid(td.local_v, lv)
+                  + _on_grid(td.global_v, _q_frames(cfg, coarsest_v, lv))
+                  + _on_grid(td.local_v, _q_frames(cfg, lv[1:], lv))
                   + _weights(it.q_av) * lv[d] + _weights(it.q_va) * ls[d]
-                  + _on_grid(td.inter_m, ls))
+                  + _on_grid(td.inter_m, _q_frames(cfg, lv, ls)))
         if p.inter_b is not None:
             ib = p.inter_b
             fusion += (_weights([ib.gate_s, ib.out_s]) * ls[0]
@@ -621,51 +638,52 @@ def save_checkpoint(params: ModelParams, cfg: ModelConfig, path) -> None:
 
 def load_checkpoint(path) -> tuple[ModelParams, ModelConfig]:
     """Read an ``.iiac`` file into its parameter tree and config. The
-    tensors are plain data, as from ``build_params``. A malformed file or a
-    non-finite value raises ``FormatError``."""
+    tensors are plain data, as from ``build_params``, each read straight
+    from the file into its own buffer. A malformed file or a non-finite
+    value raises ``FormatError``."""
     with open(path, "rb") as fh:
-        blob = fh.read()
-    if blob[:4] != CHECKPOINT_MAGIC:
-        raise FormatError("bad checkpoint magic")
-    if len(blob) < 16:
-        raise FormatError("truncated checkpoint header")
-    (version,) = struct.unpack_from("<I", blob, 4)
-    if version != CHECKPOINT_VERSION:
-        raise FormatError(f"unsupported checkpoint version {version}")
-    (mlen,) = struct.unpack_from("<Q", blob, 8)
-    if len(blob) < 16 + mlen:
-        raise FormatError("truncated checkpoint manifest")
-    try:
-        manifest = json.loads(blob[16 : 16 + mlen].decode())
-        cfg = _config_from_dict(manifest["config"])
-        listed = [(e["name"], tuple(e["shape"])) for e in manifest["tensors"]]
-    except (ValueError, KeyError, TypeError) as e:
-        raise FormatError(f"unreadable checkpoint manifest: {e}") from e
-    if not all(type(n) is int and n >= 0 for _, shape in listed for n in shape):
-        raise FormatError("checkpoint tensor shapes must be non-negative integers")
+        head = fh.read(16)
+        if head[:4] != CHECKPOINT_MAGIC:
+            raise FormatError("bad checkpoint magic")
+        if len(head) < 16:
+            raise FormatError("truncated checkpoint header")
+        (version,) = struct.unpack_from("<I", head, 4)
+        if version != CHECKPOINT_VERSION:
+            raise FormatError(f"unsupported checkpoint version {version}")
+        (mlen,) = struct.unpack_from("<Q", head, 8)
+        size = os.fstat(fh.fileno()).st_size
+        if size < 16 + mlen:
+            raise FormatError("truncated checkpoint manifest")
+        try:
+            manifest = json.loads(fh.read(mlen).decode())
+            cfg = _config_from_dict(manifest["config"])
+            listed = [(e["name"], tuple(e["shape"])) for e in manifest["tensors"]]
+        except (ValueError, KeyError, TypeError) as e:
+            raise FormatError(f"unreadable checkpoint manifest: {e}") from e
+        if not all(type(n) is int and n >= 0 for _, shape in listed for n in shape):
+            raise FormatError("checkpoint tensor shapes must be non-negative integers")
 
-    # the listed shapes must account for the payload before anything is built
-    payload = blob[16 + mlen :]
-    expected = 4 * sum(math.prod(shape) for _, shape in listed)
-    if len(payload) != expected:
-        raise FormatError(
-            f"corrupt checkpoint payload: {len(payload)} bytes, expected {expected}"
-        )
-    try:
-        params = _skeleton(cfg)
-    except (ConfigError, TypeError) as e:  # TypeError: a mistyped config value
-        raise FormatError(f"bad config in checkpoint: {e}") from e
-    entries = list(named_tensors(params))
-    if listed != [(n, t.shape) for n, t in entries]:
-        raise FormatError("checkpoint tensor names or shapes do not match its config")
-    off = 0
-    for name, t in entries:
-        n = t.size * 4
-        data = np.frombuffer(payload[off : off + n], dtype="<f4").reshape(t.shape)
-        if not np.all(np.isfinite(data)):
-            raise FormatError(f"non-finite values in checkpoint tensor {name}")
-        t.data = data.copy()
-        off += n
+        # the listed shapes must account for the payload before anything is built
+        payload = size - 16 - mlen
+        expected = 4 * sum(math.prod(shape) for _, shape in listed)
+        if payload != expected:
+            raise FormatError(
+                f"corrupt checkpoint payload: {payload} bytes, expected {expected}"
+            )
+        try:
+            params = _skeleton(cfg)
+        except (ConfigError, TypeError) as e:  # TypeError: a mistyped config value
+            raise FormatError(f"bad config in checkpoint: {e}") from e
+        entries = list(named_tensors(params))
+        if listed != [(n, t.shape) for n, t in entries]:
+            raise FormatError("checkpoint tensor names or shapes do not match its config")
+        for name, t in entries:
+            data = np.empty(t.shape, dtype="<f4")
+            if fh.readinto(data) != data.nbytes:
+                raise FormatError(f"truncated checkpoint tensor {name}")
+            if not np.all(np.isfinite(data)):
+                raise FormatError(f"non-finite values in checkpoint tensor {name}")
+            t.data = data
     return params, cfg
 
 

@@ -228,7 +228,10 @@ def avg_pool1d(x: Tensor, ratio: int) -> Tensor:
 
 
 def interp_resample(x: Tensor, target_len: int) -> Tensor:
-    """Nearest-neighbor temporal resampling: out[c, t] = x[c, floor(t*L/T)]."""
+    """Nearest-neighbor temporal resampling: out[c, t] = x[c, floor(t*L/T)].
+    The source index never decreases, so the gather repeats each source
+    frame by its count. That writes a C-ordered result, where ``x[:, idx]``
+    returns a transposed layout that slows every element-wise op on it."""
     if target_len < 1:
         raise GeometryError("target length must be positive")
     c, l = x.shape
@@ -237,7 +240,7 @@ def interp_resample(x: Tensor, target_len: int) -> Tensor:
         y = x.data.copy()
     else:
         idx = (np.arange(target_len) * l) // target_len
-        y = x.data[:, idx]
+        y = np.repeat(x.data, np.bincount(idx, minlength=l), axis=1)
 
     def back(g):
         if idx is None:

@@ -37,6 +37,7 @@ __all__ = [
     "ew_mul",
     "scale",
     "sigmoid",
+    "gate",
     "relu",
     "log",
     "sum_all",
@@ -198,20 +199,50 @@ def scale(x: Tensor, c: float) -> Tensor:
     return _node(x.data * c, (x,), back)
 
 
+def _sigmoid(x: np.ndarray) -> np.ndarray:
+    """``1 / (1 + exp(-x))`` in a new buffer of ``x``'s dtype."""
+    y = np.negative(x, out=np.empty_like(x))
+    with np.errstate(over="ignore"):
+        np.exp(y, out=y)
+    y += 1
+    return np.reciprocal(y, out=y)
+
+
 def sigmoid(x: Tensor) -> Tensor:
     """``1 / (1 + exp(-x))`` in the input's dtype. Below about -88 at
     float32 (-709 at float64) ``exp(-x)`` overflows to inf and the result
     is exactly 0, where the true value is a denormal or smaller."""
-    y = np.negative(x.data, out=np.empty_like(x.data))
-    with np.errstate(over="ignore"):
-        np.exp(y, out=y)
-    y += 1
-    np.reciprocal(y, out=y)
+    y = _sigmoid(x.data)
 
     def back(g):
         _accum(x, g * y * (1.0 - y))
 
     return _node(y, (x,), back)
+
+
+def gate(x: Tensor, m: Tensor, add: bool = False) -> Tensor:
+    """The sigmoid gate ``sigmoid(m) * x``, plus ``m`` when ``add`` is set,
+    in one buffer and one tape node; equal to composing :func:`sigmoid`,
+    :func:`ew_mul` and :func:`ew_add`. The backward recomputes
+    ``sigmoid(m)`` rather than keeping it."""
+    if x.shape != m.shape:
+        raise GeometryError(f"gate shapes differ: {x.shape} vs {m.shape}")
+    y = _sigmoid(m.data)
+    y *= x.data
+    if add:
+        y += m.data
+
+    def back(g):
+        s = _sigmoid(m.data)
+        _accum(x, g * s)
+        gm = g * x.data
+        gm *= s
+        gm *= 1.0 - s
+        if add:
+            gm += g
+        _accum(m, gm)
+
+    return _node(y, (x, m), back)
 
 
 def relu(x: Tensor) -> Tensor:

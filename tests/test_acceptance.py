@@ -172,8 +172,8 @@ def test_criterion_8_absolute_cost_bands():
     temporal convs (down-convs, FFN middle conv; arXiv 2209.15200, after
     Conv-TasNet, arXiv 1809.07454), and 5-tap Q kernels as in the engine's
     other temporal convs. Everything else is the full-scale configuration.
-    The dense 512-channel reference costs 24.96M / 86.9G, and depthwise
-    alone at 512 channels still 9.26M / 42.3G; this routing costs
+    The dense 512-channel reference costs 24.96M / 61.3G, and depthwise
+    alone at 512 channels still 9.26M / 16.7G; this routing costs
     2.50M / 12.8G.
     """
     cfg = paper_scale_config()

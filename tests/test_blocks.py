@@ -115,6 +115,46 @@ class TestInterM:
         np.testing.assert_array_equal(got, np.float32(0.5) * s32)
 
 
+class TestPointwiseQBeforeResample:
+    """A 1x1 Q runs before the upsample (and its gLN too on an integer
+    ratio); both blocks must equal Q run after the resample."""
+
+    LENGTHS = [(4, 16), (3, 12), (5, 12), (7, 13), (12, 12), (13, 7)]
+
+    def _q(self, rng, c_in, c_out):
+        q = _q(rng, c_in, c_out)
+        q.gln.gain.data = rng.uniform(0.5, 1.5, c_out)
+        q.gln.bias.data = rng.uniform(-0.5, 0.5, c_out)
+        return q
+
+    @pytest.mark.parametrize("l,target", LENGTHS)
+    def test_intra_global(self, l, target, rng):
+        x = Tensor(rng.standard_normal((3, target)), dtype=np.float64)
+        y = Tensor(rng.standard_normal((3, l)), dtype=np.float64)
+        q = self._q(rng, 3, 3)
+        m = q_op(interp_resample(y, target), q)
+        want = T.ew_add(T.ew_mul(T.sigmoid(m), x), m).data
+        np.testing.assert_allclose(intra_a_global(x, y, q).data, want, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("l,target", LENGTHS)
+    def test_inter_m(self, l, target, rng):
+        s = Tensor(rng.standard_normal((4, target)), dtype=np.float64)
+        v = Tensor(rng.standard_normal((2, l)), dtype=np.float64)
+        q = self._q(rng, 2, 4)
+        want = T.ew_mul(T.sigmoid(q_op(interp_resample(v, target), q)), s).data
+        np.testing.assert_allclose(inter_a_m(s, v, q).data, want, rtol=0, atol=1e-12)
+
+    def test_inter_m_gradient_at_non_integer_ratio(self, rng):
+        s = Tensor(rng.uniform(-2, 2, (3, 12)), dtype=np.float64)
+        v = Tensor(rng.uniform(-2, 2, (2, 5)), dtype=np.float64)
+        q = self._q(rng, 2, 3)
+        w = Tensor(rng.uniform(-1, 1, (3, 12)), dtype=np.float64)
+        res = checks._gradcheck(
+            "inter_a_m_12_from_5", lambda: T.sum_all(T.ew_mul(inter_a_m(s, v, q), w)),
+            [s, v, q.conv.weight, q.gln.gain, q.gln.bias])
+        assert res.passed, res.max_rel_err
+
+
 class TestInterT:
     def _params(self, rng, na, nv):
         cfg = ModelConfig(n_audio_channels=na, n_video_channels=nv, depth=2,

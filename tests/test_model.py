@@ -1,11 +1,13 @@
 import json
 import struct
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from conftest import tiny_config
 
+from avsep import blocks as B
 from avsep import model as M
 from avsep import nn
 from avsep import tensor as T
@@ -206,12 +208,13 @@ class TestParameterAccounting:
 
 class TestMacAccounting:
     def test_linear_in_audio_seconds(self):
+        # 0.32 s fills both grids without padding (1,280 audio frames and 8
+        # video frames at depth 3), so doubling it doubles every conv's
+        # frames but the encoder's, whose unpadded output gains one frame
         cfg = ModelConfig()
-        m1 = count_macs(cfg, 1.0)
-        m2 = count_macs(cfg, 2.0)
-        # one frame's worth of slack for the padding boundary
-        per_frame = m1 / (cfg.sample_rate / cfg.enc_stride)
-        assert abs(m2 - 2 * m1) < 4 * per_frame
+        m1 = count_macs(cfg, 0.32)
+        m2 = count_macs(cfg, 0.64)
+        assert m2 - 2 * m1 == cfg.n_audio_channels * cfg.enc_kernel
 
     def test_monotone_in_fusion_cycles(self):
         vals = [count_macs(ModelConfig(n_fusion_cycles=nf), 1.0) for nf in range(1, 6)]
@@ -249,6 +252,7 @@ class TestMacAccounting:
         conv = counted(nn.conv1d, lambda x, y: y.shape[1])
         monkeypatch.setattr(nn, "conv1d", conv)
         monkeypatch.setattr(M, "conv1d", conv)
+        monkeypatch.setattr(B, "conv1d", conv)
         monkeypatch.setattr(M, "conv_transpose1d",
                             counted(nn.conv_transpose1d, lambda x, y: x.shape[1]))
         wave = Tensor(rng.uniform(-0.5, 0.5, (1, t_a)).astype(np.float32))
@@ -375,6 +379,18 @@ class TestCheckpointIO:
         with pytest.raises(FormatError):
             load_checkpoint(path)
 
+    def test_short_read_rejected(self, tmp_path, monkeypatch):
+        # a file that shrinks after its size was read ends in a short read
+        cfg = tiny_config()
+        path = tmp_path / "m.iiac"
+        save_checkpoint(build_params(cfg, seed=0), cfg, path)
+        size = path.stat().st_size
+        path.write_bytes(path.read_bytes()[:-8])
+        stat = SimpleNamespace(st_size=size)
+        monkeypatch.setattr(M, "os", SimpleNamespace(fstat=lambda fd: stat))
+        with pytest.raises(FormatError, match="truncated checkpoint tensor"):
+            load_checkpoint(path)
+
     def test_config_conflict(self):
         with pytest.raises(ConfigConflictError):
             check_config_compatible(tiny_config(), tiny_config(depth=3))
@@ -463,6 +479,24 @@ class TestNoTapeByDefault:
             out = separate(wave, feat, cfg, p)
             for t in out.masks + out.waveforms:
                 assert t._parents == () and t._backward is None
+
+
+def test_toy_forward_tape_size(rng):
+    # each attention gate is one tape node: at most 354 nodes in a toy
+    # forward, where sigmoid, multiply and add recorded apart make 442
+    cfg = ModelConfig()
+    p = build_params(cfg, seed=0)
+    for _, t in named_tensors(p):
+        t.requires_grad = True
+    wave = Tensor(rng.uniform(-0.5, 0.5, (1, cfg.sample_rate)).astype(np.float32))
+    feat = Tensor(rng.uniform(0, 0.3, (1, 25)).astype(np.float32))
+    seen, stack = set(), [separate(wave, feat, cfg, p).waveform]
+    while stack:
+        node = stack.pop()
+        if node._parents and id(node) not in seen:
+            seen.add(id(node))
+            stack.extend(node._parents)
+    assert len(seen) <= 354
 
 
 class TestDeterminism:

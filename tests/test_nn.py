@@ -78,7 +78,7 @@ class TestConv1d:
 
     @pytest.mark.parametrize("k", [1, 5])
     def test_columns_view_the_input_only_for_one_tap(self, k, rng):
-        # x[:, idx] (interp_resample) gives this transposed layout
+        # a fancy-index gather such as x[:, idx] gives this transposed layout
         x = rng.standard_normal((17, 4)).T
         p = _conv_params(rng, 6, 4, k, bias=True)
         _, cols = _correlate(x, p)
@@ -195,6 +195,16 @@ class TestPoolingAndResampling:
         res = checks._gradcheck(
             "interp_resample_down", lambda: T.sum_all(T.ew_mul(interp_resample(x, 5), w)), [x])
         assert res.passed
+
+    @pytest.mark.parametrize("l,target", [
+        (5, 12), (12, 5), (7, 7), (7, 13), (125, 2000), (2000, 25),
+    ])
+    def test_resample_is_a_c_ordered_gather(self, l, target, rng):
+        # element-wise ops on a transposed-layout result run ~10x slower
+        x = rng.standard_normal((3, l)).astype(np.float32)
+        got = interp_resample(Tensor(x), target).data
+        assert got.flags.c_contiguous
+        np.testing.assert_array_equal(got, x[:, (np.arange(target) * l) // target])
 
     def test_resample_identity(self, rng):
         x = rng.standard_normal((2, 7))
