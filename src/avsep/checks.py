@@ -1,7 +1,8 @@
 """Finite-difference verification of every differentiable unit.
 
 Each check rebuilds its graph at float64, marks its leaves
-``requires_grad``, computes analytic gradients via the tape, and compares
+``requires_grad``, computes analytic gradients via the tape, unmarks the
+leaves so the oracle's forward passes record no tape, and compares
 against the central-difference oracle in
 :func:`avsep.tensor.finite_difference_grad`. The error reported is
 max |analytic - numeric| normalized by the gradient scale.
@@ -9,6 +10,7 @@ max |analytic - numeric| normalized by the gradient scale.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -59,7 +61,10 @@ def _gradcheck(name: str, make_loss, leaves: list[Tensor]) -> CheckResult:
         t.grad = None
     loss = make_loss()
     loss.backward()
-    analytic = [np.zeros_like(t.data) if t.grad is None else t.grad.copy() for t in leaves]
+    analytic = [np.zeros_like(t.data) if t.grad is None else t.grad for t in leaves]
+    for t in leaves:  # the oracle's forward passes record no tape
+        t.requires_grad = False
+        t.grad = None
     worst = 0.0
     for t, a in zip(leaves, analytic):
         base = t.data
@@ -74,8 +79,6 @@ def _gradcheck(name: str, make_loss, leaves: list[Tensor]) -> CheckResult:
         numeric = T.finite_difference_grad(f, base.copy(), eps=_EPS)
         scale = max(float(np.abs(numeric).max()), float(np.abs(a).max()), 1e-8)
         worst = max(worst, float(np.abs(a - numeric).max()) / scale)
-    for t in leaves:
-        t.grad = None
     return CheckResult(name=name, max_rel_err=worst)
 
 
@@ -87,10 +90,15 @@ def _t(rng, *shape, lo=-2.0, hi=2.0) -> Tensor:
     return Tensor(rng.uniform(lo, hi, shape), dtype=np.float64)
 
 
-def _weighted_sum(x: Tensor, rng) -> Tensor:
-    # a fixed random linear readout turns any output into a scalar loss
-    w = Tensor(rng.uniform(-1, 1, x.shape), dtype=np.float64)
-    return T.sum_all(T.ew_mul(x, w))
+@functools.cache
+def _readout(seed: int, shape: tuple[int, ...]) -> Tensor:
+    return Tensor(_rng(seed).uniform(-1, 1, shape), dtype=np.float64)
+
+
+def _weighted_sum(x: Tensor, seed: int) -> Tensor:
+    # a fixed random linear readout, drawn once per seed and shape, turns
+    # any output into a scalar loss
+    return T.sum_all(T.ew_mul(x, _readout(seed, x.shape)))
 
 
 def _tiny_params(cfg: ModelConfig, seed=0):
@@ -104,37 +112,37 @@ def _check_primitives() -> list[CheckResult]:
     x = _t(rng, 3, 8)
     y = _t(rng, 3, 8)
     r = rng
-    out.append(_gradcheck("ew_mul", lambda: _weighted_sum(T.ew_mul(x, y), _rng(2)), [x, y]))
-    out.append(_gradcheck("sigmoid", lambda: _weighted_sum(T.sigmoid(x), _rng(3)), [x]))
+    out.append(_gradcheck("ew_mul", lambda: _weighted_sum(T.ew_mul(x, y), 2), [x, y]))
+    out.append(_gradcheck("sigmoid", lambda: _weighted_sum(T.sigmoid(x), 3), [x]))
     for add in (False, True):
         out.append(_gradcheck("gate_add" if add else "gate",
-                              lambda add=add: _weighted_sum(T.gate(x, y, add), _rng(10)),
+                              lambda add=add: _weighted_sum(T.gate(x, y, add), 10),
                               [x, y]))
 
     xr = Tensor(np.where(np.abs(x.data) < 1e-2, 0.5, x.data), dtype=np.float64)  # off the kink
-    out.append(_gradcheck("relu", lambda: _weighted_sum(T.relu(xr), _rng(4)), [xr]))
+    out.append(_gradcheck("relu", lambda: _weighted_sum(T.relu(xr), 4), [xr]))
 
     w = _t(r, 4, 3, 5, lo=-1, hi=1)
     b = _t(r, 4, lo=-1, hi=1)
     cp = Conv1dParams(weight=w, bias=b, stride=2, padding=2)
     out.append(_gradcheck("conv1d",
-                          lambda: _weighted_sum(conv1d(x, cp), _rng(5)), [x, w, b]))
+                          lambda: _weighted_sum(conv1d(x, cp), 5), [x, w, b]))
 
     xt = _t(r, 4, 6)
     bt = _t(r, 3, lo=-1, hi=1)
     cpt = Conv1dParams(weight=w, bias=bt, stride=2, padding=2)
     out.append(_gradcheck("conv_transpose1d",
-                          lambda: _weighted_sum(conv_transpose1d(xt, cpt), _rng(6)),
+                          lambda: _weighted_sum(conv_transpose1d(xt, cpt), 6),
                           [xt, w, bt]))
 
     out.append(_gradcheck("avg_pool1d",
-                          lambda: _weighted_sum(avg_pool1d(x, 2), _rng(7)), [x]))
+                          lambda: _weighted_sum(avg_pool1d(x, 2), 7), [x]))
     out.append(_gradcheck("interp_resample",
-                          lambda: _weighted_sum(interp_resample(x, 13), _rng(8)), [x]))
+                          lambda: _weighted_sum(interp_resample(x, 13), 8), [x]))
 
     gp = GlnParams(gain=_t(r, 3, lo=0.5, hi=1.5), bias=_t(r, 3, lo=-0.5, hi=0.5))
     out.append(_gradcheck("gln",
-                          lambda: _weighted_sum(gln(x, gp), _rng(9)),
+                          lambda: _weighted_sum(gln(x, gp), 9),
                           [x, gp.gain, gp.bias]))
 
     # grouped (2 groups) and depthwise (multiplier 2) convs, both directions
@@ -145,13 +153,13 @@ def _check_primitives() -> list[CheckResult]:
         bg = _t(rg, c_out, lo=-1, hi=1)
         cpg = Conv1dParams(weight=wg, bias=bg, stride=2, padding=2, groups=groups)
         out.append(_gradcheck(f"conv1d_{tag}",
-                              lambda: _weighted_sum(conv1d(xg, cpg), _rng(21)),
+                              lambda: _weighted_sum(conv1d(xg, cpg), 21),
                               [xg, wg, bg]))
         xtg = _t(rg, c_out, 6)
         btg = _t(rg, c_in, lo=-1, hi=1)
         cptg = Conv1dParams(weight=wg, bias=btg, stride=2, padding=2, groups=groups)
         out.append(_gradcheck(f"conv_transpose1d_{tag}",
-                              lambda: _weighted_sum(conv_transpose1d(xtg, cptg), _rng(22)),
+                              lambda: _weighted_sum(conv_transpose1d(xtg, cptg), 22),
                               [xtg, wg, btg]))
     return out
 
@@ -178,16 +186,16 @@ def _check_blocks() -> list[CheckResult]:
     leaves = [x, y, q.conv.weight, q.gln.gain, q.gln.bias]
     out.append(_gradcheck(
         "intra_a_global",
-        lambda: _weighted_sum(intra_a_global(x, y, q), _rng(11)), leaves))
+        lambda: _weighted_sum(intra_a_global(x, y, q), 11), leaves))
     out.append(_gradcheck(
         "intra_a_prime",
-        lambda: _weighted_sum(intra_a_prime(x, y), _rng(12)), [x, y]))
+        lambda: _weighted_sum(intra_a_prime(x, y), 12), [x, y]))
 
     sb, vb = audio.levels[1], video.levels[1]
     qm = p.top_down.inter_m[1]
     out.append(_gradcheck(
         "inter_a_m",
-        lambda: _weighted_sum(inter_a_m(sb, vb, qm), _rng(13)),
+        lambda: _weighted_sum(inter_a_m(sb, vb, qm), 13),
         [sb, vb, qm.conv.weight, qm.gln.gain, qm.gln.bias]))
 
     t_leaves = (audio.levels + video.levels
@@ -197,7 +205,7 @@ def _check_blocks() -> list[CheckResult]:
 
     def t_loss():
         g = inter_a_t(audio, video, p.inter_t)
-        return T.ew_add(_weighted_sum(g.s_g, _rng(14)), _weighted_sum(g.v_g, _rng(15)))
+        return T.ew_add(_weighted_sum(g.s_g, 14), _weighted_sum(g.v_g, 15))
 
     out.append(_gradcheck("inter_a_t", t_loss, t_leaves))
 
@@ -210,7 +218,7 @@ def _check_blocks() -> list[CheckResult]:
     def td_loss():
         g = inter_a_t(audio, video, p.inter_t)
         s0, v0 = top_down_pass(audio, video, g, p.top_down)
-        return T.ew_add(_weighted_sum(s0, _rng(16)), _weighted_sum(v0, _rng(17)))
+        return T.ew_add(_weighted_sum(s0, 16), _weighted_sum(v0, 17))
 
     out.append(_gradcheck("top_down_pass", td_loss, td_leaves))
 
@@ -222,7 +230,7 @@ def _check_blocks() -> list[CheckResult]:
 
     def b_loss():
         es, ev = inter_a_b(s0, v0, ib)
-        return T.ew_add(_weighted_sum(es, _rng(18)), _weighted_sum(ev, _rng(19)))
+        return T.ew_add(_weighted_sum(es, 18), _weighted_sum(ev, 19))
 
     out.append(_gradcheck("inter_a_b", b_loss, b_leaves))
     return out

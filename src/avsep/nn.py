@@ -111,29 +111,36 @@ def _correlate(x: np.ndarray, p: Conv1dParams) -> tuple[np.ndarray, np.ndarray]:
     the weight: each channel group is one matrix product over its im2col
     columns, and the groups run as one batched matmul. Returns the result
     [C_out, L_out] and the columns [G, C_in/G*K, L_out] the weight
-    gradient reads. With K = 1 and stride 1 the columns are a view of
-    ``x``, so neither may be written to."""
+    gradient reads. With K = 1, stride 1 and no padding the columns are a
+    view of ``x``, so neither may be written to."""
     k, stride, pad = p.kernel, p.stride, p.padding
-    if pad:  # zero-filled copy; np.pad costs more than the conv at small sizes
-        xp = np.zeros((x.shape[0], x.shape[1] + 2 * pad), dtype=x.dtype)
-        xp[:, pad:-pad] = x
-        x = xp
-    c, lp = x.shape
-    l_out = (lp - k) // stride + 1
-    s0, s1 = x.strides
-    win = np.lib.stride_tricks.as_strided(x, shape=(c, k, l_out), strides=(s0, s1, s1 * stride))
-    cols = win.reshape(p.groups, -1, l_out)  # copies only when K > 1 or stride > 1
-    return (p.weight_blocks() @ cols).reshape(p.out_channels, l_out), cols
+    if k == 1 and stride == 1 and not pad:
+        cols = x.reshape(p.groups, -1, x.shape[1])
+    else:
+        if pad:  # zero-filled copy; np.pad costs more than the conv at small sizes
+            xp = np.zeros((x.shape[0], x.shape[1] + 2 * pad), dtype=x.dtype)
+            xp[:, pad:-pad] = x
+            x = xp
+        c, lp = x.shape
+        l_out = (lp - k) // stride + 1
+        s0, s1 = x.strides
+        win = np.lib.stride_tricks.as_strided(
+            x, shape=(c, k, l_out), strides=(s0, s1, s1 * stride))
+        cols = win.reshape(p.groups, -1, l_out)  # copies when K > 1
+    return (p.weight_blocks() @ cols).reshape(p.out_channels, cols.shape[2]), cols
 
 
 def _overlap_add(y: np.ndarray, p: Conv1dParams, length: int, dtype) -> np.ndarray:
     """Adjoint of :func:`_correlate` on [C_out, L] ``y``: spread each frame
     over its K taps through the transposed weight, overlap-add tap ``k`` of
     frame ``t`` at ``t*stride + k`` into a ``dtype`` buffer, and crop the
-    padding to ``length`` samples of [C_in, length]."""
+    padding to ``length`` samples of [C_in, length]. With K = 1, stride 1
+    and no padding nothing overlaps, and the product is the result."""
     k, stride, pad = p.kernel, p.stride, p.padding
     l = y.shape[1]
     tmp = p.weight_blocks().transpose(0, 2, 1) @ y.reshape(p.groups, -1, l)
+    if k == 1 and stride == 1 and not pad:
+        return tmp.reshape(p.in_channels, l).astype(dtype, copy=False)
     tmp = tmp.reshape(p.in_channels, k, l)
     out = np.zeros((p.in_channels, length + 2 * pad), dtype=dtype)
     for kk in range(k):
@@ -168,7 +175,8 @@ def conv1d(x: Tensor, p: Conv1dParams) -> Tensor:
         _accum(p.weight, _weight_grad(grad, cols, p))
         if p.bias is not None:
             _accum(p.bias, grad.sum(axis=1))
-        _accum(x, _overlap_add(grad, p, l_in, x.dtype))
+        if x.on_tape:
+            _accum(x, _overlap_add(grad, p, l_in, x.dtype))
 
     return _node(y, parents, back)
 
@@ -249,6 +257,14 @@ def interp_resample(x: Tensor, target_len: int) -> Tensor:
             gx = np.zeros((c, l), dtype=g.dtype)
             gx[:, idx] = g
             _accum(x, gx)
+        elif target_len % l == 0 and target_len <= 8 * l:
+            # runs of r = 2..8 outputs: reduceat's order for runs shorter
+            # than 9, the first plus the sequential sum of the rest
+            g3 = g.reshape(c, l, target_len // l)
+            rest = g3[:, :, 1].copy()
+            for k in range(2, g3.shape[2]):
+                rest += g3[:, :, k]
+            _accum(x, g3[:, :, 0] + rest)
         else:  # idx reads every source frame, each over one sorted run of outputs
             _accum(x, np.add.reduceat(g, np.searchsorted(idx, np.arange(l)), axis=1))
 
@@ -264,18 +280,27 @@ def gln(x: Tensor, p: GlnParams) -> Tensor:
     if p.gain.shape[0] != c or p.bias.shape[0] != c:
         raise GeometryError("gln gain/bias length must equal channel count")
     n = c * l
-    m = x.data.mean()
+    m = x.data.sum() / n  # ndarray.mean's sum and division, without its wrapper
     d = x.data - m
     inv = 1.0 / np.sqrt(np.vdot(d, d) / n + p.eps)
     d *= (p.gain.data * inv)[:, None]
     d += p.bias.data[:, None]
 
     def back(g):
-        xhat = (x.data - m) * inv
-        _accum(p.gain, (g * xhat).sum(axis=1))
+        # inv * (u - mean(u) - xhat * sum(u * xhat) / n) with u = g * gain,
+        # in that order, reusing buffers where the order allows
+        xhat = x.data - m
+        xhat *= inv
+        t = g * xhat
+        _accum(p.gain, t.sum(axis=1))
         _accum(p.bias, g.sum(axis=1))
-        u = g * p.gain.data[:, None]
-        gx = inv * (u - u.mean() - xhat * (u * xhat).sum() / n)
+        u = np.multiply(g, p.gain.data[:, None], out=t)
+        s = (u * xhat).sum()
+        gx = u - u.sum() / n
+        xhat *= s
+        xhat /= n
+        gx -= xhat
+        gx *= inv
         _accum(x, gx)
 
     return _node(d, (x, p.gain, p.bias), back)

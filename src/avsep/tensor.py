@@ -6,10 +6,16 @@ parameters are plain data, and whoever differentiates sets
 and the gradient harness do this for their own leaves). An operation with
 a marked or taped input returns a tape node holding references to its
 parents and a closure that propagates the upstream gradient; otherwise it
-returns plain data. ``Tensor.backward()`` walks the tape once in reverse
-topological order. The tape is rebuilt on every forward pass, so weight
-sharing across repeated applications of the same parameters needs no
-special handling: gradients simply accumulate on the shared leaves.
+returns plain data. An op's backward computes the gradient of an input
+only when that input is on the tape (:attr:`Tensor.on_tape`); an untaped
+input costs it nothing. ``Tensor.backward()`` walks the tape once in
+reverse topological order and frees each non-leaf node's ``grad`` once
+that node has passed it to its parents, so only the leaves keep theirs.
+The tape itself stays: calling ``backward()`` again on the same graph adds
+the same gradients to the leaves once more. The tape is rebuilt on every
+forward pass, so weight sharing across repeated applications of the same
+parameters needs no special handling: gradients simply accumulate on the
+shared leaves.
 
 ``Tensor(data)`` rejects non-finite caller-supplied data. Op results are
 not scanned: finiteness is checked at the boundaries instead (the file
@@ -79,6 +85,12 @@ class Tensor:
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, dtype={self.dtype.name})"
 
+    @property
+    def on_tape(self) -> bool:
+        """True when gradients flow into this tensor: a marked leaf or the
+        result of an op with an input on the tape."""
+        return self.requires_grad or bool(self._parents)
+
     def item(self) -> float:
         if self.size != 1:
             raise GeometryError(f"item() on non-scalar tensor of shape {self.shape}")
@@ -90,7 +102,8 @@ class Tensor:
         """Seed d(self)/d(self)=1 and accumulate gradients on every leaf.
 
         ``self`` must be scalar (size 1). Each tape node is visited exactly
-        once; fan-out gradients sum.
+        once; fan-out gradients sum. A non-leaf node's ``grad`` is dropped
+        once its backward has run, so after the call only leaves hold one.
         """
         if self.size != 1:
             raise GeometryError(f"backward() requires a scalar root, got shape {self.shape}")
@@ -113,16 +126,18 @@ class Tensor:
         for node in reversed(topo):
             if node._backward is not None and node.grad is not None:
                 node._backward(node.grad)
+            if node._parents:
+                node.grad = None
 
 
 def _accum(t: Tensor, g: np.ndarray) -> None:
-    if not (t.requires_grad or t._parents):
+    if not t.on_tape:
         return
     g = g.astype(t.dtype, copy=False)
     if t.grad is None:
         t.grad = g.copy()
     else:
-        t.grad = t.grad + g
+        t.grad += g
 
 
 def _check_broadcast(a: Tensor, b: Tensor) -> None:
@@ -156,7 +171,7 @@ def _node(out: np.ndarray, parents: tuple[Tensor, ...], back) -> Tensor:
     t.data = np.asarray(out)
     t.requires_grad = False
     t.grad = None
-    taped = any(p.requires_grad or p._parents for p in parents)
+    taped = any(p.on_tape for p in parents)
     t._parents = parents if taped else ()
     t._backward = back if taped else None
     return t
@@ -234,7 +249,8 @@ def gate(x: Tensor, m: Tensor, add: bool = False) -> Tensor:
 
     def back(g):
         s = _sigmoid(m.data)
-        _accum(x, g * s)
+        if x.on_tape:
+            _accum(x, g * s)
         gm = g * x.data
         gm *= s
         gm *= 1.0 - s

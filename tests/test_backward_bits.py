@@ -1,0 +1,227 @@
+"""The backward kernels skip work nobody reads and reuse buffers, but do
+the same floating-point operations in the same order as the plain
+expressions below. Every comparison with them is exact."""
+
+import numpy as np
+import pytest
+
+from avsep import checks, nn
+from avsep import tensor as T
+from avsep.nn import (
+    Conv1dParams,
+    GlnParams,
+    _correlate,
+    _overlap_add,
+    conv1d,
+    conv_transpose1d,
+    gln,
+    interp_resample,
+)
+from avsep.tensor import Tensor
+
+DTYPES = [np.float32, np.float64]
+
+
+def _arr(rng, shape, dtype, loc=0.0, scale=1.0):
+    return (loc + scale * rng.standard_normal(shape)).astype(dtype)
+
+
+def _backward_with(y: Tensor, g: np.ndarray) -> None:
+    """Run the tape with upstream gradient exactly ``g`` at ``y``."""
+    T.sum_all(T.ew_mul(y, Tensor(g))).backward()
+
+
+def gln_reference(x, gain, bias, eps, g):
+    """Forward and backward of gLN as two-pass mean and eight temporaries."""
+    c, l = x.shape
+    n = c * l
+    m = x.mean()
+    d = x - m
+    inv = 1.0 / np.sqrt(np.vdot(d, d) / n + eps)
+    d *= (gain * inv)[:, None]
+    d += bias[:, None]
+    xhat = (x - m) * inv
+    g_gain = (g * xhat).sum(axis=1)
+    g_bias = g.sum(axis=1)
+    u = g * gain[:, None]
+    gx = inv * (u - u.mean() - xhat * (u * xhat).sum() / n)
+    return d, gx, g_gain, g_bias
+
+
+def overlap_add_reference(y, p, length, dtype):
+    """Adjoint of the correlation, always through a zero-filled buffer."""
+    k, stride, pad = p.kernel, p.stride, p.padding
+    l = y.shape[1]
+    tmp = p.weight_blocks().transpose(0, 2, 1) @ y.reshape(p.groups, -1, l)
+    tmp = tmp.reshape(p.in_channels, k, l)
+    out = np.zeros((p.in_channels, length + 2 * pad), dtype=dtype)
+    for kk in range(k):
+        out[:, kk : kk + stride * l : stride] += tmp[:, kk, :]
+    return out[:, pad : pad + length]
+
+
+def correlate_reference(x, p):
+    """Correlation over strided im2col windows."""
+    k, stride = p.kernel, p.stride
+    c, lp = x.shape
+    l_out = (lp - k) // stride + 1
+    s0, s1 = x.strides
+    win = np.lib.stride_tricks.as_strided(x, shape=(c, k, l_out), strides=(s0, s1, s1 * stride))
+    cols = win.reshape(p.groups, -1, l_out)
+    return (p.weight_blocks() @ cols).reshape(p.out_channels, l_out)
+
+
+@pytest.mark.parametrize("dtype", DTYPES)
+@pytest.mark.parametrize("shape,loc,scale", [
+    ((1, 1), 0.0, 1.0), ((3, 8), 0.0, 1.0), ((16, 250), 0.5, 2.0),
+    ((64, 2000), 0.0, 1.0), ((4, 50), 1e3, 1e-3),
+])
+def test_gln_matches_reference(shape, loc, scale, dtype):
+    rng = np.random.default_rng(sum(shape))
+    x = _arr(rng, shape, dtype, loc, scale)
+    gain = _arr(rng, shape[:1], dtype, 1.0, 0.3)
+    bias = _arr(rng, shape[:1], dtype)
+    g = _arr(rng, shape, dtype)
+    xt, gt, bt = Tensor(x, requires_grad=True), Tensor(gain, requires_grad=True), \
+        Tensor(bias, requires_grad=True)
+    y = gln(xt, GlnParams(gain=gt, bias=bt))
+    _backward_with(y, g)
+    want = gln_reference(x, gain, bias, nn.GLN_EPS, g)
+    for got, ref in zip((y.data, xt.grad, gt.grad, bt.grad), want):
+        assert got.dtype == dtype
+        np.testing.assert_array_equal(got, ref)
+
+
+def _resample_grad(l, target, dtype, rng):
+    x = Tensor(_arr(rng, (3, l), dtype), requires_grad=True)
+    g = _arr(rng, (3, target), dtype)
+    _backward_with(interp_resample(x, target), g)
+    idx = (np.arange(target) * l) // target
+    return x.grad, np.add.reduceat(g, np.searchsorted(idx, np.arange(l)), axis=1)
+
+
+@pytest.mark.parametrize("dtype", DTYPES)
+@pytest.mark.parametrize("ratio", list(range(1, 13)) + [16, 125])
+def test_upsample_backward_matches_reduceat_at_integer_ratios(ratio, dtype):
+    rng = np.random.default_rng(ratio)
+    for l in (1, 7, 125):
+        got, want = _resample_grad(l, l * ratio, dtype, rng)
+        np.testing.assert_array_equal(got, want)
+
+
+@pytest.mark.parametrize("dtype", DTYPES)
+@pytest.mark.parametrize("l,target", [(5, 12), (7, 13), (3, 8), (13, 100), (125, 1999)])
+def test_upsample_backward_matches_reduceat_at_other_ratios(l, target, dtype):
+    got, want = _resample_grad(l, target, dtype, np.random.default_rng(l))
+    np.testing.assert_array_equal(got, want)
+
+
+@pytest.mark.parametrize("dtype", DTYPES)
+@pytest.mark.parametrize("groups", [1, 2, 4])
+def test_one_by_one_adjoint_is_the_gemm(groups, dtype):
+    rng = np.random.default_rng(groups)
+    w = Tensor(_arr(rng, (8, 4 // groups, 1), dtype))
+    p = Conv1dParams(weight=w, bias=None, groups=groups)
+    y = _arr(rng, (8, 37), dtype)
+    np.testing.assert_array_equal(_overlap_add(y, p, 37, dtype),
+                                  overlap_add_reference(y, p, 37, dtype))
+    x = _arr(rng, (4, 37), dtype)
+    got, cols = _correlate(x, p)
+    assert np.shares_memory(cols, x)
+    np.testing.assert_array_equal(got, correlate_reference(x, p))
+
+
+@pytest.mark.parametrize("k,stride,pad", [(1, 2, 0), (1, 1, 1), (5, 1, 2), (5, 2, 0)])
+def test_other_adjoints_keep_the_overlap_add(k, stride, pad):
+    rng = np.random.default_rng(k)
+    p = Conv1dParams(weight=Tensor(_arr(rng, (6, 3, k), np.float32)), bias=None,
+                     stride=stride, padding=pad)
+    y = _arr(rng, (6, 11), np.float32)
+    length = nn.conv_transpose1d_out_len(11, k, stride, pad)
+    np.testing.assert_array_equal(_overlap_add(y, p, length, np.float32),
+                                  overlap_add_reference(y, p, length, np.float32))
+
+
+def _conv1d_grads(x_taped, dtype, k):
+    """Weight, bias and input grads of a conv1d; the last is None when the
+    input is not on the tape."""
+    rng = np.random.default_rng(k)
+    p = Conv1dParams(weight=Tensor(_arr(rng, (6, 4, k), dtype), requires_grad=True),
+                     bias=Tensor(_arr(rng, (6,), dtype), requires_grad=True), padding=k // 2)
+    x = Tensor(_arr(rng, (4, 20), dtype), requires_grad=x_taped)
+    _backward_with(conv1d(x, p), _arr(rng, (6, 20), dtype))
+    return p.weight.grad, p.bias.grad, x.grad
+
+
+@pytest.mark.parametrize("dtype", DTYPES)
+@pytest.mark.parametrize("k", [1, 5])
+def test_conv1d_skips_the_adjoint_of_an_untaped_input(k, dtype, monkeypatch):
+    want_w, want_b, want_x = _conv1d_grads(True, dtype, k)
+    assert want_x is not None
+
+    def no_adjoint(*args):
+        raise AssertionError("computed the gradient of an untaped input")
+
+    monkeypatch.setattr(nn, "_overlap_add", no_adjoint)
+    got_w, got_b, got_x = _conv1d_grads(False, dtype, k)
+    assert got_x is None
+    np.testing.assert_array_equal(got_w, want_w)
+    np.testing.assert_array_equal(got_b, want_b)
+
+
+@pytest.mark.parametrize("dtype", DTYPES)
+@pytest.mark.parametrize("k", [1, 5])
+def test_conv_transpose1d_with_an_untaped_input(k, dtype):
+    rng = np.random.default_rng(k)
+    w, b = _arr(rng, (6, 4, k), dtype), _arr(rng, (4,), dtype)
+    xd = _arr(rng, (6, 9), dtype)
+    g = _arr(rng, (4, nn.conv_transpose1d_out_len(9, k, 2, 0)), dtype)
+    results = []
+    for taped in (True, False):
+        p = Conv1dParams(weight=Tensor(w, requires_grad=True),
+                         bias=Tensor(b, requires_grad=True), stride=2)
+        x = Tensor(xd, requires_grad=taped)
+        _backward_with(conv_transpose1d(x, p), g)
+        results.append((p.weight.grad, p.bias.grad, x.grad))
+    (w1, b1, x1), (w0, b0, x0) = results
+    assert x1 is not None and x0 is None
+    np.testing.assert_array_equal(w0, w1)
+    np.testing.assert_array_equal(b0, b1)
+
+
+@pytest.mark.parametrize("dtype", DTYPES)
+@pytest.mark.parametrize("add", [False, True])
+def test_gate_with_an_untaped_input(add, dtype):
+    rng = np.random.default_rng(int(add))
+    xd, md, g = (_arr(rng, (3, 11), dtype) for _ in range(3))
+    results = []
+    for taped in (True, False):
+        x, m = Tensor(xd, requires_grad=taped), Tensor(md, requires_grad=True)
+        y = T.gate(x, m, add)
+        _backward_with(y, g)
+        results.append((y.data, m.grad, x.grad))
+    (y1, m1, x1), (y0, m0, x0) = results
+    assert x1 is not None and x0 is None
+    np.testing.assert_array_equal(y0, y1)
+    np.testing.assert_array_equal(m0, m1)
+
+
+def test_gradcheck_oracle_runs_tape_free_and_unmarks_its_leaves():
+    x = Tensor(np.linspace(-1.0, 1.0, 6).reshape(2, 3), dtype=np.float64)
+    taped = []
+
+    def loss():
+        y = checks._weighted_sum(T.sigmoid(x), 3)
+        taped.append(y.on_tape)
+        return y
+
+    assert checks._gradcheck("sigmoid", loss, [x]).passed
+    assert taped[0] and not any(taped[1:])
+    assert len(taped) == 1 + 2 * x.size
+    assert not x.requires_grad and x.grad is None
+
+
+def test_readout_is_drawn_once_per_seed_and_shape():
+    a = checks._readout(5, (2, 3))
+    assert checks._readout(5, (2, 3)) is a
+    np.testing.assert_array_equal(a.data, np.random.default_rng(5).uniform(-1, 1, (2, 3)))

@@ -102,6 +102,44 @@ class TestBackward:
         np.testing.assert_allclose(b.grad, np.ones(3))
 
 
+class TestTapeMemory:
+    def _graph(self):
+        x = _leaf([1.0, 2.0])
+        w = _leaf([3.0, 5.0])
+        h = T.ew_mul(x, w)
+        y = T.sigmoid(h)
+        loss = T.sum_all(T.ew_add(T.ew_mul(y, h), x))
+        return x, w, (h, y, loss), loss
+
+    def test_on_tape_is_read_only(self):
+        plain, marked = Tensor([1.0]), _leaf([1.0])
+        assert not plain.on_tape and marked.on_tape
+        assert T.scale(marked, 2.0).on_tape and not T.scale(plain, 2.0).on_tape
+        with pytest.raises(AttributeError):
+            marked.on_tape = False
+
+    def test_second_backward_doubles_the_leaf_grads(self):
+        x, w = _leaf([1.0, 2.0]), _leaf([3.0, 5.0])
+        loss = T.sum_all(T.ew_mul(x, w))
+        loss.backward()
+        np.testing.assert_array_equal(x.grad, [3.0, 5.0])
+        first = x.grad
+        loss.backward()  # stale intermediate grads would make this [9, 15]
+        assert x.grad is first  # added into the buffer the leaf owns
+        np.testing.assert_array_equal(x.grad, [6.0, 10.0])
+        np.testing.assert_array_equal(w.grad, [2.0, 4.0])
+
+    def test_non_leaf_grads_are_freed_and_leaf_grads_kept(self):
+        x, w, nodes, loss = self._graph()
+        loss.backward()
+        assert all(n.grad is None for n in nodes)
+        h = x.data * w.data
+        y = 1.0 / (1.0 + np.exp(-h))
+        dh = h * y * (1.0 - y) + y  # d(y*h)/dh
+        np.testing.assert_allclose(x.grad, dh * w.data + 1.0, rtol=1e-15)
+        np.testing.assert_allclose(w.grad, dh * x.data, rtol=1e-15)
+
+
 class TestOpGradients:
     @pytest.mark.parametrize("op", [T.ew_add, T.ew_sub, T.ew_mul])
     def test_binary_ops_match_finite_difference(self, op, rng):
