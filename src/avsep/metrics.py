@@ -129,7 +129,9 @@ def si_snr_loss(estimate: Tensor, reference: np.ndarray) -> Tensor:
 
 def pit_si_snr_loss(estimates: Sequence[Tensor], references: Sequence[np.ndarray]) -> Tensor:
     """Permutation-invariant loss: minimum mean negated SNR over all
-    assignments, enumerated exhaustively."""
+    assignments, enumerated exhaustively. When no loss compares lower than
+    the others (every one NaN, as for an all-zero estimate), the first
+    permutation's loss is returned, so the caller sees the NaN."""
     c = len(references)
     if c != len(estimates):
         raise ValueError("reference/estimate count mismatch")
@@ -142,6 +144,6 @@ def pit_si_snr_loss(estimates: Sequence[Tensor], references: Sequence[np.ndarray
             acc = T.ew_add(acc, t)
         loss = T.scale(acc, 1.0 / c)
         val = loss.item()
-        if val < best_val:
-            best, best_val = loss, val
+        if val < best_val or best is None:
+            best, best_val = loss, min(best_val, val)  # a NaN keeps inf
     return best

@@ -106,27 +106,32 @@ def conv_transpose1d_out_len(l_in: int, kernel: int, stride: int, padding: int) 
     return (l_in - 1) * stride + kernel - 2 * padding
 
 
-def _correlate(x: np.ndarray, p: Conv1dParams) -> tuple[np.ndarray, np.ndarray]:
-    """Zero-pad ``x`` [C_in, L] by ``p.padding`` and cross-correlate it with
-    the weight: each channel group is one matrix product over its im2col
-    columns, and the groups run as one batched matmul. Returns the result
-    [C_out, L_out] and the columns [G, C_in/G*K, L_out] the weight
-    gradient reads. With K = 1, stride 1 and no padding the columns are a
-    view of ``x``, so neither may be written to."""
+def _columns(x: np.ndarray, p: Conv1dParams) -> np.ndarray:
+    """The im2col columns [G, C_in/G*K, L_out] of ``x`` [C_in, L] zero-padded
+    by ``p.padding``. With K = 1, stride 1 and no padding they are a view of
+    ``x``, and with ``groups == C_in`` a strided view of ``x`` or of its
+    padded copy, so they may not be written to."""
     k, stride, pad = p.kernel, p.stride, p.padding
     if k == 1 and stride == 1 and not pad:
-        cols = x.reshape(p.groups, -1, x.shape[1])
-    else:
-        if pad:  # zero-filled copy; np.pad costs more than the conv at small sizes
-            xp = np.zeros((x.shape[0], x.shape[1] + 2 * pad), dtype=x.dtype)
-            xp[:, pad:-pad] = x
-            x = xp
-        c, lp = x.shape
-        l_out = (lp - k) // stride + 1
-        s0, s1 = x.strides
-        win = np.lib.stride_tricks.as_strided(
-            x, shape=(c, k, l_out), strides=(s0, s1, s1 * stride))
-        cols = win.reshape(p.groups, -1, l_out)  # copies when K > 1
+        return x.reshape(p.groups, -1, x.shape[1])
+    if pad:  # zero-filled copy; np.pad costs more than the conv at small sizes
+        xp = np.zeros((x.shape[0], x.shape[1] + 2 * pad), dtype=x.dtype)
+        xp[:, pad:-pad] = x
+        x = xp
+    c, lp = x.shape
+    l_out = (lp - k) // stride + 1
+    s0, s1 = x.strides
+    win = np.lib.stride_tricks.as_strided(
+        x, shape=(c, k, l_out), strides=(s0, s1, s1 * stride))
+    return win.reshape(p.groups, -1, l_out)  # copies when K > 1 and groups < C_in
+
+
+def _correlate(x: np.ndarray, p: Conv1dParams) -> tuple[np.ndarray, np.ndarray]:
+    """Cross-correlate ``x`` [C_in, L] with the weight: each channel group is
+    one matrix product over its :func:`_columns`, and the groups run as one
+    batched matmul. Returns the result [C_out, L_out] and the columns the
+    weight gradient reads."""
+    cols = _columns(x, p)
     return (p.weight_blocks() @ cols).reshape(p.out_channels, cols.shape[2]), cols
 
 
@@ -155,7 +160,10 @@ def _weight_grad(y: np.ndarray, cols: np.ndarray, p: Conv1dParams) -> np.ndarray
 
 
 def conv1d(x: Tensor, p: Conv1dParams) -> Tensor:
-    """Cross-correlation with zero padding over the time axis."""
+    """Cross-correlation with zero padding over the time axis. The tape
+    keeps the input, not its im2col columns: the backward rebuilds the
+    columns from ``x`` with the forward's own code, so the weight gradient
+    reads the same values in the same layout at the cost of one im2col."""
     if x.data.ndim != 2:
         raise GeometryError(f"conv1d expects [C, L], got {x.shape}")
     c_in, l_in = x.shape
@@ -165,14 +173,14 @@ def conv1d(x: Tensor, p: Conv1dParams) -> Tensor:
     if conv1d_out_len(l_in, k, stride, pad) < 1:
         raise GeometryError(f"conv1d input too short: L={l_in}, K={k}, stride={stride}, pad={pad}")
 
-    y, cols = _correlate(x.data, p)
+    y = _correlate(x.data, p)[0]
     if p.bias is not None:
         y = y + p.bias.data[:, None]
 
     parents = (x, p.weight) + ((p.bias,) if p.bias is not None else ())
 
     def back(grad):
-        _accum(p.weight, _weight_grad(grad, cols, p))
+        _accum(p.weight, _weight_grad(grad, _columns(x.data, p), p))
         if p.bias is not None:
             _accum(p.bias, grad.sum(axis=1))
         if x.on_tape:
@@ -237,9 +245,10 @@ def avg_pool1d(x: Tensor, ratio: int) -> Tensor:
 
 def interp_resample(x: Tensor, target_len: int) -> Tensor:
     """Nearest-neighbor temporal resampling: out[c, t] = x[c, floor(t*L/T)].
-    The source index never decreases, so the gather repeats each source
-    frame by its count. That writes a C-ordered result, where ``x[:, idx]``
-    returns a transposed layout that slows every element-wise op on it."""
+    Both branches write a C-ordered result, where ``x[:, idx]`` returns a
+    transposed layout that slows every element-wise op on it. Downsampling
+    reads each source frame at most once and gathers with ``np.take``;
+    upsampling repeats each source frame by its count."""
     if target_len < 1:
         raise GeometryError("target length must be positive")
     c, l = x.shape
@@ -248,7 +257,10 @@ def interp_resample(x: Tensor, target_len: int) -> Tensor:
         y = x.data.copy()
     else:
         idx = (np.arange(target_len) * l) // target_len
-        y = np.repeat(x.data, np.bincount(idx, minlength=l), axis=1)
+        if target_len < l:
+            y = np.take(x.data, idx, axis=1)
+        else:
+            y = np.repeat(x.data, np.bincount(idx, minlength=l), axis=1)
 
     def back(g):
         if idx is None:

@@ -61,14 +61,15 @@ def overlap_add_reference(y, p, length, dtype):
 
 
 def correlate_reference(x, p):
-    """Correlation over strided im2col windows."""
+    """Correlation over strided im2col windows of an already padded ``x``:
+    the result and the columns."""
     k, stride = p.kernel, p.stride
     c, lp = x.shape
     l_out = (lp - k) // stride + 1
     s0, s1 = x.strides
     win = np.lib.stride_tricks.as_strided(x, shape=(c, k, l_out), strides=(s0, s1, s1 * stride))
     cols = win.reshape(p.groups, -1, l_out)
-    return (p.weight_blocks() @ cols).reshape(p.out_channels, l_out)
+    return (p.weight_blocks() @ cols).reshape(p.out_channels, l_out), cols
 
 
 @pytest.mark.parametrize("dtype", DTYPES)
@@ -117,6 +118,16 @@ def test_upsample_backward_matches_reduceat_at_other_ratios(l, target, dtype):
 
 
 @pytest.mark.parametrize("dtype", DTYPES)
+@pytest.mark.parametrize("l,target", [(2000, 32), (2000, 25), (13, 5), (7, 3), (125, 2)])
+def test_downsample_gather_matches_the_repeat(l, target, dtype):
+    x = _arr(np.random.default_rng(l + target), (5, l), dtype)
+    y = interp_resample(Tensor(x), target).data
+    idx = (np.arange(target) * l) // target
+    assert y.flags.c_contiguous and y.dtype == dtype
+    np.testing.assert_array_equal(y, np.repeat(x, np.bincount(idx, minlength=l), axis=1))
+
+
+@pytest.mark.parametrize("dtype", DTYPES)
 @pytest.mark.parametrize("groups", [1, 2, 4])
 def test_one_by_one_adjoint_is_the_gemm(groups, dtype):
     rng = np.random.default_rng(groups)
@@ -128,7 +139,7 @@ def test_one_by_one_adjoint_is_the_gemm(groups, dtype):
     x = _arr(rng, (4, 37), dtype)
     got, cols = _correlate(x, p)
     assert np.shares_memory(cols, x)
-    np.testing.assert_array_equal(got, correlate_reference(x, p))
+    np.testing.assert_array_equal(got, correlate_reference(x, p)[0])
 
 
 @pytest.mark.parametrize("k,stride,pad", [(1, 2, 0), (1, 1, 1), (5, 1, 2), (5, 2, 0)])
@@ -167,6 +178,51 @@ def test_conv1d_skips_the_adjoint_of_an_untaped_input(k, dtype, monkeypatch):
     assert got_x is None
     np.testing.assert_array_equal(got_w, want_w)
     np.testing.assert_array_equal(got_b, want_b)
+
+
+def conv1d_reference(x, p, g):
+    """Output and weight, bias and input grads of a conv1d whose backward
+    reads the im2col columns kept from its forward."""
+    pad = p.padding
+    y, cols = correlate_reference(np.pad(x, ((0, 0), (pad, pad))) if pad else x, p)
+    g_w = (g.reshape(p.groups, -1, y.shape[1]) @ cols.transpose(0, 2, 1)).reshape(p.weight.shape)
+    g_x = overlap_add_reference(g, p, x.shape[1], x.dtype)
+    return y + p.bias.data[:, None], g_w, g.sum(axis=1), g_x
+
+
+@pytest.mark.parametrize("dtype", DTYPES)
+@pytest.mark.parametrize("groups", [1, 2, 16])
+@pytest.mark.parametrize("k", [1, 3, 5])
+def test_conv1d_backward_matches_the_kept_columns(k, groups, dtype):
+    # at 16 x 200 a depthwise weight gradient over a contiguous copy of
+    # its strided columns already differs in the last bits
+    rng = np.random.default_rng(10 * k + groups)
+    for stride in (1, 2, 3):
+        for pad in (0, 1, 2):
+            p = Conv1dParams(
+                weight=Tensor(_arr(rng, (16, 16 // groups, k), dtype), requires_grad=True),
+                bias=Tensor(_arr(rng, (16,), dtype), requires_grad=True),
+                stride=stride, padding=pad, groups=groups)
+            x = Tensor(_arr(rng, (16, 200), dtype), requires_grad=True)
+            y = conv1d(x, p)
+            g = _arr(rng, y.shape, dtype)
+            _backward_with(y, g)
+            want = conv1d_reference(x.data, p, g)
+            for got, ref in zip((y.data, p.weight.grad, p.bias.grad, x.grad), want):
+                assert got.dtype == dtype
+                np.testing.assert_array_equal(got, ref)
+
+
+@pytest.mark.parametrize("k,stride,pad,groups", [(1, 1, 0, 1), (5, 2, 2, 1), (5, 1, 2, 4)])
+def test_conv1d_tape_keeps_no_array(k, stride, pad, groups):
+    rng = np.random.default_rng(k)
+    p = Conv1dParams(weight=Tensor(_arr(rng, (8, 4 // groups, k), np.float32), requires_grad=True),
+                     bias=Tensor(_arr(rng, (8,), np.float32)),
+                     stride=stride, padding=pad, groups=groups)
+    y = conv1d(Tensor(_arr(rng, (4, 30), np.float32)), p)
+    assert y.on_tape
+    kept = [c.cell_contents for c in y._backward.__closure__]
+    assert not any(isinstance(v, np.ndarray) for v in kept)
 
 
 @pytest.mark.parametrize("dtype", DTYPES)

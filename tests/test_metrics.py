@@ -152,3 +152,13 @@ class TestDifferentiableLoss:
                          for i in range(2)])
             vals.append(v)
         assert loss.item() == pytest.approx(min(vals), rel=1e-12)
+
+    @pytest.mark.parametrize("n_sources", [1, 2])
+    def test_pit_loss_of_all_zero_estimates_is_nan_not_none(self, n_sources, rng):
+        # 0/0 in every permutation's SI-SNR, so none compares lower: the
+        # first permutation's NaN loss comes back for the caller to reject
+        refs = [rng.standard_normal((1, 100)) for _ in range(n_sources)]
+        ests = [Tensor(np.zeros((1, 100))) for _ in range(n_sources)]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            loss = pit_si_snr_loss(ests, refs)
+        assert isinstance(loss, Tensor) and math.isnan(loss.item())

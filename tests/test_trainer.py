@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 from conftest import tiny_config
 
+from avsep import trainer
 from avsep.errors import ConfigError, TrainingError
-from avsep.model import named_tensors
+from avsep.model import build_params, named_tensors
 from avsep.tensor import Tensor
 from avsep.trainer import (
     AdamState,
@@ -178,3 +179,15 @@ class TestTrainToy:
     def test_dynamic_mix_mode_runs(self):
         res = train_toy(tiny_config(), self._settings(dynamic_mix=True, pool_size=3))
         assert res.steps_run == 10
+
+    def test_all_zero_output_is_a_non_finite_loss_error(self, monkeypatch):
+        # a zero decoder makes every waveform zero and every PIT loss NaN
+        def zero_decoder(*args, **kw):
+            p = build_params(*args, **kw)
+            p.decoder.weight.data[...] = 0.0
+            return p
+
+        monkeypatch.setattr(trainer, "build_params", zero_decoder)
+        with pytest.raises(TrainingError, match="non-finite loss at step 0"), \
+                np.errstate(divide="ignore", invalid="ignore"):
+            train_toy(tiny_config(), self._settings())
