@@ -248,7 +248,10 @@ def interp_resample(x: Tensor, target_len: int) -> Tensor:
     Both branches write a C-ordered result, where ``x[:, idx]`` returns a
     transposed layout that slows every element-wise op on it. Downsampling
     reads each source frame at most once and gathers with ``np.take``;
-    upsampling repeats each source frame by its count."""
+    upsampling repeats each source frame by its count. There ``np.take`` is
+    at most a quarter faster at ratios 2 and 4 but up to 6x slower at the
+    62.5x and 125x video-to-audio ratios, and 30-40% slower summed over a
+    forward's upsamples."""
     if target_len < 1:
         raise GeometryError("target length must be positive")
     c, l = x.shape
