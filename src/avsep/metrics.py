@@ -1,9 +1,12 @@
 """Separation quality metrics and the training objective.
 
 All dB-valued functions return ``math.inf`` (the documented sentinel) when
-the residual is exactly zero; they never return NaN, and a non-finite
-signal raises ``ValueError``. Report writers clamp the sentinel for
-display, see :data:`DISPLAY_CLAMP_DB`.
+the residual is exactly zero. :func:`si_snr` returns ``-math.inf`` when
+the estimate's projection on the reference is zero (an all-zero or an
+orthogonal estimate), which is checked first, so a silent output never
+scores as a perfect one. They never return NaN, and a non-finite signal
+raises ``ValueError``. Report writers clamp the sentinels for display,
+see :data:`DISPLAY_CLAMP_DB`.
 """
 
 from __future__ import annotations
@@ -55,11 +58,14 @@ def si_snr(reference, estimate) -> float:
         raise ValueError("reference signal is all zero")
     omega = float(est @ a) / energy
     target = omega * a
+    target_pow = float(target @ target)
+    if target_pow == 0.0:
+        return -math.inf
     residual = est - target
     res_pow = float(residual @ residual)
     if res_pow == 0.0:
         return math.inf
-    return 10.0 * math.log10(float(target @ target) / res_pow)
+    return 10.0 * math.log10(target_pow / res_pow)
 
 
 def si_snri(mixture, reference, estimate) -> float:

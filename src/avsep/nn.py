@@ -225,17 +225,48 @@ def conv_transpose1d(x: Tensor, p: Conv1dParams) -> Tensor:
     return _node(y, parents, back)
 
 
+def _window_sums(x3: np.ndarray) -> np.ndarray:
+    """``x3.sum(axis=2)`` of [C, N, r] windows with r <= 128, in
+    ``np.add.reduce``'s own pairwise order but over strided slices, which
+    beats its per-window reduction loop: below 8 the sequential sum; from
+    8 up eight running sums of every eighth element, folded as
+    ``((s0+s1)+(s2+s3))+((s4+s5)+(s6+s7))``, then the sequential rest."""
+    r = x3.shape[2]
+    if r < 8:
+        acc = x3[:, :, 0] + x3[:, :, 1]
+        for k in range(2, r):
+            acc += x3[:, :, k]
+        return acc
+    n8 = r - r % 8
+    acc = x3[:, :, :8]
+    for k in range(8, n8, 8):
+        acc = acc + x3[:, :, k : k + 8]
+    while acc.shape[2] > 1:
+        acc = acc[:, :, 0::2] + acc[:, :, 1::2]
+    acc = acc[:, :, 0]
+    for k in range(n8, r):
+        acc += x3[:, :, k]
+    return acc
+
+
 def avg_pool1d(x: Tensor, ratio: int) -> Tensor:
-    """Non-overlapping window means along time; L must divide by ratio."""
+    """Non-overlapping window means along time; L must divide by ratio.
+    Equal bit for bit to ``reshape(C, L // ratio, ratio).mean(axis=2)``,
+    which it computes for windows longer than 128, where numpy's pairwise
+    sum splits the window."""
     if ratio < 1:
         raise GeometryError("pool ratio must be >= 1")
     c, l = x.shape
     if l % ratio:
         raise GeometryError(f"length {l} not divisible by pool ratio {ratio}")
+    x3 = x.data.reshape(c, l // ratio, ratio)
     if ratio == 1:
         y = x.data.copy()
+    elif ratio <= 128:
+        y = _window_sums(x3)
+        y /= ratio
     else:
-        y = x.data.reshape(c, l // ratio, ratio).mean(axis=2)
+        y = x3.mean(axis=2)
 
     def back(g):
         _accum(x, np.repeat(g / ratio, ratio, axis=1) if ratio > 1 else g)
@@ -245,19 +276,23 @@ def avg_pool1d(x: Tensor, ratio: int) -> Tensor:
 
 def interp_resample(x: Tensor, target_len: int) -> Tensor:
     """Nearest-neighbor temporal resampling: out[c, t] = x[c, floor(t*L/T)].
-    Both branches write a C-ordered result, where ``x[:, idx]`` returns a
+    Every branch writes a C-ordered result, where ``x[:, idx]`` returns a
     transposed layout that slows every element-wise op on it. Downsampling
     reads each source frame at most once and gathers with ``np.take``;
-    upsampling repeats each source frame by its count. There ``np.take`` is
-    at most a quarter faster at ratios 2 and 4 but up to 6x slower at the
-    62.5x and 125x video-to-audio ratios, and 30-40% slower summed over a
+    upsampling repeats each source frame, by the scalar ratio when T is a
+    multiple of L and by its count otherwise. There ``np.take`` is at most
+    a quarter faster at ratios 2 and 4 but up to 6x slower at the 62.5x
+    and 125x video-to-audio ratios, and 30-40% slower summed over a
     forward's upsamples."""
     if target_len < 1:
         raise GeometryError("target length must be positive")
     c, l = x.shape
-    if target_len == l:
-        idx = None
+    r = target_len // l if target_len % l == 0 else 0  # the integer ratio, if any
+    idx = None
+    if r == 1:
         y = x.data.copy()
+    elif r:
+        y = np.repeat(x.data, r, axis=1)
     else:
         idx = (np.arange(target_len) * l) // target_len
         if target_len < l:
@@ -266,20 +301,22 @@ def interp_resample(x: Tensor, target_len: int) -> Tensor:
             y = np.repeat(x.data, np.bincount(idx, minlength=l), axis=1)
 
     def back(g):
-        if idx is None:
+        if r == 1:
             _accum(x, g)
+        elif 2 <= r <= 8:
+            # runs of r = 2..8 outputs: reduceat's order for runs shorter
+            # than 9, the first plus the sequential sum of the rest
+            g3 = g.reshape(c, l, r)
+            rest = g3[:, :, 1].copy()
+            for k in range(2, r):
+                rest += g3[:, :, k]
+            _accum(x, g3[:, :, 0] + rest)
+        elif r:  # runs of r > 8 outputs, starting every r
+            _accum(x, np.add.reduceat(g, np.arange(l) * r, axis=1))
         elif target_len < l:  # idx strictly increases: each source frame is read at most once
             gx = np.zeros((c, l), dtype=g.dtype)
             gx[:, idx] = g
             _accum(x, gx)
-        elif target_len % l == 0 and target_len <= 8 * l:
-            # runs of r = 2..8 outputs: reduceat's order for runs shorter
-            # than 9, the first plus the sequential sum of the rest
-            g3 = g.reshape(c, l, target_len // l)
-            rest = g3[:, :, 1].copy()
-            for k in range(2, g3.shape[2]):
-                rest += g3[:, :, k]
-            _accum(x, g3[:, :, 0] + rest)
         else:  # idx reads every source frame, each over one sorted run of outputs
             _accum(x, np.add.reduceat(g, np.searchsorted(idx, np.arange(l)), axis=1))
 

@@ -11,6 +11,10 @@ only when that input is on the tape (:attr:`Tensor.on_tape`); an untaped
 input costs it nothing. ``Tensor.backward()`` walks the tape once in
 reverse topological order and frees each non-leaf node's ``grad`` once
 that node has passed it to its parents, so only the leaves keep theirs.
+It hands each backward its upstream gradient read-only, so a backward
+that passes it on, whole or as a view, cannot make it an input's
+``grad``: :func:`_accum` copies read-only gradients and keeps a new
+buffer a backward made as the input's ``grad`` without copying it.
 The tape itself stays: calling ``backward()`` again on the same graph adds
 the same gradients to the leaves once more. The tape is rebuilt on every
 forward pass, so weight sharing across repeated applications of the same
@@ -125,19 +129,31 @@ class Tensor:
         self.grad = np.ones_like(self.data)
         for node in reversed(topo):
             if node._backward is not None and node.grad is not None:
+                node.grad.flags.writeable = False
                 node._backward(node.grad)
             if node._parents:
                 node.grad = None
 
 
 def _accum(t: Tensor, g: np.ndarray) -> None:
+    """Add ``g`` to ``t.grad`` when ``t`` is on the tape. The first
+    gradient is stored as it is when it is a writable, C-contiguous buffer
+    of its own or a whole reshape of one, which is what a backward's fresh
+    result is; anything else is copied: the read-only upstream gradient
+    passed on (whole, to two inputs, or as a view), a read-only broadcast,
+    a part of a larger buffer, or a non-contiguous array. A backward never
+    hands one writable buffer to two inputs, nor one that anything else
+    keeps."""
     if not t.on_tape:
         return
-    g = g.astype(t.dtype, copy=False)
-    if t.grad is None:
-        t.grad = g.copy()
-    else:
+    g = np.asarray(g, dtype=t.dtype)  # an op on a 0-d array returns a numpy scalar
+    if t.grad is not None:
         t.grad += g
+    elif (g.flags.writeable and g.flags.c_contiguous
+          and (g.base is None or g.base.nbytes == g.nbytes)):
+        t.grad = g
+    else:
+        t.grad = g.copy()
 
 
 def _check_broadcast(a: Tensor, b: Tensor) -> None:

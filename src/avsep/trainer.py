@@ -28,33 +28,65 @@ __all__ = [
 
 @dataclass
 class AdamState:
+    """Adam's hyperparameters and its state. ``m`` and ``v`` hold one flat
+    moment buffer per parameter dtype, over the parameters of that dtype
+    in the order :func:`adam_step` is given them."""
+
     lr: float = 0.001
     beta1: float = 0.9
     beta2: float = 0.999
     eps: float = 1e-8
     step: int = 0
-    m: dict[str, np.ndarray] = field(default_factory=dict)
-    v: dict[str, np.ndarray] = field(default_factory=dict)
+    m: dict[np.dtype, np.ndarray] = field(default_factory=dict)
+    v: dict[np.dtype, np.ndarray] = field(default_factory=dict)
 
 
 def adam_step(params: list[tuple[str, Tensor]], state: AdamState) -> None:
-    """Bias-corrected Adam update, in place. Raises on NaN gradients,
-    naming the offending parameter."""
+    """Bias-corrected Adam update; a missing gradient counts as zero. Each
+    parameter's data is rebound to its slice of the updated flat buffer of
+    its dtype: the update is elementwise, so one pass over all parameters
+    gives each element the bits of a per-tensor update. Raises
+    :class:`TrainingError` naming the first parameter with a non-finite
+    gradient, before anything changes."""
+    groups: dict[np.dtype, list[Tensor]] = {}
+    for _, t in params:
+        groups.setdefault(t.dtype, []).append(t)
+    flat_g = {dt: np.concatenate([(np.zeros(t.size, dt) if t.grad is None else t.grad).ravel()
+                                  for t in ts])
+              for dt, ts in groups.items()}
+    if not all(np.isfinite(g).all() for g in flat_g.values()):
+        name = next(n for n, t in params
+                    if t.grad is not None and not np.isfinite(t.grad).all())
+        raise TrainingError(f"non-finite gradient for parameter {name!r}")
     state.step += 1
     b1, b2 = state.beta1, state.beta2
     c1 = 1.0 - b1 ** state.step
     c2 = 1.0 - b2 ** state.step
-    for name, t in params:
-        g = t.grad
-        if g is None:
-            g = np.zeros_like(t.data)
-        if not np.all(np.isfinite(g)):
-            raise TrainingError(f"non-finite gradient for parameter {name!r}")
-        m = state.m.setdefault(name, np.zeros_like(t.data))
-        v = state.v.setdefault(name, np.zeros_like(t.data))
-        m += (1.0 - b1) * (g - m)
-        v += (1.0 - b2) * (g * g - v)
-        t.data = t.data - state.lr * (m / c1) / (np.sqrt(v / c2) + state.eps)
+    for dt, ts in groups.items():
+        g = flat_g[dt]
+        m = state.m.setdefault(dt, np.zeros_like(g))
+        v = state.v.setdefault(dt, np.zeros_like(g))
+        # m += (1 - b1)(g - m); v += (1 - b2)(g^2 - v);
+        # data - lr (m / c1) / (sqrt(v / c2) + eps), one buffer per term
+        d = g - m
+        d *= 1.0 - b1
+        m += d
+        np.multiply(g, g, out=d)
+        d -= v
+        d *= 1.0 - b2
+        v += d
+        np.divide(v, c2, out=d)
+        np.sqrt(d, out=d)
+        d += state.eps
+        u = m / c1
+        u *= state.lr
+        u /= d
+        new = np.concatenate([t.data.ravel() for t in ts])
+        new -= u
+        off = 0
+        for t in ts:
+            t.data = new[off : off + t.size].reshape(t.shape)
+            off += t.size
 
 
 def clip_global_norm(params: list[tuple[str, Tensor]], max_norm: float = 5.0) -> float:
@@ -125,6 +157,12 @@ class TrainSettings:
     def __post_init__(self):
         if self.steps_per_epoch < 1 or self.max_steps < 1:
             raise ConfigError("steps_per_epoch and max_steps must be at least 1")
+        for key in ("lr", "clip_norm", "mixture_seconds"):
+            value = getattr(self, key)
+            if not (math.isfinite(value) and value > 0):
+                raise ConfigError(f"{key} must be finite and positive, got {value}")
+        if not math.isfinite(self.snr_db):
+            raise ConfigError(f"snr_db must be finite, got {self.snr_db}")
 
 
 @dataclass

@@ -4,20 +4,26 @@ expressions below. Every comparison with them is exact."""
 
 import numpy as np
 import pytest
+from conftest import tiny_config
 
-from avsep import checks, nn
+from avsep import checks, metrics, nn
+from avsep.data import energy_envelope
+from avsep.model import build_params, named_tensors, separate
 from avsep import tensor as T
 from avsep.nn import (
     Conv1dParams,
     GlnParams,
     _correlate,
     _overlap_add,
+    avg_pool1d,
     conv1d,
     conv_transpose1d,
+    crop_time,
     gln,
     interp_resample,
+    pad_right,
 )
-from avsep.tensor import Tensor
+from avsep.tensor import Tensor, _accum
 
 DTYPES = [np.float32, np.float64]
 
@@ -125,6 +131,33 @@ def test_downsample_gather_matches_the_repeat(l, target, dtype):
     idx = (np.arange(target) * l) // target
     assert y.flags.c_contiguous and y.dtype == dtype
     np.testing.assert_array_equal(y, np.repeat(x, np.bincount(idx, minlength=l), axis=1))
+
+
+@pytest.mark.parametrize("dtype", DTYPES)
+@pytest.mark.parametrize("l,target", [(7, 14), (16, 2000), (2, 250), (3, 300)])
+def test_integer_upsample_is_the_counted_repeat(l, target, dtype):
+    x = _arr(np.random.default_rng(target), (4, l), dtype)
+    y = interp_resample(Tensor(x), target).data
+    assert y.flags.c_contiguous and y.dtype == dtype
+    np.testing.assert_array_equal(y, np.repeat(x, target // l, axis=1))
+    np.testing.assert_array_equal(y, x[:, (np.arange(target) * l) // target])
+
+
+@pytest.mark.parametrize("dtype", DTYPES)
+@pytest.mark.parametrize("ratio", list(range(1, 17)) + [32, 128, 129, 256])
+def test_avg_pool_matches_the_window_mean(ratio, dtype):
+    rng = np.random.default_rng(ratio)
+    for c, windows in ((1, 1), (3, 1), (5, 7), (16, 40)):
+        # magnitudes over six decades, so a changed summation order shows
+        x = (rng.standard_normal((c, windows * ratio))
+             * 10.0 ** rng.uniform(-3, 3, (c, windows * ratio))).astype(dtype)
+        g = _arr(rng, (c, windows), dtype)
+        xt = Tensor(x, requires_grad=True)
+        y = avg_pool1d(xt, ratio)
+        _backward_with(y, g)
+        assert y.data.dtype == xt.grad.dtype == dtype
+        np.testing.assert_array_equal(y.data, x.reshape(c, windows, ratio).mean(axis=2))
+        np.testing.assert_array_equal(xt.grad, np.repeat(g / ratio, ratio, axis=1))
 
 
 @pytest.mark.parametrize("dtype", DTYPES)
@@ -281,3 +314,95 @@ def test_readout_is_drawn_once_per_seed_and_shape():
     a = checks._readout(5, (2, 3))
     assert checks._readout(5, (2, 3)) is a
     np.testing.assert_array_equal(a.data, np.random.default_rng(5).uniform(-1, 1, (2, 3)))
+
+
+# -- gradient hand-over ------------------------------------------------------
+
+
+def test_accum_keeps_a_fresh_buffer_and_copies_the_rest():
+    t = Tensor(np.zeros((2, 3)), requires_grad=True)
+    fresh = np.ones((2, 3))
+    _accum(t, fresh)
+    assert t.grad is fresh
+    whole = np.ones(6).reshape(2, 3)  # a whole reshape of a fresh buffer
+    t.grad = None
+    _accum(t, whole)
+    assert t.grad is whole
+    big = np.ones((2, 4))
+    for other in (np.broadcast_to(np.ones(3), (2, 3)),  # read-only
+                  big[:, :3],  # part of a larger buffer
+                  np.ones((3, 2)).T):  # not C-contiguous
+        t.grad = None
+        _accum(t, other)
+        assert t.grad is not other and not np.shares_memory(t.grad, other)
+        assert t.grad.flags.writeable and t.grad.flags.c_contiguous
+        np.testing.assert_array_equal(t.grad, other)
+
+
+def test_fan_out_inputs_that_gain_more_gradient_keep_their_own():
+    # ew_add hands its upstream to both inputs; each then receives more
+    x1 = Tensor(np.array([1.0, 2.0]), requires_grad=True)
+    x2 = Tensor(np.array([3.0, 5.0]), requires_grad=True)
+    a, b = T.scale(x1, 1.0), T.scale(x2, 1.0)
+    w, u, v = (Tensor(np.array(q)) for q in ([2.0, 3.0], [5.0, 7.0], [11.0, 13.0]))
+    z = T.ew_add(T.ew_mul(T.ew_add(a, b), w), T.ew_add(T.ew_mul(a, u), T.ew_mul(b, v)))
+    T.sum_all(z).backward()
+    np.testing.assert_array_equal(x1.grad, [7.0, 10.0])
+    np.testing.assert_array_equal(x2.grad, [13.0, 16.0])
+    for leaf in (x1, x2):
+        leaf_b = T.ew_add(leaf, leaf)  # a leaf used twice, through one node
+        leaf.grad = None
+        T.sum_all(T.ew_mul(leaf_b, w)).backward()
+        np.testing.assert_array_equal(leaf.grad, [4.0, 6.0])
+
+
+def test_sum_all_gradient_is_a_writable_copy():
+    x = Tensor(np.arange(6.0).reshape(2, 3), requires_grad=True)
+    loss = T.sum_all(x)
+    loss.backward()
+    assert x.grad.flags.writeable and x.grad.flags.owndata
+    loss.backward()
+    np.testing.assert_array_equal(x.grad, np.full((2, 3), 2.0))
+
+
+@pytest.mark.parametrize("dtype", DTYPES)
+def test_pad_and_crop_gradients_with_more_gradient_later(dtype):
+    # small integers, so every order of the sums is exact
+    rng = np.random.default_rng(7)
+    x = Tensor(_arr(rng, (3, 10), dtype), requires_grad=True)
+    g1, g2, g3 = (rng.integers(-8, 8, (3, n)).astype(dtype) for n in (14, 6, 10))
+    loss = T.ew_add(T.ew_add(T.sum_all(T.ew_mul(pad_right(x, 4), Tensor(g1))),
+                             T.sum_all(T.ew_mul(crop_time(x, 6), Tensor(g2)))),
+                    T.sum_all(T.ew_mul(x, Tensor(g3))))
+    loss.backward()
+    want = g1[:, :10] + g3
+    want[:, :6] += g2
+    np.testing.assert_array_equal(x.grad, want)
+    loss.backward()  # the same graph again adds the same gradients once more
+    np.testing.assert_array_equal(x.grad, want + want)
+
+
+def test_every_upstream_gradient_of_a_model_step_is_c_contiguous():
+    cfg = tiny_config()
+    p = build_params(cfg, seed=0)
+    for _, t in named_tensors(p):
+        t.requires_grad = True
+    rng = np.random.default_rng(0)
+    mix = rng.standard_normal(800).astype(np.float32)
+    out = separate(Tensor(mix[None, :]), Tensor(energy_envelope(mix, cfg.sample_rate)), cfg, p)
+    loss = metrics.pit_si_snr_loss(out.waveforms, [rng.standard_normal(800)])
+    seen, stack, flags = set(), [loss], []
+    while stack:
+        node = stack.pop()
+        if id(node) in seen:
+            continue
+        seen.add(id(node))
+        stack.extend(node._parents)
+        if node._backward is not None:
+            def spy(g, back=node._backward):
+                flags.append(np.asarray(g).flags.c_contiguous)
+                back(g)
+            node._backward = spy
+    loss.backward()
+    assert len(flags) > 100 and all(flags)
+    assert all(t.grad.flags.c_contiguous for _, t in named_tensors(p) if t.grad is not None)

@@ -110,6 +110,19 @@ class TestTrainToy:
         assert "steps_per_epoch" in capsys.readouterr().err
         assert not (tmp_path / "x.iiac").exists()
 
+    @pytest.mark.parametrize("key, raw", [
+        ("clip_norm", "0"), ("mixture_seconds", "0"), ("mixture_seconds", "-1"),
+        ("lr", "nan"), ("lr", "-1"), ("snr_db", "nan"),
+    ])
+    def test_out_of_range_train_value_exits_2(self, tmp_path, capsys, key, raw):
+        lines = [ln for ln in TINY_CFG.splitlines() if not ln.startswith(f"{key} =")]
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text("\n".join(lines + [f"{key} = {raw}"]) + "\n")
+        assert main(["train-toy", "--config", str(cfg),
+                     "--out", str(tmp_path / "x.iiac")]) == 2
+        assert key in capsys.readouterr().err
+        assert not (tmp_path / "x.iiac").exists()
+
     def test_audio_only_flag(self, tmp_path):
         cfg = tmp_path / "tiny.cfg"
         cfg.write_text(TINY_CFG.replace("max_steps = 30", "max_steps = 5"))

@@ -36,6 +36,18 @@ class TestSiSnr:
         with pytest.raises(ValueError):
             si_snr(np.zeros(8), np.ones(8))
 
+    def test_estimate_without_target_component_is_minus_inf(self, rng):
+        ref = rng.standard_normal(64)
+        assert si_snr(ref, np.zeros(64)) == -math.inf
+        assert si_snr([1.0, 0.0], [0.0, 3.0]) == -math.inf  # orthogonal
+
+    def test_best_output_is_never_a_silent_one(self, rng):
+        # eval scores a multi-speaker model on its output nearest the reference
+        ref = rng.standard_normal(100)
+        noisy = ref + rng.standard_normal(100)
+        outputs = [np.zeros(100), noisy]
+        assert max(outputs, key=lambda e: si_snr(ref, e)) is noisy
+
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError):
             si_snr(np.ones(4), np.ones(5))

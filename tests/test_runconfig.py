@@ -73,3 +73,15 @@ def test_every_field_parses_into_the_built_config(cls, values):
 def test_bad_line_names_its_key(text, key):
     with pytest.raises(ConfigError, match=key):
         parse_text(text)
+
+
+@pytest.mark.parametrize("key, raws", [
+    ("lr", ["0", "-1", "nan", "inf"]),
+    ("clip_norm", ["0", "-2.5", "nan"]),
+    ("mixture_seconds", ["0", "-1", "inf"]),
+    ("snr_db", ["nan", "inf", "-inf"]),
+])
+def test_out_of_range_train_value_names_its_key(key, raws):
+    for raw in raws:
+        with pytest.raises(ConfigError, match=key):
+            make_train_settings(parse_text(f"{key} = {raw}"))

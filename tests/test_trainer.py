@@ -55,6 +55,43 @@ class TestAdam:
         with pytest.raises(TrainingError, match="p0"):
             adam_step(params, AdamState())
 
+    def test_nan_in_second_of_three_names_it_and_changes_nothing(self):
+        params = _params([[1.0], [2.0, 3.0], [4.0]])
+        for (_, t), g in zip(params, ([0.5], [0.1, math.nan], [0.2])):
+            t.grad = np.array(g)
+        st = AdamState()
+        with pytest.raises(TrainingError, match="'p1'"):
+            adam_step(params, st)
+        assert st.step == 0
+        np.testing.assert_array_equal(params[0][1].data, [1.0])
+
+    @pytest.mark.parametrize("dtypes", [(np.float32,) * 3, (np.float64,) * 3,
+                                        (np.float32, np.float64, np.float32)])
+    def test_matches_a_per_tensor_update_bit_for_bit(self, dtypes, rng):
+        shapes = [(4, 3, 5), (7,), (2, 9)]
+        params = [(f"p{i}", Tensor(rng.standard_normal(s).astype(dt), requires_grad=True))
+                  for i, (s, dt) in enumerate(zip(shapes, dtypes))]
+        ref = {n: t.data.copy() for n, t in params}
+        ref_m = {n: np.zeros_like(d) for n, d in ref.items()}
+        ref_v = {n: np.zeros_like(d) for n, d in ref.items()}
+        st = AdamState(lr=0.01)
+        for step in range(1, 5):
+            for i, (n, t) in enumerate(params):
+                # the middle parameter has no gradient on every other step
+                t.grad = None if i == 1 and step % 2 else \
+                    rng.standard_normal(t.shape).astype(t.dtype)
+            adam_step(params, st)
+            c1, c2 = 1.0 - st.beta1 ** step, 1.0 - st.beta2 ** step
+            for n, t in params:
+                g = np.zeros_like(ref[n]) if t.grad is None else t.grad
+                m, v = ref_m[n], ref_v[n]
+                m += (1.0 - st.beta1) * (g - m)
+                v += (1.0 - st.beta2) * (g * g - v)
+                ref[n] = ref[n] - st.lr * (m / c1) / (np.sqrt(v / c2) + st.eps)
+                assert t.data.dtype == ref[n].dtype and t.data.shape == ref[n].shape
+                np.testing.assert_array_equal(t.data, ref[n])
+        assert st.step == 4
+
     def test_state_persists_across_steps(self):
         params = _params([[0.0]])
         st = AdamState(lr=0.1)
