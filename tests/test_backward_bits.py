@@ -1,6 +1,7 @@
-"""The backward kernels skip work nobody reads and reuse buffers, but do
-the same floating-point operations in the same order as the plain
-expressions below. Every comparison with them is exact."""
+"""The kernels skip work nobody reads, reuse buffers and hand fresh
+gradients over without a copy, but do the same floating-point operations
+in the same order as the plain expressions below. Every comparison with
+them is exact."""
 
 import numpy as np
 import pytest
@@ -135,7 +136,7 @@ def test_downsample_gather_matches_the_repeat(l, target, dtype):
 
 @pytest.mark.parametrize("dtype", DTYPES)
 @pytest.mark.parametrize("l,target", [(7, 14), (16, 2000), (2, 250), (3, 300)])
-def test_integer_upsample_is_the_counted_repeat(l, target, dtype):
+def test_integer_upsample_matches_the_index_gather(l, target, dtype):
     x = _arr(np.random.default_rng(target), (4, l), dtype)
     y = interp_resample(Tensor(x), target).data
     assert y.flags.c_contiguous and y.dtype == dtype
