@@ -5,7 +5,8 @@ modality (``intra_a_global`` and its parameter-free ablation variant
 ``intra_a_prime``), cross-modal fusion at the coarsest scale
 (``inter_a_t``), per-scale cross-modal gating (``inter_a_m``), the
 top-down reconstruction pass, and residual cross-modal fusion at the
-finest scale (``inter_a_b``).
+finest scale (``inter_a_b``). Video is optional: without it ``inter_a_t``
+and ``top_down_pass`` run their audio half alone (the audio-only cycle).
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ from .tensor import Tensor
 
 __all__ = [
     "ScalePyramid",
-    "GlobalFeatures",
     "InterTParams",
     "TopDownParams",
     "InterBParams",
@@ -55,12 +55,6 @@ class ScalePyramid:
     @property
     def depth(self) -> int:
         return len(self.levels) - 1
-
-
-@dataclass
-class GlobalFeatures:
-    s_g: Tensor
-    v_g: Tensor | None  # None in an audio-only cycle
 
 
 @dataclass
@@ -134,19 +128,22 @@ def pooled_sum(levels: list[Tensor]) -> Tensor:
 
 def inter_a_t(
     audio: ScalePyramid,
-    video: ScalePyramid,
+    video: ScalePyramid | None,
     p: InterTParams,
     dropout_p: float = 0.0,
     rng: np.random.Generator | None = None,
-) -> GlobalFeatures:
-    """Coarsest-scale fusion producing the per-modality global features.
+) -> tuple[Tensor, Tensor | None]:
+    """Coarsest-scale fusion producing the global features ``(s_g, v_g)``.
     Dropout draws from ``rng`` while training; without one it is off.
 
     Without the cross-modal Q pair (``p.q_av is None``) the pooled sums
-    feed the FFNs directly (the ablation wiring)."""
+    feed the FFNs directly (the ablation wiring). Without video only the
+    audio FFN runs and ``v_g`` is None."""
+    f_s = pooled_sum(audio.levels)
+    if video is None:
+        return dropout(ffn(f_s, p.ffn_s), dropout_p, rng), None
     if audio.depth != video.depth:
         raise GeometryError("pyramids must have the same number of levels")
-    f_s = pooled_sum(audio.levels)
     f_v = pooled_sum(video.levels)
     if p.q_av is not None:
         ga = dropout(q_op(f_v, p.q_av), dropout_p, rng)
@@ -155,9 +152,7 @@ def inter_a_t(
         v_in = T.gate(f_v, interp_resample(gv, f_v.shape[1]))
     else:
         s_in, v_in = f_s, f_v
-    s_g = dropout(ffn(s_in, p.ffn_s), dropout_p, rng)
-    v_g = dropout(ffn(v_in, p.ffn_v), dropout_p, rng)
-    return GlobalFeatures(s_g=s_g, v_g=v_g)
+    return dropout(ffn(s_in, p.ffn_s), dropout_p, rng), dropout(ffn(v_in, p.ffn_v), dropout_p, rng)
 
 
 def inter_a_m(s_bar: Tensor, v_bar: Tensor, q: QParams) -> Tensor:
@@ -188,7 +183,8 @@ def _coarse_to_fine(levels: list[Tensor], qs: list[QParams]) -> Tensor:
 def top_down_pass(
     audio: ScalePyramid,
     video: ScalePyramid | None,
-    g: GlobalFeatures,
+    s_g: Tensor,
+    v_g: Tensor | None,
     p: TopDownParams,
 ) -> tuple[Tensor, Tensor | None]:
     """Global modulation per scale, optional mid-level cross-modal gating,
@@ -198,10 +194,10 @@ def top_down_pass(
     d = audio.depth
     if d < 1:
         raise GeometryError("top-down pass needs depth >= 1")
-    s_bar = _global_modulation(audio.levels, g.s_g, p.global_s)
+    s_bar = _global_modulation(audio.levels, s_g, p.global_s)
     if video is None:
         return _coarse_to_fine(s_bar, p.local_s), None
-    v_bar = _global_modulation(video.levels, g.v_g, p.global_v)
+    v_bar = _global_modulation(video.levels, v_g, p.global_v)
     if p.inter_m is not None:
         s_bar = [inter_a_m(s_bar[i], v_bar[i], p.inter_m[i]) for i in range(d + 1)]
     return _coarse_to_fine(s_bar, p.local_s), _coarse_to_fine(v_bar, p.local_v)

@@ -204,8 +204,8 @@ def _check_blocks() -> list[CheckResult]:
                 + [p.inter_t.ffn_s.convs[1].bias, p.inter_t.ffn_s.gln.gain])
 
     def t_loss():
-        g = inter_a_t(audio, video, p.inter_t)
-        return T.ew_add(_weighted_sum(g.s_g, 14), _weighted_sum(g.v_g, 15))
+        s_g, v_g = inter_a_t(audio, video, p.inter_t)
+        return T.ew_add(_weighted_sum(s_g, 14), _weighted_sum(v_g, 15))
 
     out.append(_gradcheck("inter_a_t", t_loss, t_leaves))
 
@@ -216,8 +216,7 @@ def _check_blocks() -> list[CheckResult]:
                     p.top_down.local_v[1].conv.weight])
 
     def td_loss():
-        g = inter_a_t(audio, video, p.inter_t)
-        s0, v0 = top_down_pass(audio, video, g, p.top_down)
+        s0, v0 = top_down_pass(audio, video, *inter_a_t(audio, video, p.inter_t), p.top_down)
         return T.ew_add(_weighted_sum(s0, 16), _weighted_sum(v0, 17))
 
     out.append(_gradcheck("top_down_pass", td_loss, td_leaves))

@@ -4,8 +4,9 @@ All dB-valued functions return ``math.inf`` (the documented sentinel) when
 the residual is exactly zero. :func:`si_snr` returns ``-math.inf`` when
 the estimate's projection on the reference is zero (an all-zero or an
 orthogonal estimate), which is checked first, so a silent output never
-scores as a perfect one. They never return NaN, and a non-finite signal
-raises ``ValueError``. Report writers clamp the sentinels for display,
+scores as a perfect one. An improvement of a sentinel over the same one
+is 0.0. They never return NaN, and a non-finite signal raises
+``ValueError``. Report writers clamp the sentinels for display,
 see :data:`DISPLAY_CLAMP_DB`.
 """
 
@@ -70,7 +71,8 @@ def si_snr(reference, estimate) -> float:
 
 def si_snri(mixture, reference, estimate) -> float:
     """Improvement of the estimate over the unprocessed mixture."""
-    return si_snr(reference, estimate) - si_snr(reference, mixture)
+    est, mix = si_snr(reference, estimate), si_snr(reference, mixture)
+    return 0.0 if est == mix else est - mix  # the same sentinel twice is no improvement
 
 
 def sdr(reference, estimate) -> float:
@@ -87,7 +89,8 @@ def sdr(reference, estimate) -> float:
 
 
 def sdri(mixture, reference, estimate) -> float:
-    return sdr(reference, estimate) - sdr(reference, mixture)
+    est, mix = sdr(reference, estimate), sdr(reference, mixture)
+    return 0.0 if est == mix else est - mix
 
 
 def pit_best(

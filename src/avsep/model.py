@@ -17,14 +17,12 @@ import numpy as np
 
 from . import tensor as T
 from .blocks import (
-    GlobalFeatures,
     InterBParams,
     InterTParams,
     ScalePyramid,
     TopDownParams,
     inter_a_b,
     inter_a_t,
-    pooled_sum,
     top_down_pass,
 )
 from .errors import ConfigConflictError, ConfigError, FormatError, GeometryError
@@ -37,9 +35,8 @@ from .nn import (
     conv1d_out_len,
     conv_transpose1d,
     crop_time,
-    ffn,
-    gln,
     pad_right,
+    q_op,
     slice_channels,
 )
 from .tensor import Tensor
@@ -52,6 +49,7 @@ __all__ = [
     "named_tensors",
     "encode_audio",
     "encode",
+    "refinement_cycle",
     "audio_only_cycle",
     "separate",
     "count_params",
@@ -94,6 +92,12 @@ class ModelConfig:
 
     def __post_init__(self):
         self.ffn_channels = tuple(self.ffn_channels)
+        for key in ("sample_rate", "enc_stride", "n_audio_channels", "n_video_channels",
+                    "n_video_in"):
+            if getattr(self, key) < 1:
+                raise ConfigError(f"{key} must be positive, got {getattr(self, key)}")
+        if self.q_kernel < 1 or self.q_kernel % 2 == 0:
+            raise ConfigError(f"q_kernel must be odd and positive, got {self.q_kernel}")
         if self.depth < 1 or self.n_fusion_cycles < 1 or self.n_audio_cycles < 0:
             raise ConfigError("depth >= 1, fusion cycles >= 1, audio cycles >= 0 required")
         if self.enc_kernel != 2 * self.enc_stride:
@@ -102,6 +106,8 @@ class ModelConfig:
             raise ConfigError(f"unknown intra variant {self.intra_variant!r}")
         if len(self.ffn_channels) != 3:
             raise ConfigError("ffn_channels must be a triple")
+        if min(self.ffn_channels) < 1:
+            raise ConfigError(f"ffn_channels entries must be positive, got {self.ffn_channels}")
         if self.ffn_channels[2] != self.n_audio_channels:
             raise ConfigError("last ffn channel count must equal the audio embedding size")
         if not 0.0 <= self.dropout_p < 1.0:
@@ -163,8 +169,8 @@ def paper_scale_config() -> ModelConfig:
 class ModelParams:
     encoder: Conv1dParams
     decoder: Conv1dParams
-    audio_down: list[tuple[Conv1dParams, GlnParams]]
-    video_down: list[tuple[Conv1dParams, GlnParams]] | None
+    audio_down: list[QParams]
+    video_down: list[QParams] | None
     inter_t: InterTParams
     top_down: TopDownParams
     inter_b: InterBParams | None
@@ -223,9 +229,9 @@ class _Init:
         pad = (kernel - 1) // 2
         return QParams(conv=self.conv(c_out, c_in, kernel, padding=pad), gln=self.gln(c_out))
 
-    def down(self, c) -> tuple[Conv1dParams, GlnParams]:
+    def down(self, c) -> QParams:
         conv = self.conv(c, c, 5, stride=2, padding=2, groups=c if self.depthwise else 1)
-        return conv, self.gln(c)
+        return QParams(conv=conv, gln=self.gln(c))
 
     def ffn(self, c_in, triple) -> FfnParams:
         c1, c2, c3 = triple
@@ -321,6 +327,12 @@ def _ffn_tensors(name: str, f: FfnParams):
     yield f"{name}.gln.bias", f.gln.bias
 
 
+def _stack_tensors(tagged):
+    for tag, qs in tagged:
+        for i, q in enumerate(qs or ()):
+            yield from _q_tensors(f"{tag}.{i}", q)
+
+
 def named_tensors(p: ModelParams, include_aux: bool = True):
     """Ordered (name, tensor) pairs; order defines the checkpoint layout.
 
@@ -330,13 +342,7 @@ def named_tensors(p: ModelParams, include_aux: bool = True):
     """
     yield "encoder.weight", p.encoder.weight
     yield "decoder.weight", p.decoder.weight
-    for tag, stack in (("audio_down", p.audio_down), ("video_down", p.video_down)):
-        if stack is None:
-            continue
-        for i, (cp, gp) in enumerate(stack):
-            yield f"{tag}.{i}.conv.weight", cp.weight
-            yield f"{tag}.{i}.gln.gain", gp.gain
-            yield f"{tag}.{i}.gln.bias", gp.bias
+    yield from _stack_tensors((("audio_down", p.audio_down), ("video_down", p.video_down)))
     if p.inter_t.q_av is not None:
         yield from _q_tensors("inter_t.q_av", p.inter_t.q_av)
         yield from _q_tensors("inter_t.q_va", p.inter_t.q_va)
@@ -344,13 +350,9 @@ def named_tensors(p: ModelParams, include_aux: bool = True):
     if p.inter_t.ffn_v is not None:
         yield from _ffn_tensors("inter_t.ffn_v", p.inter_t.ffn_v)
     td = p.top_down
-    for tag, qs in (("global_intra_s", td.global_s), ("global_intra_v", td.global_v),
-                    ("inter_m", td.inter_m), ("local_intra_s", td.local_s),
-                    ("local_intra_v", td.local_v)):
-        if qs is None:
-            continue
-        for i, q in enumerate(qs):
-            yield from _q_tensors(f"{tag}.{i}", q)
+    yield from _stack_tensors((("global_intra_s", td.global_s), ("global_intra_v", td.global_v),
+                               ("inter_m", td.inter_m), ("local_intra_s", td.local_s),
+                               ("local_intra_v", td.local_v)))
     if p.inter_b is not None:
         for tag in ("gate_s", "out_s", "gate_v", "out_v"):
             yield from _q_tensors(f"inter_b.{tag}", getattr(p.inter_b, tag))
@@ -413,20 +415,34 @@ def encode(
     return e_s, pad_right(ev_raw, _ceil_to(ev_raw.shape[1], 1 << cfg.depth) - ev_raw.shape[1])
 
 
-def _bottom_up(x: Tensor, stack) -> ScalePyramid:
+def _bottom_up(x: Tensor, stack: list[QParams]) -> ScalePyramid:
     levels = [x]
-    for cp, gp in stack:
-        levels.append(gln(conv1d(levels[-1], cp), gp))
+    for q in stack:
+        levels.append(q_op(levels[-1], q))
     return ScalePyramid(levels=levels)
+
+
+def refinement_cycle(cur_s: Tensor, cur_v: Tensor | None, cfg: ModelConfig, p: ModelParams,
+                     rng: np.random.Generator | None = None) -> tuple[Tensor, Tensor | None]:
+    """One cycle of the shared-weight network: bottom-up pyramids, coarsest
+    fusion, top-down pass, and finest-scale fusion when the model has it.
+    With ``cur_v`` None only the audio half runs and the video output is
+    None. Dropout draws from ``rng``; without one it is off."""
+    if cur_v is not None and p.video_down is None:
+        raise ConfigError("this model has no video pathway")
+    s_pyr = _bottom_up(cur_s, p.audio_down)
+    v_pyr = None if cur_v is None else _bottom_up(cur_v, p.video_down)
+    s_g, v_g = inter_a_t(s_pyr, v_pyr, p.inter_t, cfg.dropout_p, rng)
+    s0, v0 = top_down_pass(s_pyr, v_pyr, s_g, v_g, p.top_down)
+    if v0 is None or p.inter_b is None:
+        return s0, v0
+    return inter_a_b(s0, v0, p.inter_b)
 
 
 def audio_only_cycle(e_s: Tensor, cfg: ModelConfig, p: ModelParams) -> Tensor:
     """One refinement cycle through the audio network alone, sharing the
     audio-side parameters of the fused network (no dropout)."""
-    pyr = _bottom_up(e_s, p.audio_down)
-    s_g = ffn(pooled_sum(pyr.levels), p.inter_t.ffn_s)
-    s0, _ = top_down_pass(pyr, None, GlobalFeatures(s_g=s_g, v_g=None), p.top_down)
-    return s0
+    return refinement_cycle(e_s, None, cfg, p)[0]
 
 
 def separation_features(
@@ -453,14 +469,7 @@ def separation_features(
             raise GeometryError("video embedding length must divide by 2^depth")
         cur_v = e_v
         for _ in range(cfg.n_fusion_cycles):
-            s_pyr = _bottom_up(cur_s, p.audio_down)
-            v_pyr = _bottom_up(cur_v, p.video_down)
-            g = inter_a_t(s_pyr, v_pyr, p.inter_t, cfg.dropout_p, rng)
-            s0, v0 = top_down_pass(s_pyr, v_pyr, g, p.top_down)
-            if p.inter_b is not None:
-                cur_s, cur_v = inter_a_b(s0, v0, p.inter_b)
-            else:
-                cur_s, cur_v = s0, v0
+            cur_s, cur_v = refinement_cycle(cur_s, cur_v, cfg, p, rng)
     for _ in range(n_audio):
         cur_s = audio_only_cycle(cur_s, cfg, p)
     return cur_s

@@ -196,6 +196,9 @@ def train_toy(cfg: ModelConfig, settings: TrainSettings,
     pool) and return the trained parameters plus the loss history."""
     rng = np.random.default_rng(settings.seed)
     length = int(round(settings.mixture_seconds * cfg.sample_rate))
+    if length < cfg.enc_kernel:
+        raise ConfigError(f"mixture_seconds = {settings.mixture_seconds:g} is {length} samples, "
+                          f"shorter than one encoder kernel ({cfg.enc_kernel} samples)")
     pool = synth_sources(max(2, settings.pool_size if settings.dynamic_mix else 2),
                          length, settings.seed)
     target, interferer = pool[0], pool[1]

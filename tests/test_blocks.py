@@ -13,6 +13,7 @@ from avsep.blocks import (
     inter_a_t,
     intra_a_global,
     intra_a_prime,
+    pooled_sum,
     top_down_pass,
 )
 from avsep.errors import GeometryError
@@ -166,7 +167,7 @@ class TestInterT:
         p = self._params(rng, na, nv)
         audio = _pyramid(rng, na, 16, 2)
         video = _pyramid(rng, nv, 8, 2)
-        g = inter_a_t(audio, video, p)
+        s_g, v_g = inter_a_t(audio, video, p)
 
         def pooled(levels):
             d = len(levels) - 1
@@ -180,15 +181,15 @@ class TestInterT:
         gv = q_op(f_s, p.q_va)
         want_s = ffn(T.ew_mul(f_s, T.sigmoid(interp_resample(ga, f_s.shape[1]))), p.ffn_s)
         want_v = ffn(T.ew_mul(f_v, T.sigmoid(interp_resample(gv, f_v.shape[1]))), p.ffn_v)
-        assert np.max(np.abs(g.s_g.data - want_s.data)) < 1e-6
-        assert np.max(np.abs(g.v_g.data - want_v.data)) < 1e-6
+        assert np.max(np.abs(s_g.data - want_s.data)) < 1e-6
+        assert np.max(np.abs(v_g.data - want_v.data)) < 1e-6
 
     def test_cross_attention_off_feeds_ffn_directly(self, rng):
         na, nv = 4, 3
         p = self._params(rng, na, nv)
         audio = _pyramid(rng, na, 16, 2)
         video = _pyramid(rng, nv, 8, 2)
-        g = inter_a_t(audio, video, replace(p, q_av=None, q_va=None))
+        s_g, v_g = inter_a_t(audio, video, replace(p, q_av=None, q_va=None))
 
         def pooled(levels):
             d = len(levels) - 1
@@ -197,8 +198,8 @@ class TestInterT:
                 acc = T.ew_add(acc, avg_pool1d(levels[i], 2 ** (d - i)))
             return acc
 
-        np.testing.assert_array_equal(g.s_g.data, ffn(pooled(audio.levels), p.ffn_s).data)
-        np.testing.assert_array_equal(g.v_g.data, ffn(pooled(video.levels), p.ffn_v).data)
+        np.testing.assert_array_equal(s_g.data, ffn(pooled(audio.levels), p.ffn_s).data)
+        np.testing.assert_array_equal(v_g.data, ffn(pooled(video.levels), p.ffn_v).data)
 
     def test_dropout_gradient_matches_finite_difference(self, rng):
         # every evaluation draws from a freshly seeded generator, so the
@@ -211,14 +212,26 @@ class TestInterT:
         w_v = Tensor(rng.uniform(-1, 1, (nv, 2)))
 
         def loss():
-            g = inter_a_t(audio, video, p, 0.3, np.random.default_rng(7))
-            return T.ew_add(T.sum_all(T.ew_mul(g.s_g, w_s)), T.sum_all(T.ew_mul(g.v_g, w_v)))
+            s_g, v_g = inter_a_t(audio, video, p, 0.3, np.random.default_rng(7))
+            return T.ew_add(T.sum_all(T.ew_mul(s_g, w_s)), T.sum_all(T.ew_mul(v_g, w_v)))
 
-        dropped = inter_a_t(audio, video, p, 0.3, np.random.default_rng(7)).s_g.data == 0
+        dropped = inter_a_t(audio, video, p, 0.3, np.random.default_rng(7))[0].data == 0
         assert np.any(dropped)
         leaves = [audio.levels[0], video.levels[1], p.q_av.conv.weight,
                   p.q_va.gln.gain, p.ffn_s.convs[1].weight, p.ffn_v.gln.bias]
         assert checks._gradcheck("inter_a_t_dropout", loss, leaves).passed
+
+    def test_without_video_only_the_audio_ffn_runs(self, rng):
+        p = self._params(rng, 4, 3)
+        audio = _pyramid(rng, 4, 16, 2)
+        want = ffn(pooled_sum(audio.levels), p.ffn_s).data
+        s_g, v_g = inter_a_t(audio, None, p)
+        assert v_g is None
+        np.testing.assert_array_equal(s_g.data, want)
+        # dropout needs a generator: without one the rate alone changes nothing
+        np.testing.assert_array_equal(inter_a_t(audio, None, p, 0.3)[0].data, want)
+        dropped = inter_a_t(audio, None, p, 0.3, np.random.default_rng(7))[0].data
+        assert np.any(dropped == 0) and np.any(dropped != want)
 
     def test_depth_mismatch_rejected(self, rng):
         p = self._params(rng, 4, 3)
@@ -272,8 +285,8 @@ class TestTopDown:
         l0 = 8 << depth
         audio = _pyramid(rng, channels, l0, depth)
         video = _pyramid(rng, channels, l0 // 2, depth)
-        g = inter_a_t(audio, video, p.inter_t)
-        s0, v0 = top_down_pass(audio, video, g, p.top_down)
+        s_g, v_g = inter_a_t(audio, video, p.inter_t)
+        s0, v0 = top_down_pass(audio, video, s_g, v_g, p.top_down)
         assert s0.shape == (channels, l0)
         assert v0.shape == (channels, l0 // 2)
 
@@ -283,12 +296,12 @@ class TestTopDown:
         p = build_params(cfg, seed=1, dtype=np.float64)
         audio = _pyramid(rng, 4, 16, 2)
         video = _pyramid(rng, 4, 8, 2)
-        g = inter_a_t(audio, video, p.inter_t)
-        s0, v0 = top_down_pass(audio, video, g, p.top_down)
+        s_g, v_g = inter_a_t(audio, video, p.inter_t)
+        s0, v0 = top_down_pass(audio, video, s_g, v_g, p.top_down)
 
         td = p.top_down
-        s_bar = [intra_a_global(x, g.s_g, td.global_s[i]) for i, x in enumerate(audio.levels)]
-        v_bar = [intra_a_global(x, g.v_g, td.global_v[i]) for i, x in enumerate(video.levels)]
+        s_bar = [intra_a_global(x, s_g, td.global_s[i]) for i, x in enumerate(audio.levels)]
+        v_bar = [intra_a_global(x, v_g, td.global_v[i]) for i, x in enumerate(video.levels)]
         s_mod = [inter_a_m(s_bar[i], v_bar[i], td.inter_m[i]) for i in range(3)]
         s_want = intra_a_global(s_mod[1], s_mod[2], td.local_s[1])
         s_want = intra_a_global(s_mod[0], s_want, td.local_s[0])
@@ -304,6 +317,6 @@ class TestTopDown:
         assert p.top_down.global_s is None and p.top_down.global_v is None
         audio = _pyramid(rng, 4, 16, 2)
         video = _pyramid(rng, 4, 8, 2)
-        g = inter_a_t(audio, video, p.inter_t)
-        s0, v0 = top_down_pass(audio, video, g, p.top_down)
+        s_g, v_g = inter_a_t(audio, video, p.inter_t)
+        s0, v0 = top_down_pass(audio, video, s_g, v_g, p.top_down)
         assert s0.shape == (4, 16) and v0.shape == (4, 8)

@@ -113,6 +113,8 @@ class TestTrainToy:
     @pytest.mark.parametrize("key, raw", [
         ("clip_norm", "0"), ("mixture_seconds", "0"), ("mixture_seconds", "-1"),
         ("lr", "nan"), ("lr", "-1"), ("snr_db", "nan"),
+        # positive, but shorter than one encoder kernel of the model
+        ("mixture_seconds", "0.00001"), ("mixture_seconds", "0.0004"),
     ])
     def test_out_of_range_train_value_exits_2(self, tmp_path, capsys, key, raw):
         lines = [ln for ln in TINY_CFG.splitlines() if not ln.startswith(f"{key} =")]
@@ -120,7 +122,8 @@ class TestTrainToy:
         cfg.write_text("\n".join(lines + [f"{key} = {raw}"]) + "\n")
         assert main(["train-toy", "--config", str(cfg),
                      "--out", str(tmp_path / "x.iiac")]) == 2
-        assert key in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and key in err
         assert not (tmp_path / "x.iiac").exists()
 
     def test_audio_only_flag(self, tmp_path):
@@ -136,7 +139,7 @@ class TestTrainToy:
         assert main(["train-toy", "--config", str(cfg),
                      "--out", str(tmp_path / "dw.iiac")]) == 0
         params, model_cfg = load_checkpoint(tmp_path / "dw.iiac")
-        assert model_cfg.depthwise and params.audio_down[0][0].groups == 4
+        assert model_cfg.depthwise and params.audio_down[0].conv.groups == 4
 
 
 class TestSeparate:

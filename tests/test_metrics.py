@@ -67,6 +67,13 @@ class TestSiSnr:
         mix = ref + rng.standard_normal(128)
         assert si_snri(mix, ref, mix) == pytest.approx(0.0, abs=1e-12)
 
+    def test_same_sentinel_is_no_improvement(self):
+        # inf - inf and -inf - -inf would be NaN
+        ref, orth = np.array([1.0, 0.0]), np.array([0.0, 1.0])
+        assert si_snri(ref, ref, ref) == 0.0
+        assert si_snri(orth, ref, orth) == 0.0
+        assert si_snri(orth, ref, ref) == math.inf
+
 
 class TestSdr:
     def test_canonical_example(self):
@@ -81,6 +88,10 @@ class TestSdr:
         ref = rng.standard_normal(128)
         mix = ref + 0.5 * rng.standard_normal(128)
         assert sdri(mix, ref, mix) == pytest.approx(0.0, abs=1e-12)
+
+    def test_same_sentinel_is_no_improvement(self):
+        ref = np.array([1.0, 2.0])
+        assert sdri(ref, ref, ref) == 0.0
 
 
 def pit_reference(references, estimates, metric):

@@ -26,6 +26,7 @@ from avsep.model import (
     named_tensors,
     full_scale_config,
     paper_scale_config,
+    refinement_cycle,
     save_checkpoint,
     separate,
     separation_features,
@@ -97,7 +98,7 @@ class TestGeometry:
         # everything else dense
         cfg = tiny_config(depthwise=True)
         p = build_params(cfg, seed=0)
-        assert [cp.groups for cp, _ in p.audio_down + p.video_down] == [4] * 4
+        assert [q.conv.groups for q in p.audio_down + p.video_down] == [4] * 4
         assert [cp.groups for cp in p.inter_t.ffn_s.convs] == [1, 4, 1]
         assert p.inter_t.ffn_s.convs[1].weight.shape == (8, 1, 5)
         assert p.top_down.local_s[0].conv.groups == 1
@@ -120,16 +121,16 @@ def unrolled_reference(e_s, e_v, cfg, p):
 
     def bottom_up(x, stack):
         levels = [x]
-        for cp, gp in stack:
-            levels.append(gln(conv1d(levels[-1], cp), gp))
+        for q in stack:
+            levels.append(gln(conv1d(levels[-1], q.conv), q.gln))
         return ScalePyramid(levels=levels)
 
     cur_s, cur_v = e_s, e_v
     for _ in range(cfg.n_fusion_cycles):
         sp = bottom_up(cur_s, p.audio_down)
         vp = bottom_up(cur_v, p.video_down)
-        g = inter_a_t(sp, vp, p.inter_t)
-        s0, v0 = top_down_pass(sp, vp, g, p.top_down)
+        s_g, v_g = inter_a_t(sp, vp, p.inter_t)
+        s0, v0 = top_down_pass(sp, vp, s_g, v_g, p.top_down)
         cur_s, cur_v = inter_a_b(s0, v0, p.inter_b)
     for _ in range(cfg.n_audio_cycles):
         sp = bottom_up(cur_s, p.audio_down)
@@ -164,6 +165,30 @@ class TestUnrolledReference:
         e_s = Tensor(rng.standard_normal((4, 32)).astype(np.float32))
         out = audio_only_cycle(e_s, cfg, p)
         assert out.shape == e_s.shape
+
+    def test_cycle_without_video_is_the_audio_only_cycle(self, rng):
+        # a dropout rate with no generator keeps the cycle deterministic
+        cfg = tiny_config(depth=2, dropout_p=0.3)
+        p = build_params(cfg, seed=5)
+        e_s = Tensor(rng.standard_normal((4, 32)).astype(np.float32))
+        s, v = refinement_cycle(e_s, None, cfg, p)
+        assert v is None
+        np.testing.assert_array_equal(s.data, audio_only_cycle(e_s, cfg, p).data)
+        ao = tiny_config(depth=2, audio_only=True)
+        with pytest.raises(ConfigError, match="no video pathway"):
+            refinement_cycle(e_s, e_s, ao, build_params(ao, seed=5))
+
+    def test_fused_cycle_matches_blocks(self, rng):
+        cfg = tiny_config(depth=2)
+        p = build_params(cfg, seed=5)
+        e_s = Tensor(rng.standard_normal((4, 32)).astype(np.float32))
+        e_v = Tensor(rng.standard_normal((4, 8)).astype(np.float32))
+        s, v = refinement_cycle(e_s, e_v, cfg, p)
+        sp, vp = (M._bottom_up(x, st) for x, st in ((e_s, p.audio_down), (e_v, p.video_down)))
+        want = inter_a_b(*top_down_pass(sp, vp, *inter_a_t(sp, vp, p.inter_t), p.top_down),
+                         p.inter_b)
+        np.testing.assert_array_equal(s.data, want[0].data)
+        np.testing.assert_array_equal(v.data, want[1].data)
 
 
 class TestZeroParameterTrace:
@@ -266,7 +291,44 @@ class TestMacAccounting:
             count_macs(ModelConfig(), 0.0)
 
 
+def _q_layout(name, k=1):
+    """One Q (conv + gLN) of the tiny 4-channel config, in file order."""
+    return [(f"{name}.conv.weight", (4, 4, k)), (f"{name}.gln.gain", (4,)),
+            (f"{name}.gln.bias", (4,))]
+
+
+def _stack_layout(tag, n, k=1):
+    return [e for i in range(n) for e in _q_layout(f"{tag}.{i}", k)]
+
+
+def _ffn_layout(name):
+    return [(f"{name}.conv0.weight", (4, 4, 1)), (f"{name}.conv1.weight", (8, 4, 5)),
+            (f"{name}.conv1.bias", (8,)), (f"{name}.conv2.weight", (4, 8, 1)),
+            (f"{name}.gln.gain", (4,)), (f"{name}.gln.bias", (4,))]
+
+
 class TestCheckpointIO:
+    def test_layout_is_pinned(self):
+        # the .iiac layout: every name and shape, in file order
+        head = [("encoder.weight", (4, 1, 4)), ("decoder.weight", (4, 1, 4)),
+                *_stack_layout("audio_down", 2, k=5)]
+        global_s, local_s = _stack_layout("global_intra_s", 3), _stack_layout("local_intra_s", 2)
+        fused = (head + _stack_layout("video_down", 2, k=5)
+                 + _q_layout("inter_t.q_av") + _q_layout("inter_t.q_va")
+                 + _ffn_layout("inter_t.ffn_s") + _ffn_layout("inter_t.ffn_v")
+                 + global_s + _stack_layout("global_intra_v", 3) + _stack_layout("inter_m", 3)
+                 + local_s + _stack_layout("local_intra_v", 2)
+                 + [e for t in ("gate_s", "out_s", "gate_v", "out_v")
+                    for e in _q_layout(f"inter_b.{t}")]
+                 + [("video_stub.0.weight", (4, 1, 3)), ("video_stub.0.bias", (4,)),
+                    ("video_stub.1.weight", (4, 4, 3)), ("video_stub.1.bias", (4,))])
+        two_speaker = (head + _ffn_layout("inter_t.ffn_s") + global_s + local_s
+                       + [("mask_head.weight", (8, 4, 1))])
+        for cfg, want in ((tiny_config(), fused),
+                          (tiny_config(audio_only=True, n_speakers=2), two_speaker)):
+            got = [(n, t.shape) for n, t in named_tensors(build_params(cfg, seed=0))]
+            assert got == want
+
     def test_round_trip_bit_exact(self, tmp_path, rng):
         for cfg in (tiny_config(), tiny_config(depthwise=True)):
             p = build_params(cfg, seed=7)

@@ -75,6 +75,21 @@ def test_bad_line_names_its_key(text, key):
         parse_text(text)
 
 
+@pytest.mark.parametrize("key, text", [
+    ("sample_rate", "sample_rate = 0"),
+    ("enc_stride", "enc_stride = 0\nenc_kernel = 0"),
+    ("n_audio_channels", "n_audio_channels = 0\nffn_channels = 16, 32, 0"),
+    ("n_video_channels", "n_video_channels = -1"),
+    ("n_video_in", "n_video_in = 0"),
+    ("ffn_channels", "ffn_channels = 0, 32, 16"),
+    ("q_kernel", "q_kernel = 0"),
+    ("q_kernel", "q_kernel = 2"),
+])
+def test_out_of_range_model_value_names_its_key(key, text):
+    with pytest.raises(ConfigError, match=key):
+        make_model_config(parse_text(text))
+
+
 @pytest.mark.parametrize("key, raws", [
     ("lr", ["0", "-1", "nan", "inf"]),
     ("clip_norm", ["0", "-2.5", "nan"]),
