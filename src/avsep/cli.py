@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import math
 import sys
 from dataclasses import replace
 
@@ -39,8 +38,6 @@ FAST_AUDIO_CYCLES = 6
 
 
 def _clamp_db(x: float) -> float:
-    if math.isinf(x):
-        return metrics.DISPLAY_CLAMP_DB if x > 0 else -metrics.DISPLAY_CLAMP_DB
     return min(max(x, -metrics.DISPLAY_CLAMP_DB), metrics.DISPLAY_CLAMP_DB)
 
 
@@ -63,6 +60,9 @@ def _load_model(args):
 
 def cmd_separate(args) -> int:
     params, cfg = _load_model(args)
+    if not (cfg.audio_only or args.embedding):
+        print("error: a fused checkpoint needs at least one --embedding", file=sys.stderr)
+        return EXIT_USAGE
     if args.fast:
         cfg = replace(cfg, n_audio_cycles=FAST_AUDIO_CYCLES)
     mixture, rate = load_wav(args.mixture)
@@ -192,8 +192,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("separate", help="separate a mixture with a trained checkpoint")
     p.add_argument("--mixture", required=True, help="input mixture WAV (PCM16 mono)")
-    p.add_argument("--embedding", action="append", required=True,
-                   help="visual-feature file; repeat once per target speaker")
+    p.add_argument("--embedding", action="append",
+                   help="visual-feature file; repeat once per target speaker "
+                        "(an audio-only checkpoint reads none)")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--out", required=True, help="output prefix; writes PREFIX.k.wav")
     p.add_argument("--config", help="optional run-config; must agree with the checkpoint")

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -93,12 +93,9 @@ def sdri(mixture, reference, estimate) -> float:
     return 0.0 if est == mix else est - mix
 
 
-def pit_best(
-    references: Sequence, estimates: Sequence,
-    metric: Callable[[np.ndarray, np.ndarray], float] = si_snr,
-) -> tuple[tuple[int, ...], float]:
+def pit_best(references: Sequence, estimates: Sequence) -> tuple[tuple[int, ...], float]:
     """Exhaustive assignment search: the permutation of estimates that
-    maximizes the mean metric against the references.
+    maximizes the mean SI-SNR against the references.
 
     Ties keep the lexicographically smallest permutation (permutations are
     enumerated in lexicographic order and replaced only on strict
@@ -110,7 +107,7 @@ def pit_best(
     best_perm: tuple[int, ...] | None = None
     best_val = -math.inf
     for perm in itertools.permutations(range(c)):
-        val = sum(metric(references[i], estimates[perm[i]]) for i in range(c)) / c
+        val = sum(si_snr(references[i], estimates[perm[i]]) for i in range(c)) / c
         if best_perm is None or val > best_val:
             best_perm, best_val = perm, val
     return best_perm, best_val

@@ -96,6 +96,10 @@ class ModelConfig:
                     "n_video_in"):
             if getattr(self, key) < 1:
                 raise ConfigError(f"{key} must be positive, got {getattr(self, key)}")
+        if not self.audio_only and self.n_video_in == self.n_video_channels:
+            # encode tells raw features from embeddings by channel count alone
+            raise ConfigError(f"n_video_in must differ from n_video_channels "
+                              f"({self.n_video_channels})")
         if self.q_kernel < 1 or self.q_kernel % 2 == 0:
             raise ConfigError(f"q_kernel must be odd and positive, got {self.q_kernel}")
         if self.depth < 1 or self.n_fusion_cycles < 1 or self.n_audio_cycles < 0:
@@ -167,6 +171,9 @@ def paper_scale_config() -> ModelConfig:
 
 @dataclass
 class ModelParams:
+    """The shared parameter tree; its field order, block by block, is the
+    checkpoint's tensor order (:func:`named_tensors`)."""
+
     encoder: Conv1dParams
     decoder: Conv1dParams
     audio_down: list[QParams]
@@ -310,59 +317,40 @@ def _build(cfg: ModelConfig, ini: _Init) -> ModelParams:
     )
 
 
-def _q_tensors(name: str, q: QParams):
-    yield f"{name}.conv.weight", q.conv.weight
-    if q.conv.bias is not None:
-        yield f"{name}.conv.bias", q.conv.bias
-    yield f"{name}.gln.gain", q.gln.gain
-    yield f"{name}.gln.bias", q.gln.bias
+def _walk(node, path: str = ""):
+    """Every tensor under ``node`` as (field path, tensor), in field order:
+    a dataclass walks its fields and a list its items by index; ``None``,
+    int and float fields hold no tensor."""
+    if isinstance(node, Tensor):
+        yield path, node
+    elif isinstance(node, list):
+        for i, child in enumerate(node):
+            yield from _walk(child, f"{path}.{i}".lstrip("."))
+    elif is_dataclass(node):
+        for f in fields(node):
+            yield from _walk(getattr(node, f.name), f"{path}.{f.name}".lstrip("."))
 
 
-def _ffn_tensors(name: str, f: FfnParams):
-    for i, cp in enumerate(f.convs):
-        yield f"{name}.conv{i}.weight", cp.weight
-        if cp.bias is not None:
-            yield f"{name}.conv{i}.bias", cp.bias
-    yield f"{name}.gln.gain", f.gln.gain
-    yield f"{name}.gln.bias", f.gln.bias
-
-
-def _stack_tensors(tagged):
-    for tag, qs in tagged:
-        for i, q in enumerate(qs or ()):
-            yield from _q_tensors(f"{tag}.{i}", q)
+# field paths the .iiac format names differently: the top-down stacks keep
+# their block names, and an FFN's convs are conv0..conv2
+_FILE_NAMES = (("top_down.global_s.", "global_intra_s."), ("top_down.global_v.", "global_intra_v."),
+               ("top_down.inter_m.", "inter_m."), ("top_down.local_s.", "local_intra_s."),
+               ("top_down.local_v.", "local_intra_v."), (".convs.", ".conv"))
 
 
 def named_tensors(p: ModelParams, include_aux: bool = True):
     """Ordered (name, tensor) pairs; order defines the checkpoint layout.
+    Each name is the tensor's field path, renamed by ``_FILE_NAMES``.
 
     ``include_aux=False`` drops the toy-training video stub and the
     multi-speaker mask head, which are not part of the separation
     architecture proper.
     """
-    yield "encoder.weight", p.encoder.weight
-    yield "decoder.weight", p.decoder.weight
-    yield from _stack_tensors((("audio_down", p.audio_down), ("video_down", p.video_down)))
-    if p.inter_t.q_av is not None:
-        yield from _q_tensors("inter_t.q_av", p.inter_t.q_av)
-        yield from _q_tensors("inter_t.q_va", p.inter_t.q_va)
-    yield from _ffn_tensors("inter_t.ffn_s", p.inter_t.ffn_s)
-    if p.inter_t.ffn_v is not None:
-        yield from _ffn_tensors("inter_t.ffn_v", p.inter_t.ffn_v)
-    td = p.top_down
-    yield from _stack_tensors((("global_intra_s", td.global_s), ("global_intra_v", td.global_v),
-                               ("inter_m", td.inter_m), ("local_intra_s", td.local_s),
-                               ("local_intra_v", td.local_v)))
-    if p.inter_b is not None:
-        for tag in ("gate_s", "out_s", "gate_v", "out_v"):
-            yield from _q_tensors(f"inter_b.{tag}", getattr(p.inter_b, tag))
-    if include_aux:
-        if p.video_stub is not None:
-            for i, cp in enumerate(p.video_stub):
-                yield f"video_stub.{i}.weight", cp.weight
-                yield f"video_stub.{i}.bias", cp.bias
-        if p.mask_head is not None:
-            yield "mask_head.weight", p.mask_head.weight
+    for name, t in _walk(p):
+        if include_aux or name.split(".", 1)[0] not in ("video_stub", "mask_head"):
+            for old, new in _FILE_NAMES:
+                name = name.replace(old, new)
+            yield name, t
 
 
 # ---------------------------------------------------------------------------
@@ -545,13 +533,7 @@ def count_macs(cfg: ModelConfig, audio_seconds: float) -> int:
 def _weights(node) -> int:
     """Weight count of every conv in a parameter subtree, which is also its
     MACs per output frame; an ablated block (``None``) counts 0."""
-    if isinstance(node, Conv1dParams):
-        return node.weight.size
-    if isinstance(node, (list, tuple)):
-        return sum(_weights(n) for n in node)
-    if is_dataclass(node):
-        return sum(_weights(getattr(node, f.name)) for f in fields(node))
-    return 0
+    return sum(t.size for path, t in _walk(node) if path.endswith("weight"))
 
 
 def _on_grid(stack, lens: list[int]) -> int:

@@ -8,7 +8,7 @@ the tape in :mod:`avsep.tensor`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -79,7 +79,6 @@ class Conv1dParams:
 class GlnParams:
     gain: Tensor  # [C]
     bias: Tensor  # [C]
-    eps: float = GLN_EPS
 
 
 @dataclass
@@ -94,8 +93,8 @@ class QParams:
 class FfnParams:
     """Three chained convolutions followed by one global layer norm."""
 
-    convs: list[Conv1dParams] = field(default_factory=list)
-    gln: GlnParams | None = None
+    convs: list[Conv1dParams]
+    gln: GlnParams
 
 
 def conv1d_out_len(l_in: int, kernel: int, stride: int, padding: int) -> int:
@@ -324,7 +323,7 @@ def interp_resample(x: Tensor, target_len: int) -> Tensor:
 
 
 def gln(x: Tensor, p: GlnParams) -> Tensor:
-    """Global layer norm: ``y = gain[c] * (x - m) / sqrt(v + eps) + bias[c]``
+    """Global layer norm: ``y = gain[c] * (x - m) / sqrt(v + GLN_EPS) + bias[c]``
     with ``m`` and ``v`` the mean and variance over all C*T entries. ``v``
     is the mean of ``(x - m)**2``, taken after the mean, so a large mean
     does not cancel away a small spread."""
@@ -334,7 +333,7 @@ def gln(x: Tensor, p: GlnParams) -> Tensor:
     n = c * l
     m = x.data.sum() / n  # ndarray.mean's sum and division, without its wrapper
     d = x.data - m
-    inv = 1.0 / np.sqrt(np.vdot(d, d) / n + p.eps)
+    inv = 1.0 / np.sqrt(np.vdot(d, d) / n + GLN_EPS)
     d *= (p.gain.data * inv)[:, None]
     d += p.bias.data[:, None]
 

@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from conftest import tiny_config
 
 from avsep.cli import main
 from avsep.data import (
@@ -142,6 +143,14 @@ class TestTrainToy:
         assert model_cfg.depthwise and params.audio_down[0].conv.groups == 4
 
 
+def test_clamp_db_maps_the_sentinels_and_keeps_nan():
+    from avsep.cli import _clamp_db
+    from avsep.metrics import DISPLAY_CLAMP_DB as C
+
+    assert [_clamp_db(x) for x in (math.inf, -math.inf, 1e9, -2.5)] == [C, -C, C, -2.5]
+    assert math.isnan(_clamp_db(math.nan))
+
+
 class TestSeparate:
     def test_one_wav_per_embedding(self, workdir, tmp_path):
         out = tmp_path / "sep"
@@ -199,6 +208,23 @@ class TestSeparate:
                    "--out", str(tmp_path / "x")])
         assert rc == 2
         assert "non-finite" in capsys.readouterr().err
+
+    def test_fused_checkpoint_without_embedding_exits_2(self, workdir, tmp_path, capsys):
+        rc = main(["separate", "--mixture", str(workdir / "mix.wav"),
+                   "--checkpoint", str(workdir / "tiny.iiac"), "--out", str(tmp_path / "x")])
+        assert rc == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and "--embedding" in err[0]
+        assert not (tmp_path / "x.0.wav").exists()
+
+    def test_audio_only_checkpoint_needs_no_embedding(self, workdir, tmp_path):
+        cfg = tiny_config(audio_only=True, n_speakers=2)
+        ckpt = tmp_path / "ao.iiac"
+        save_checkpoint(build_params(cfg, seed=0), cfg, ckpt)
+        rc = main(["separate", "--mixture", str(workdir / "mix.wav"),
+                   "--checkpoint", str(ckpt), "--out", str(tmp_path / "sep")])
+        assert rc == 0
+        assert [(tmp_path / f"sep.{k}.wav").exists() for k in range(3)] == [True, True, False]
 
     def test_audio_only_writes_one_wav_per_speaker(self, workdir, tmp_path):
         # the two-speaker audio-only model separates both speakers at once;

@@ -58,6 +58,12 @@ class TestConfigValidation:
             ModelConfig(ffn_channels=(16, 24, 16), depthwise=True)
         ModelConfig(ffn_channels=(16, 24, 16))  # fine when dense
 
+    def test_raw_video_width_must_differ_from_embedding_width(self):
+        # encode tells raw features from embeddings by channel count alone
+        with pytest.raises(ConfigError, match="n_video_in"):
+            ModelConfig(n_video_in=16)
+        ModelConfig(n_video_in=16, audio_only=True)  # fine without video
+
 
 class TestGeometry:
     @pytest.mark.parametrize("t_a", [97, 400, 1001, 4000, 107, 139])
@@ -291,43 +297,99 @@ class TestMacAccounting:
             count_macs(ModelConfig(), 0.0)
 
 
-def _q_layout(name, k=1):
+# every accounting row of the two reference configs at 1 s; the README and
+# criterion 8 quote their totals
+_SCALE_ROWS = {
+    "full": (
+        [("encoder", 8192), ("decoder", 8192), ("audio_down", 5246976),
+         ("video_down", 5246976), ("inter_t", 7346176), ("global_intra_s", 1315840),
+         ("global_intra_v", 1315840), ("inter_m", 1315840), ("local_intra_s", 1052672),
+         ("local_intra_v", 1052672), ("inter_b", 1052672)],
+        [("fusion_cycles", 18841862144), ("audio_cycles", 42467328000),
+         ("encoder", 16375808), ("decoder", 16384000)],
+        24962048, 61341949952,
+    ),
+    "paper": (
+        [("encoder", 2048), ("decoder", 2048), ("audio_down", 3584), ("video_down", 3584),
+         ("inter_t", 266240), ("global_intra_s", 410880), ("global_intra_v", 410880),
+         ("inter_m", 410880), ("local_intra_s", 328704), ("local_intra_v", 328704),
+         ("inter_b", 328704)],
+        [("fusion_cycles", 5212100096), ("audio_cycles", 7585728000),
+         ("encoder", 4093952), ("decoder", 4096000)],
+        2496256, 12806018048,
+    ),
+}
+
+
+@pytest.mark.parametrize("scale", sorted(_SCALE_ROWS))
+def test_reference_accounting_rows_are_pinned(scale):
+    cfg = full_scale_config() if scale == "full" else paper_scale_config()
+    params, macs, n_params, n_macs = _SCALE_ROWS[scale]
+    assert M.param_breakdown(cfg) == params
+    assert mac_breakdown(cfg, 1.0) == macs
+    assert count_params(cfg) == n_params
+    assert count_macs(cfg, 1.0) == n_macs
+
+
+def _q_layout(name, k=1, c_in=4):
     """One Q (conv + gLN) of the tiny 4-channel config, in file order."""
-    return [(f"{name}.conv.weight", (4, 4, k)), (f"{name}.gln.gain", (4,)),
+    return [(f"{name}.conv.weight", (4, c_in, k)), (f"{name}.gln.gain", (4,)),
             (f"{name}.gln.bias", (4,))]
 
 
-def _stack_layout(tag, n, k=1):
-    return [e for i in range(n) for e in _q_layout(f"{tag}.{i}", k)]
+def _stack_layout(tag, n, k=1, c_in=4):
+    return [e for i in range(n) for e in _q_layout(f"{tag}.{i}", k, c_in)]
 
 
-def _ffn_layout(name):
-    return [(f"{name}.conv0.weight", (4, 4, 1)), (f"{name}.conv1.weight", (8, 4, 5)),
+def _ffn_layout(name, mid_in=4):
+    return [(f"{name}.conv0.weight", (4, 4, 1)), (f"{name}.conv1.weight", (8, mid_in, 5)),
             (f"{name}.conv1.bias", (8,)), (f"{name}.conv2.weight", (4, 8, 1)),
             (f"{name}.gln.gain", (4,)), (f"{name}.gln.bias", (4,))]
+
+
+def _fused_layout(kq=1, depthwise=False):
+    """The tiny fused config's layout; ``depthwise`` makes the down-convs
+    and FFN middle convs read one input channel per group."""
+    c_in = 1 if depthwise else 4
+    return ([("encoder.weight", (4, 1, 4)), ("decoder.weight", (4, 1, 4))]
+            + _stack_layout("audio_down", 2, k=5, c_in=c_in)
+            + _stack_layout("video_down", 2, k=5, c_in=c_in)
+            + _q_layout("inter_t.q_av", kq) + _q_layout("inter_t.q_va", kq)
+            + _ffn_layout("inter_t.ffn_s", c_in) + _ffn_layout("inter_t.ffn_v", c_in)
+            + _stack_layout("global_intra_s", 3, kq) + _stack_layout("global_intra_v", 3, kq)
+            + _stack_layout("inter_m", 3, kq)
+            + _stack_layout("local_intra_s", 2, kq) + _stack_layout("local_intra_v", 2, kq)
+            + [e for t in ("gate_s", "out_s", "gate_v", "out_v")
+               for e in _q_layout(f"inter_b.{t}", kq)]
+            + [("video_stub.0.weight", (4, 1, 3)), ("video_stub.0.bias", (4,)),
+               ("video_stub.1.weight", (4, 4, 3)), ("video_stub.1.bias", (4,))])
 
 
 class TestCheckpointIO:
     def test_layout_is_pinned(self):
         # the .iiac layout: every name and shape, in file order
-        head = [("encoder.weight", (4, 1, 4)), ("decoder.weight", (4, 1, 4)),
-                *_stack_layout("audio_down", 2, k=5)]
-        global_s, local_s = _stack_layout("global_intra_s", 3), _stack_layout("local_intra_s", 2)
-        fused = (head + _stack_layout("video_down", 2, k=5)
-                 + _q_layout("inter_t.q_av") + _q_layout("inter_t.q_va")
-                 + _ffn_layout("inter_t.ffn_s") + _ffn_layout("inter_t.ffn_v")
-                 + global_s + _stack_layout("global_intra_v", 3) + _stack_layout("inter_m", 3)
-                 + local_s + _stack_layout("local_intra_v", 2)
-                 + [e for t in ("gate_s", "out_s", "gate_v", "out_v")
-                    for e in _q_layout(f"inter_b.{t}")]
-                 + [("video_stub.0.weight", (4, 1, 3)), ("video_stub.0.bias", (4,)),
-                    ("video_stub.1.weight", (4, 4, 3)), ("video_stub.1.bias", (4,))])
-        two_speaker = (head + _ffn_layout("inter_t.ffn_s") + global_s + local_s
+        fused = _fused_layout()
+
+        def without(*prefixes):
+            return [e for e in fused if not e[0].startswith(prefixes)]
+
+        head = fused[:8]  # encoder, decoder, audio_down
+        two_speaker = (head + _ffn_layout("inter_t.ffn_s")
+                       + _stack_layout("global_intra_s", 3) + _stack_layout("local_intra_s", 2)
                        + [("mask_head.weight", (8, 4, 1))])
-        for cfg, want in ((tiny_config(), fused),
-                          (tiny_config(audio_only=True, n_speakers=2), two_speaker)):
-            got = [(n, t.shape) for n, t in named_tensors(build_params(cfg, seed=0))]
-            assert got == want
+        cases = [
+            ({}, fused),
+            ({"audio_only": True, "n_speakers": 2}, two_speaker),
+            ({"intra_variant": "phi_prime"}, without("global_intra_")),
+            ({"inter_t_enabled": False}, without("inter_t.q_")),
+            ({"inter_m_enabled": False}, without("inter_m.")),
+            ({"inter_b_enabled": False}, without("inter_b.")),
+            ({"depthwise": True}, _fused_layout(depthwise=True)),
+            ({"q_kernel": 3}, _fused_layout(kq=3)),
+        ]
+        for over, want in cases:
+            got = [(n, t.shape) for n, t in named_tensors(build_params(tiny_config(**over)))]
+            assert got == want, over
 
     def test_round_trip_bit_exact(self, tmp_path, rng):
         for cfg in (tiny_config(), tiny_config(depthwise=True)):

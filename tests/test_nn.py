@@ -7,6 +7,7 @@ from avsep import checks
 from avsep import tensor as T
 from avsep.errors import GeometryError
 from avsep.nn import (
+    GLN_EPS,
     Conv1dParams,
     FfnParams,
     GlnParams,
@@ -226,7 +227,7 @@ class TestGln:
                       bias=Tensor(np.zeros(4), dtype=np.float64))
         y = gln(Tensor(x, dtype=np.float64), p).data
         m = x.mean()
-        want = (x - m) / np.sqrt(((x - m) ** 2).mean() + p.eps)
+        want = (x - m) / np.sqrt(((x - m) ** 2).mean() + GLN_EPS)
         np.testing.assert_allclose(y, want, rtol=0, atol=1e-9)
 
     def test_affine_is_per_channel(self, rng):

@@ -81,6 +81,7 @@ def test_bad_line_names_its_key(text, key):
     ("n_audio_channels", "n_audio_channels = 0\nffn_channels = 16, 32, 0"),
     ("n_video_channels", "n_video_channels = -1"),
     ("n_video_in", "n_video_in = 0"),
+    ("n_video_in", "n_video_in = 16"),  # the default n_video_channels
     ("ffn_channels", "ffn_channels = 0, 32, 16"),
     ("q_kernel", "q_kernel = 0"),
     ("q_kernel", "q_kernel = 2"),
