@@ -17,8 +17,8 @@ import numpy as np
 
 from .errors import GeometryError
 from . import tensor as T
-from .nn import (FfnParams, QParams, avg_pool1d, conv1d, dropout, ffn, gln, interp_resample,
-                 q_op)
+from .nn import (FfnParams, QParams, avg_pool1d, conv1d, dropout, ffn, gate, gln,
+                 interp_resample, q_op)
 from .tensor import Tensor
 
 __all__ = [
@@ -83,38 +83,35 @@ class InterBParams:
 
 
 def _q_up(y: Tensor, length: int, q: QParams) -> Tensor:
-    """``Q(up(y))``: ``q_op`` on ``y`` resampled to ``length`` frames.
+    """``Q(up(y))`` for a :func:`~avsep.nn.gate` on ``length`` frames,
+    which resamples its modulation itself: ``q_op`` on ``y`` resampled to
+    ``length``, or at ``y``'s own length where Q commutes with the
+    upsample.
 
     A pointwise Q (one tap, stride 1, no padding) acts on each frame
     alone, so on an upsample its conv runs at ``y``'s length, before the
     resample. When ``length`` is a multiple of ``y``'s length every frame
     repeats equally often, which leaves the gLN's mean and variance
-    unchanged, so the gLN runs before the resample too."""
+    unchanged, so the whole Q runs at ``y``'s length and the result is
+    left for the gate to upsample."""
     c, l = q.conv, y.shape[1]
     if c.kernel > 1 or c.stride > 1 or c.padding or l > length:
         return q_op(interp_resample(y, length), q)
     if length % l == 0:
-        return interp_resample(q_op(y, q), length)
+        return q_op(y, q)
     return gln(interp_resample(conv1d(y, c), length), q.gln)
 
 
 def intra_a_global(x: Tensor, y: Tensor, q: QParams) -> Tensor:
     """sigmoid(Q(up(y))) * x + Q(up(y)); the modulation term is computed
     once and reused for both the gate and the additive path."""
-    m = _q_up(y, x.shape[1], q)
-    if m.shape != x.shape:
-        raise GeometryError(f"modulation shape {m.shape} != input shape {x.shape}")
-    return T.gate(x, m, add=True)
+    return gate(x, _q_up(y, x.shape[1], q), add=True)
 
 
 def intra_a_prime(x: Tensor, y: Tensor) -> Tensor:
     """Gate-only variant: sigmoid(up(y)) * x. Parameter-free, so y must
-    already have x's channel count."""
-    if y.shape[0] != x.shape[0]:
-        raise GeometryError(
-            f"gate-only modulation needs matching channels: {y.shape[0]} vs {x.shape[0]}"
-        )
-    return T.gate(x, interp_resample(y, x.shape[1]))
+    already have x's channel count; the gate rejects any other."""
+    return gate(x, y)
 
 
 def pooled_sum(levels: list[Tensor]) -> Tensor:
@@ -148,8 +145,8 @@ def inter_a_t(
     if p.q_av is not None:
         ga = dropout(q_op(f_v, p.q_av), dropout_p, rng)
         gv = dropout(q_op(f_s, p.q_va), dropout_p, rng)
-        s_in = T.gate(f_s, interp_resample(ga, f_s.shape[1]))
-        v_in = T.gate(f_v, interp_resample(gv, f_v.shape[1]))
+        s_in = gate(f_s, ga)
+        v_in = gate(f_v, gv)
     else:
         s_in, v_in = f_s, f_v
     return dropout(ffn(s_in, p.ffn_s), dropout_p, rng), dropout(ffn(v_in, p.ffn_v), dropout_p, rng)
@@ -158,10 +155,7 @@ def inter_a_t(
 def inter_a_m(s_bar: Tensor, v_bar: Tensor, q: QParams) -> Tensor:
     """Video-derived gate applied to same-scale audio features:
     sigmoid(Q(up(v))) * s."""
-    m = _q_up(v_bar, s_bar.shape[1], q)
-    if m.shape != s_bar.shape:
-        raise GeometryError(f"gate shape {m.shape} != audio shape {s_bar.shape}")
-    return T.gate(s_bar, m)
+    return gate(s_bar, _q_up(v_bar, s_bar.shape[1], q))
 
 
 def _global_modulation(levels: list[Tensor], g: Tensor, qs: list[QParams] | None):
@@ -210,9 +204,9 @@ def inter_a_b(s0: Tensor, v0: Tensor, p: InterBParams) -> tuple[Tensor, Tensor]:
     time grid) with its own features, maps the product back to its own
     channel count, and adds the result to the original features."""
     t_a, t_v = s0.shape[1], v0.shape[1]
-    fused_s = T.gate(interp_resample(v0, t_a), q_op(s0, p.gate_s))
+    fused_s = gate(interp_resample(v0, t_a), q_op(s0, p.gate_s))
     e_s = T.ew_add(s0, q_op(fused_s, p.out_s))
-    fused_v = T.gate(interp_resample(s0, t_v), q_op(v0, p.gate_v))
+    fused_v = gate(interp_resample(s0, t_v), q_op(v0, p.gate_v))
     e_v = T.ew_add(v0, q_op(fused_v, p.out_v))
     if e_s.shape != s0.shape or e_v.shape != v0.shape:
         raise GeometryError("residual fusion must preserve input shapes")

@@ -34,6 +34,7 @@ from .nn import (
     avg_pool1d,
     conv1d,
     conv_transpose1d,
+    gate,
     gln,
     interp_resample,
 )
@@ -116,7 +117,7 @@ def _check_primitives() -> list[CheckResult]:
     out.append(_gradcheck("sigmoid", lambda: _weighted_sum(T.sigmoid(x), 3), [x]))
     for add in (False, True):
         out.append(_gradcheck("gate_add" if add else "gate",
-                              lambda add=add: _weighted_sum(T.gate(x, y, add), 10),
+                              lambda add=add: _weighted_sum(gate(x, y, add), 10),
                               [x, y]))
 
     xr = Tensor(np.where(np.abs(x.data) < 1e-2, 0.5, x.data), dtype=np.float64)  # off the kink

@@ -29,7 +29,9 @@ Tensors are treated as immutable after construction. Broadcasting is
 deliberately restricted: operands must have the same number of axes and
 each axis must either match or be 1 on one side (size-1 tensors broadcast
 against anything). General numpy broadcasting is rejected to catch wiring
-bugs early.
+bugs early. Nothing here resamples along time: ``avsep.nn.interp_resample``
+does, and ``avsep.nn.gate`` resamples its modulation to its input's frame
+count itself, inside its one tape node.
 """
 
 from __future__ import annotations
@@ -47,12 +49,14 @@ __all__ = [
     "ew_mul",
     "scale",
     "sigmoid",
-    "gate",
     "relu",
     "log",
     "sum_all",
     "finite_difference_grad",
 ]
+
+
+_DONE = object()  # Tensor.backward's post-order marker
 
 
 class Tensor:
@@ -111,26 +115,30 @@ class Tensor:
         """
         if self.size != 1:
             raise GeometryError(f"backward() requires a scalar root, got shape {self.shape}")
+        # depth-first post-order: a node follows its parents; _DONE on the
+        # stack marks that the node below it has had its parents pushed
         topo: list[Tensor] = []
-        seen: set[int] = set()
-        stack: list[tuple[Tensor, bool]] = [(self, False)]
+        seen: set[Tensor] = set()  # Tensor hashes by identity
+        stack: list = [self]
         while stack:
-            node, expanded = stack.pop()
-            if expanded:
-                topo.append(node)
+            node = stack.pop()
+            if node is _DONE:
+                topo.append(stack.pop())
                 continue
-            if id(node) in seen:
+            if node in seen:
                 continue
-            seen.add(id(node))
-            stack.append((node, True))
+            seen.add(node)
+            stack.append(node)
+            stack.append(_DONE)
             for p in node._parents:
-                if id(p) not in seen:
-                    stack.append((p, False))
+                if p not in seen:
+                    stack.append(p)
         self.grad = np.ones_like(self.data)
         for node in reversed(topo):
-            if node._backward is not None and node.grad is not None:
-                node.grad.flags.writeable = False
-                node._backward(node.grad)
+            back, g = node._backward, node.grad
+            if back is not None and g is not None:
+                g.flags.writeable = False
+                back(g)
             if node._parents:
                 node.grad = None
 
@@ -144,9 +152,9 @@ def _accum(t: Tensor, g: np.ndarray) -> None:
     a part of a larger buffer, or a non-contiguous array. A backward never
     hands one writable buffer to two inputs, nor one that anything else
     keeps."""
-    if not t.on_tape:
+    if not (t.requires_grad or t._parents):
         return
-    g = np.asarray(g, dtype=t.dtype)  # an op on a 0-d array returns a numpy scalar
+    g = np.asarray(g, dtype=t.data.dtype)  # an op on a 0-d array returns a numpy scalar
     if t.grad is not None:
         t.grad += g
     elif (g.flags.writeable and g.flags.c_contiguous
@@ -157,8 +165,8 @@ def _accum(t: Tensor, g: np.ndarray) -> None:
 
 
 def _check_broadcast(a: Tensor, b: Tensor) -> None:
-    sa, sb = a.shape, b.shape
-    if sa == sb or a.size == 1 or b.size == 1:
+    sa, sb = a.data.shape, b.data.shape
+    if sa == sb or a.data.size == 1 or b.data.size == 1:
         return
     if len(sa) != len(sb):
         raise GeometryError(f"rank mismatch: {sa} vs {sb}")
@@ -187,9 +195,13 @@ def _node(out: np.ndarray, parents: tuple[Tensor, ...], back) -> Tensor:
     t.data = np.asarray(out)
     t.requires_grad = False
     t.grad = None
-    taped = any(p.on_tape for p in parents)
-    t._parents = parents if taped else ()
-    t._backward = back if taped else None
+    for p in parents:
+        if p.requires_grad or p._parents:  # p.on_tape, without the property call
+            t._parents = parents
+            t._backward = back
+            return t
+    t._parents = ()
+    t._backward = None
     return t
 
 
@@ -230,11 +242,11 @@ def scale(x: Tensor, c: float) -> Tensor:
     return _node(x.data * c, (x,), back)
 
 
+@np.errstate(over="ignore")  # as a decorator it builds no context object per call
 def _sigmoid(x: np.ndarray) -> np.ndarray:
     """``1 / (1 + exp(-x))`` in a new buffer of ``x``'s dtype."""
     y = np.negative(x, out=np.empty_like(x))
-    with np.errstate(over="ignore"):
-        np.exp(y, out=y)
+    np.exp(y, out=y)
     y += 1
     return np.reciprocal(y, out=y)
 
@@ -249,32 +261,6 @@ def sigmoid(x: Tensor) -> Tensor:
         _accum(x, g * y * (1.0 - y))
 
     return _node(y, (x,), back)
-
-
-def gate(x: Tensor, m: Tensor, add: bool = False) -> Tensor:
-    """The sigmoid gate ``sigmoid(m) * x``, plus ``m`` when ``add`` is set,
-    in one buffer and one tape node; equal to composing :func:`sigmoid`,
-    :func:`ew_mul` and :func:`ew_add`. The backward recomputes
-    ``sigmoid(m)`` rather than keeping it."""
-    if x.shape != m.shape:
-        raise GeometryError(f"gate shapes differ: {x.shape} vs {m.shape}")
-    y = _sigmoid(m.data)
-    y *= x.data
-    if add:
-        y += m.data
-
-    def back(g):
-        s = _sigmoid(m.data)
-        if x.on_tape:
-            _accum(x, g * s)
-        gm = g * x.data
-        gm *= s
-        gm *= 1.0 - s
-        if add:
-            gm += g
-        _accum(m, gm)
-
-    return _node(y, (x, m), back)
 
 
 def relu(x: Tensor) -> Tensor:

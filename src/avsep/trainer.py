@@ -97,7 +97,9 @@ def clip_global_norm(params: list[tuple[str, Tensor]], max_norm: float = 5.0) ->
     sq = 0.0
     for _, t in params:
         if t.grad is not None:
-            sq += float((t.grad.astype(np.float64) ** 2).sum())
+            g = t.grad.astype(np.float64)  # a copy, even of a float64 gradient
+            g *= g
+            sq += float(g.sum())
     norm = math.sqrt(sq)
     if norm > max_norm:
         s = max_norm / norm

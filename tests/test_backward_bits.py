@@ -20,6 +20,7 @@ from avsep.nn import (
     conv1d,
     conv_transpose1d,
     crop_time,
+    gate,
     gln,
     interp_resample,
     pad_right,
@@ -287,13 +288,45 @@ def test_gate_with_an_untaped_input(add, dtype):
     results = []
     for taped in (True, False):
         x, m = Tensor(xd, requires_grad=taped), Tensor(md, requires_grad=True)
-        y = T.gate(x, m, add)
+        y = gate(x, m, add)
         _backward_with(y, g)
         results.append((y.data, m.grad, x.grad))
     (y1, m1, x1), (y0, m0, x0) = results
     assert x1 is not None and x0 is None
     np.testing.assert_array_equal(y0, y1)
     np.testing.assert_array_equal(m0, m1)
+
+
+# (m's frames, x's frames): integer upsampling at the ratios the per-repeat
+# copy, np.repeat and the adjoint's three branches take, the non-integer
+# 2 -> 125 and full scale's 32 -> 2000 (62.5x), and a downsample
+GATE_LENGTHS = [(7, 7), (7, 14), (7, 21), (7, 28), (7, 35), (7, 56), (7, 112),
+                (2, 125), (32, 2000), (125, 2)]
+
+
+@pytest.mark.parametrize("dtype", DTYPES)
+@pytest.mark.parametrize("add", [False, True])
+@pytest.mark.parametrize("l_m,l", GATE_LENGTHS)
+@pytest.mark.parametrize("taped", ["both", "x", "m"])
+def test_gate_resamples_its_modulation_like_interp_resample(l_m, l, add, dtype, taped):
+    rng = np.random.default_rng(1000 * l_m + l)
+    xd, g = _arr(rng, (5, l), dtype), _arr(rng, (5, l), dtype)
+    md = _arr(rng, (5, l_m), dtype, scale=3.0)
+    results = []
+    for resample_first in (False, True):
+        x = Tensor(xd, requires_grad=taped != "m")
+        m = Tensor(md, requires_grad=taped != "x")
+        y = gate(x, interp_resample(m, l) if resample_first else m, add)
+        if not resample_first:
+            assert y._parents == (x, m)  # one tape node
+        _backward_with(y, g)
+        results.append((y.data, x.grad, m.grad))
+    for got, want in zip(*results):
+        if want is None:
+            assert got is None
+        else:
+            assert got.dtype == want.dtype
+            np.testing.assert_array_equal(got, want)
 
 
 def test_gradcheck_oracle_runs_tape_free_and_unmarks_its_leaves():

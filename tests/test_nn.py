@@ -21,6 +21,7 @@ from avsep.nn import (
     crop_time,
     dropout,
     ffn,
+    gate,
     gln,
     interp_resample,
     pad_right,
@@ -210,6 +211,32 @@ class TestPoolingAndResampling:
     def test_resample_identity(self, rng):
         x = rng.standard_normal((2, 7))
         np.testing.assert_array_equal(interp_resample(Tensor(x), 7).data, x)
+
+
+class TestGate:
+    @pytest.mark.parametrize("add", [False, True])
+    def test_matches_composed_ops(self, add, rng):
+        xd, md, w = (rng.uniform(-3, 3, (3, 7)) for _ in range(3))
+
+        def run(f):
+            x, m = Tensor(xd, requires_grad=True), Tensor(md, requires_grad=True)
+            y = f(x, m)
+            T.sum_all(T.ew_mul(y, Tensor(w, dtype=np.float64))).backward()
+            return y.data, x.grad, m.grad
+
+        def composed(x, m):
+            y = T.ew_mul(T.sigmoid(m), x)
+            return T.ew_add(y, m) if add else y
+
+        # the same operations in the same order: equal bit for bit
+        for got, want in zip(run(lambda x, m: gate(x, m, add)), run(composed)):
+            np.testing.assert_array_equal(got, want)
+
+    def test_rejects_mismatched_shapes(self):
+        # a modulation of another length is resampled; of another channel
+        # count it is a wiring error
+        with pytest.raises(GeometryError):
+            gate(Tensor(np.zeros((2, 3))), Tensor(np.zeros((3, 1))))
 
 
 class TestGln:

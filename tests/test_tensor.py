@@ -182,29 +182,6 @@ class TestOpGradients:
         np.testing.assert_allclose(x.grad, [-2.5, -2.5])
 
 
-class TestGate:
-    @pytest.mark.parametrize("add", [False, True])
-    def test_matches_composed_ops(self, add, rng):
-        xd, md, w = (rng.uniform(-3, 3, (3, 7)) for _ in range(3))
-
-        def run(f):
-            x, m = _leaf(xd), _leaf(md)
-            y = f(x, m)
-            T.sum_all(T.ew_mul(y, Tensor(w, dtype=np.float64))).backward()
-            return y.data, x.grad, m.grad
-
-        def composed(x, m):
-            y = T.ew_mul(T.sigmoid(m), x)
-            return T.ew_add(y, m) if add else y
-
-        for got, want in zip(run(lambda x, m: T.gate(x, m, add)), run(composed)):
-            np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-15)
-
-    def test_rejects_mismatched_shapes(self):
-        with pytest.raises(GeometryError):
-            T.gate(Tensor(np.zeros((2, 3))), Tensor(np.zeros((2, 1))))
-
-
 class TestNumerics:
     def test_sigmoid_stable_at_extremes(self):
         y = T.sigmoid(Tensor([-1000.0, 0.0, 1000.0]))

@@ -130,6 +130,25 @@ class TestClipping:
         with pytest.raises(ValueError):
             clip_global_norm([], max_norm=0.0)
 
+    @pytest.mark.parametrize("scale", [0.01, 100.0])
+    def test_matches_the_plain_expression_bit_for_bit(self, rng, scale):
+        # the norm squares each float64 copy in place; the products, the
+        # per-tensor pairwise sums and the clipped gradients stay those of
+        # the expression below, for float32 and float64 gradients alike
+        grads = [scale * rng.standard_normal(s).astype(dt)
+                 for s, dt in (((4, 3, 5), np.float32), ((257,), np.float64),
+                               ((16, 9), np.float32), ((1,), np.float64))]
+        params = _params([np.zeros_like(g) for g in grads])
+        for (_, t), g in zip(params, grads):
+            t.grad = g.copy()
+        params.append(("untaped", Tensor(np.zeros(3))))
+        norm = math.sqrt(sum(float((g.astype(np.float64) ** 2).sum()) for g in grads))
+        assert clip_global_norm(params, max_norm=5.0) == norm
+        for (_, t), g in zip(params, grads):
+            want = g * (5.0 / norm) if norm > 5.0 else g
+            assert t.grad.dtype == want.dtype
+            np.testing.assert_array_equal(t.grad, want)
+
 
 class TestSchedule:
     def test_improvement_resets_counters(self):
