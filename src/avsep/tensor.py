@@ -25,7 +25,8 @@ shared leaves.
 not scanned: finiteness is checked at the boundaries instead (the file
 readers, ``save_wav``, the trainer's loss and Adam step, and the metrics).
 
-Tensors are treated as immutable after construction. Broadcasting is
+Ops never write to their inputs' data; only the trainer updates its
+parameters' data in place, between steps. Broadcasting is
 deliberately restricted: operands must have the same number of axes and
 each axis must either match or be 1 on one side (size-1 tensors broadcast
 against anything). General numpy broadcasting is rejected to catch wiring

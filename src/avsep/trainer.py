@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -17,6 +17,7 @@ from .tensor import Tensor
 
 __all__ = [
     "AdamState",
+    "FlatParams",
     "ScheduleState",
     "TrainSettings",
     "adam_step",
@@ -28,84 +29,89 @@ __all__ = [
 
 @dataclass
 class AdamState:
-    """Adam's hyperparameters and its state. ``m`` and ``v`` hold one flat
-    moment buffer per parameter dtype, over the parameters of that dtype
-    in the order :func:`adam_step` is given them."""
+    """Adam's hyperparameters, its step count and its moment buffers
+    ``m`` and ``v``, which the first :func:`adam_step` makes."""
 
     lr: float = 0.001
     beta1: float = 0.9
     beta2: float = 0.999
     eps: float = 1e-8
     step: int = 0
-    m: dict[np.dtype, np.ndarray] = field(default_factory=dict)
-    v: dict[np.dtype, np.ndarray] = field(default_factory=dict)
+    m: np.ndarray | None = None
+    v: np.ndarray | None = None
 
 
-def adam_step(params: list[tuple[str, Tensor]], state: AdamState) -> None:
-    """Bias-corrected Adam update; a missing gradient counts as zero. Each
-    parameter's data is rebound to its slice of the updated flat buffer of
-    its dtype: the update is elementwise, so one pass over all parameters
-    gives each element the bits of a per-tensor update. Raises
-    :class:`TrainingError` naming the first parameter with a non-finite
-    gradient, before anything changes."""
-    groups: dict[np.dtype, list[Tensor]] = {}
-    for _, t in params:
-        groups.setdefault(t.dtype, []).append(t)
-    flat_g = {dt: np.concatenate([(np.zeros(t.size, dt) if t.grad is None else t.grad).ravel()
-                                  for t in ts])
-              for dt, ts in groups.items()}
-    if not all(np.isfinite(g).all() for g in flat_g.values()):
-        name = next(n for n, t in params
-                    if t.grad is not None and not np.isfinite(t.grad).all())
+class FlatParams:
+    """Named parameters whose ``data`` are views of one flat buffer in the
+    order given. Marked, each one's ``grad`` is its view of a second one,
+    which a backward adds into, so a parameter that gets no gradient has a
+    zero slice. Parameters of two dtypes raise TypeError, not a cast."""
+
+    def __init__(self, params: list[tuple[str, Tensor]]):
+        self.params = params
+        self.data = np.concatenate([t.data.ravel() for _, t in params],
+                                   dtype=params[0][1].dtype, casting="no")
+        self.grad = np.zeros_like(self.data)
+        ends = np.cumsum([t.size for _, t in params]).tolist()
+        self.spans = [slice(end - t.size, end) for end, (_, t) in zip(ends, params)]
+        for span, (_, t) in zip(self.spans, params):
+            t.data = self.data[span].reshape(t.shape)
+
+    def mark(self, on: bool) -> None:
+        """Mark the parameters for the tape, or make them plain data again."""
+        for span, (_, t) in zip(self.spans, self.params):
+            t.requires_grad = on
+            t.grad = self.grad[span].reshape(t.shape) if on else None
+
+
+def adam_step(flat: FlatParams, state: AdamState) -> None:
+    """Bias-corrected Adam update of ``flat.data`` in place. It is
+    elementwise, so each element gets the bits of a per-tensor update.
+    Raises :class:`TrainingError` naming the first parameter with a
+    non-finite gradient, before anything changes."""
+    g = flat.grad
+    if not np.isfinite(g).all():
+        name = next(n for (n, _), span in zip(flat.params, flat.spans)
+                    if not np.isfinite(g[span]).all())
         raise TrainingError(f"non-finite gradient for parameter {name!r}")
+    if state.m is None:
+        state.m, state.v = np.zeros_like(g), np.zeros_like(g)
     state.step += 1
     b1, b2 = state.beta1, state.beta2
     c1 = 1.0 - b1 ** state.step
     c2 = 1.0 - b2 ** state.step
-    for dt, ts in groups.items():
-        g = flat_g[dt]
-        m = state.m.setdefault(dt, np.zeros_like(g))
-        v = state.v.setdefault(dt, np.zeros_like(g))
-        # m += (1 - b1)(g - m); v += (1 - b2)(g^2 - v);
-        # data - lr (m / c1) / (sqrt(v / c2) + eps), one buffer per term
-        d = g - m
-        d *= 1.0 - b1
-        m += d
-        np.multiply(g, g, out=d)
-        d -= v
-        d *= 1.0 - b2
-        v += d
-        np.divide(v, c2, out=d)
-        np.sqrt(d, out=d)
-        d += state.eps
-        u = m / c1
-        u *= state.lr
-        u /= d
-        new = np.concatenate([t.data.ravel() for t in ts])
-        new -= u
-        off = 0
-        for t in ts:
-            t.data = new[off : off + t.size].reshape(t.shape)
-            off += t.size
+    m, v = state.m, state.v
+    # m += (1 - b1)(g - m); v += (1 - b2)(g^2 - v);
+    # data - lr (m / c1) / (sqrt(v / c2) + eps), one buffer per term
+    d = g - m
+    d *= 1.0 - b1
+    m += d
+    np.multiply(g, g, out=d)
+    d -= v
+    d *= 1.0 - b2
+    v += d
+    np.divide(v, c2, out=d)
+    np.sqrt(d, out=d)
+    d += state.eps
+    u = m / c1
+    u *= state.lr
+    u /= d
+    flat.data -= u
 
 
-def clip_global_norm(params: list[tuple[str, Tensor]], max_norm: float = 5.0) -> float:
-    """Scale all gradients so their joint L2 norm is at most max_norm;
+def clip_global_norm(flat: FlatParams, max_norm: float = 5.0) -> float:
+    """Scale ``flat.grad`` in place so its L2 norm is at most max_norm;
     returns the pre-clip norm."""
     if max_norm <= 0:
         raise ValueError("max_norm must be positive")
-    sq = 0.0
-    for _, t in params:
-        if t.grad is not None:
-            g = t.grad.astype(np.float64)  # a copy, even of a float64 gradient
-            g *= g
-            sq += float(g.sum())
-    norm = math.sqrt(sq)
+    sq = flat.grad.astype(np.float64)  # a copy, even of a float64 buffer
+    sq *= sq
+    total = 0.0
+    for span in flat.spans:  # one sum per parameter fixes the norm's bits
+        total += float(sq[span].sum())
+    norm = math.sqrt(total)
     if norm > max_norm:
-        s = max_norm / norm
-        for _, t in params:
-            if t.grad is not None:
-                t.grad = t.grad * s
+        flat.grad *= max_norm / norm
     return norm
 
 
@@ -123,7 +129,6 @@ class ScheduleState:
     best: float = math.inf
     since_improve_lr: int = 0
     since_improve_stop: int = 0
-    halvings: int = 0
 
     def update(self, val_loss: float, state: AdamState) -> bool:
         """Record one epoch's validation loss; returns True to stop."""
@@ -136,9 +141,12 @@ class ScheduleState:
         self.since_improve_stop += 1
         if self.since_improve_lr >= self.plateau_patience:
             state.lr *= 0.5
-            self.halvings += 1
             self.since_improve_lr = 0
         return self.since_improve_stop >= self.stop_patience
+
+
+MAX_MIXTURE_SECONDS = 60.0  # the toy run holds a whole mixture's tape in memory
+MAX_ABS_SNR_DB = 120.0  # inside the 144 dB (24-bit) resolution of a float32 mixture
 
 
 @dataclass
@@ -159,12 +167,18 @@ class TrainSettings:
     def __post_init__(self):
         if self.steps_per_epoch < 1 or self.max_steps < 1:
             raise ConfigError("steps_per_epoch and max_steps must be at least 1")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be non-negative, got {self.seed}")
         for key in ("lr", "clip_norm", "mixture_seconds"):
             value = getattr(self, key)
             if not (math.isfinite(value) and value > 0):
                 raise ConfigError(f"{key} must be finite and positive, got {value}")
-        if not math.isfinite(self.snr_db):
-            raise ConfigError(f"snr_db must be finite, got {self.snr_db}")
+        if self.mixture_seconds > MAX_MIXTURE_SECONDS:
+            raise ConfigError(f"mixture_seconds must be at most {MAX_MIXTURE_SECONDS:g}, "
+                              f"got {self.mixture_seconds}")
+        if not abs(self.snr_db) <= MAX_ABS_SNR_DB:  # NaN fails too
+            raise ConfigError(f"snr_db must be between -{MAX_ABS_SNR_DB:g} and "
+                              f"{MAX_ABS_SNR_DB:g} dB, got {self.snr_db}")
 
 
 @dataclass
@@ -208,27 +222,20 @@ def train_toy(cfg: ModelConfig, settings: TrainSettings,
     video_feat = None if cfg.audio_only else energy_envelope(target, cfg.sample_rate)
 
     p = build_params(cfg, seed=settings.seed)
-    trainables = list(named_tensors(p))
-    for _, t in trainables:
-        t.requires_grad = True
+    flat = FlatParams(list(named_tensors(p)))
     state = AdamState(lr=settings.lr)
     sched = ScheduleState(plateau_patience=settings.plateau_patience,
                           stop_patience=settings.stop_patience)
-
-    def eval_si_snri() -> float:
-        out = _separate(mixture, video_feat, cfg, p)
-        refs = [target, scaled_interf][:cfg.n_speakers]
-        _, val = metrics.pit_best(refs, [w.data[0] for w in out.waveforms])
-        base = sum(metrics.si_snr(r, mixture) for r in refs) / len(refs)
-        return val - base
+    val_refs = [target, scaled_interf][:cfg.n_speakers]
+    val_base = sum(metrics.si_snr(r, mixture) for r in val_refs) / len(val_refs)
 
     history: list[dict] = []
     steps_run = 0
     epoch = 0
-    stop = False
-    while steps_run < settings.max_steps and not stop:
+    while steps_run < settings.max_steps:
         epoch += 1
         n_steps = min(settings.steps_per_epoch, settings.max_steps - steps_run)
+        flat.mark(True)
         t0 = time.perf_counter()
         for _ in range(n_steps):
             if settings.dynamic_mix:
@@ -243,15 +250,16 @@ def train_toy(cfg: ModelConfig, settings: TrainSettings,
             if not math.isfinite(train_loss):
                 raise TrainingError(f"non-finite loss at step {steps_run}")
             loss.backward()
-            grad_norm = clip_global_norm(trainables, settings.clip_norm)
-            adam_step(trainables, state)
-            for _, t in trainables:
-                t.grad = None
+            grad_norm = clip_global_norm(flat, settings.clip_norm)
+            adam_step(flat, state)
+            flat.grad.fill(0)
             steps_run += 1
         step_s = (time.perf_counter() - t0) / n_steps
 
-        val_si_snri = eval_si_snri()
-        val_loss = -val_si_snri
+        flat.mark(False)  # so validation records no tape
+        out = _separate(mixture, video_feat, cfg, p)
+        _, val = metrics.pit_best(val_refs, [w.data[0] for w in out.waveforms])
+        val_si_snri = val - val_base
         # train_loss and grad_norm (pre-clip) are the epoch's last step's
         history.append({"epoch": epoch, "train_loss": train_loss,
                         "val_si_snri": val_si_snri, "lr": state.lr,
@@ -260,10 +268,10 @@ def train_toy(cfg: ModelConfig, settings: TrainSettings,
             log(f"epoch {epoch}: loss {train_loss:.3f}  "
                 f"si-snri {val_si_snri:.2f} dB  lr {state.lr:g}  "
                 f"grad-norm {grad_norm:.3g}  step {step_s * 1e3:.1f} ms")
-        if val_si_snri >= settings.target_si_snri_db:
+        if val_si_snri >= settings.target_si_snri_db or sched.update(-val_si_snri, state):
             break
-        stop = sched.update(val_loss, state)
 
+    # every epoch ends in a validation, so the last one scored the final parameters
     return TrainResult(params=p, cfg=cfg, history=history,
-                       final_si_snri_db=eval_si_snri(), steps_run=steps_run,
+                       final_si_snri_db=history[-1]["val_si_snri"], steps_run=steps_run,
                        mixture=mixture, reference=target, video_feat=video_feat)

@@ -116,6 +116,9 @@ class TestTrainToy:
         ("lr", "nan"), ("lr", "-1"), ("snr_db", "nan"),
         # positive, but shorter than one encoder kernel of the model
         ("mixture_seconds", "0.00001"), ("mixture_seconds", "0.0004"),
+        # each of these ended in a traceback from the data or the generator
+        ("seed", "-1"), ("snr_db", "1e308"), ("snr_db", "-1e308"),
+        ("mixture_seconds", "1e308"), ("mixture_seconds", "1e12"),
     ])
     def test_out_of_range_train_value_exits_2(self, tmp_path, capsys, key, raw):
         lines = [ln for ln in TINY_CFG.splitlines() if not ln.startswith(f"{key} =")]

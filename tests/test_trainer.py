@@ -4,12 +4,15 @@ import numpy as np
 import pytest
 from conftest import tiny_config
 
+from avsep import tensor as T
 from avsep import trainer
+from avsep.data import energy_envelope, mix_at_snr, synth_sources
 from avsep.errors import ConfigError, TrainingError
-from avsep.model import build_params, named_tensors
+from avsep.model import build_params, named_tensors, separate
 from avsep.tensor import Tensor
 from avsep.trainer import (
     AdamState,
+    FlatParams,
     ScheduleState,
     TrainSettings,
     adam_step,
@@ -18,136 +21,259 @@ from avsep.trainer import (
 )
 
 
-def _params(values):
-    out = []
-    for i, v in enumerate(values):
-        t = Tensor(np.asarray(v, dtype=np.float64), requires_grad=True)
-        out.append((f"p{i}", t))
-    return out
+def _flat(values, dtype=np.float64):
+    """Marked flat parameters p0, p1, ... holding ``values``, so that each
+    tensor's ``grad`` is its writable view of ``flat.grad``."""
+    flat = FlatParams([(f"p{i}", Tensor(np.asarray(v, dtype=dtype)))
+                       for i, v in enumerate(values)])
+    flat.mark(True)
+    return flat
+
+
+def _tensors(flat):
+    return [t for _, t in flat.params]
+
+
+class TestFlatParams:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_data_and_grad_are_views_of_the_buffers_in_order(self, dtype, rng):
+        values = [rng.standard_normal(s) for s in ((4, 3, 5), (7,), (2, 9))]
+        flat = _flat(values, dtype)
+        assert flat.data.dtype == flat.grad.dtype == dtype
+        assert flat.data.size == flat.grad.size == sum(v.size for v in values)
+        off = 0
+        for t, want in zip(_tensors(flat), values):
+            span = slice(off, off + want.size)
+            assert t.data.dtype == dtype and t.data.shape == want.shape
+            np.testing.assert_array_equal(t.data, want.astype(dtype))
+            np.testing.assert_array_equal(flat.data[span], want.astype(dtype).ravel())
+            for view, buf in ((t.data, flat.data), (t.grad, flat.grad)):
+                assert view.base is buf and view.ctypes.data == buf[span].ctypes.data
+            off = span.stop
+        flat.data[:] = 7.0  # the tensors read what the buffer holds
+        flat.grad[:] = 3.0
+        assert all((t.data == 7.0).all() and (t.grad == 3.0).all() for t in _tensors(flat))
+
+    def test_two_dtypes_raise_instead_of_converting(self):
+        params = [("a", Tensor(np.ones(3, np.float32))), ("b", Tensor(np.ones(2, np.float64)))]
+        with pytest.raises(TypeError):
+            FlatParams(params)
+        assert params[0][1].data.dtype == np.float32 and params[0][1].data.base is None
+
+    def test_a_parameter_with_no_gradient_is_a_zero_slice(self):
+        flat = _flat([[1.0, 2.0], [3.0], [4.0, 5.0, 6.0]])
+        a, unused, c = _tensors(flat)
+        T.ew_add(T.sum_all(T.ew_mul(a, a)), T.sum_all(T.scale(c, 2.0))).backward()
+        np.testing.assert_array_equal(a.grad, [2.0, 4.0])
+        np.testing.assert_array_equal(c.grad, [2.0, 2.0, 2.0])
+        np.testing.assert_array_equal(unused.grad, [0.0])
+        np.testing.assert_array_equal(flat.grad, [2.0, 4.0, 0.0, 2.0, 2.0, 2.0])
+
+    def test_a_second_backward_adds_into_the_buffer(self):
+        flat = _flat([[1.0, 2.0]])
+        (x,) = _tensors(flat)
+        loss = T.sum_all(T.scale(x, 3.0))
+        loss.backward()
+        loss.backward()
+        np.testing.assert_array_equal(flat.grad, [6.0, 6.0])
+
+    def test_unmarked_parameters_are_plain_data(self):
+        flat = _flat([[1.0], [2.0, 3.0]])
+        flat.grad[:] = 1.0
+        flat.mark(False)
+        assert all(not t.requires_grad and t.grad is None for t in _tensors(flat))
+        assert not T.sum_all(_tensors(flat)[1]).on_tape
+        flat.mark(True)  # marked again, each grad is its view once more
+        np.testing.assert_array_equal(_tensors(flat)[1].grad, [1.0, 1.0])
 
 
 class TestAdam:
     def test_first_step_magnitude_is_lr(self):
         # with bias correction, |step 1| = lr regardless of gradient scale
-        params = _params([[1.0, -2.0]])
-        params[0][1].grad = np.array([0.004, -37.0])
-        st = AdamState(lr=0.01)
-        adam_step(params, st)
-        np.testing.assert_allclose(params[0][1].data, [1.0 - 0.01, -2.0 + 0.01],
+        flat = _flat([[1.0, -2.0]])
+        flat.grad[:] = [0.004, -37.0]
+        adam_step(flat, AdamState(lr=0.01))
+        np.testing.assert_allclose(_tensors(flat)[0].data, [1.0 - 0.01, -2.0 + 0.01],
                                    atol=1e-6)
 
     def test_zero_gradient_is_noop(self):
-        params = _params([[3.0]])
-        params[0][1].grad = np.zeros(1)
-        before = params[0][1].data.copy()
-        adam_step(params, AdamState(lr=0.1))
-        np.testing.assert_array_equal(params[0][1].data, before)
+        flat = _flat([[3.0], [4.0]])
+        adam_step(flat, AdamState(lr=0.1))
+        np.testing.assert_array_equal(flat.data, [3.0, 4.0])
 
     def test_missing_gradient_treated_as_zero(self):
-        params = _params([[3.0]])
-        before = params[0][1].data.copy()
-        adam_step(params, AdamState(lr=0.1))
-        np.testing.assert_array_equal(params[0][1].data, before)
+        # a parameter the loss does not reach keeps a zero slice of the buffer
+        flat = _flat([[1.0], [3.0]])
+        x, unused = _tensors(flat)
+        T.sum_all(T.scale(x, 2.0)).backward()
+        adam_step(flat, AdamState(lr=0.1))
+        assert x.data[0] != 1.0
+        np.testing.assert_array_equal(unused.data, [3.0])
 
     def test_nan_gradient_names_parameter(self):
-        params = _params([[1.0]])
-        params[0][1].grad = np.array([math.nan])
+        flat = _flat([[1.0]])
+        flat.grad[:] = math.nan
         with pytest.raises(TrainingError, match="p0"):
-            adam_step(params, AdamState())
+            adam_step(flat, AdamState())
 
     def test_nan_in_second_of_three_names_it_and_changes_nothing(self):
-        params = _params([[1.0], [2.0, 3.0], [4.0]])
-        for (_, t), g in zip(params, ([0.5], [0.1, math.nan], [0.2])):
-            t.grad = np.array(g)
+        flat = _flat([[1.0], [2.0, 3.0], [4.0]])
+        flat.grad[:] = [0.5, 0.1, math.nan, 0.2]
         st = AdamState()
         with pytest.raises(TrainingError, match="'p1'"):
-            adam_step(params, st)
-        assert st.step == 0
-        np.testing.assert_array_equal(params[0][1].data, [1.0])
+            adam_step(flat, st)
+        assert st.step == 0 and st.m is None and st.v is None
+        np.testing.assert_array_equal(flat.data, [1.0, 2.0, 3.0, 4.0])
 
-    @pytest.mark.parametrize("dtypes", [(np.float32,) * 3, (np.float64,) * 3,
-                                        (np.float32, np.float64, np.float32)])
-    def test_matches_a_per_tensor_update_bit_for_bit(self, dtypes, rng):
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_matches_a_per_tensor_update_bit_for_bit(self, dtype, rng):
         shapes = [(4, 3, 5), (7,), (2, 9)]
-        params = [(f"p{i}", Tensor(rng.standard_normal(s).astype(dt), requires_grad=True))
-                  for i, (s, dt) in enumerate(zip(shapes, dtypes))]
-        ref = {n: t.data.copy() for n, t in params}
+        flat = _flat([rng.standard_normal(s) for s in shapes], dtype)
+        ref = {n: t.data.copy() for n, t in flat.params}
         ref_m = {n: np.zeros_like(d) for n, d in ref.items()}
         ref_v = {n: np.zeros_like(d) for n, d in ref.items()}
         st = AdamState(lr=0.01)
         for step in range(1, 5):
-            for i, (n, t) in enumerate(params):
+            for i, (n, t) in enumerate(flat.params):
                 # the middle parameter has no gradient on every other step
-                t.grad = None if i == 1 and step % 2 else \
-                    rng.standard_normal(t.shape).astype(t.dtype)
-            adam_step(params, st)
+                t.grad[...] = 0.0 if i == 1 and step % 2 else \
+                    rng.standard_normal(t.shape).astype(dtype)
+            adam_step(flat, st)
             c1, c2 = 1.0 - st.beta1 ** step, 1.0 - st.beta2 ** step
-            for n, t in params:
-                g = np.zeros_like(ref[n]) if t.grad is None else t.grad
-                m, v = ref_m[n], ref_v[n]
+            for n, t in flat.params:
+                g, m, v = t.grad, ref_m[n], ref_v[n]
                 m += (1.0 - st.beta1) * (g - m)
                 v += (1.0 - st.beta2) * (g * g - v)
                 ref[n] = ref[n] - st.lr * (m / c1) / (np.sqrt(v / c2) + st.eps)
-                assert t.data.dtype == ref[n].dtype and t.data.shape == ref[n].shape
+                assert t.data.dtype == ref[n].dtype == dtype and t.data.shape == ref[n].shape
+                assert np.shares_memory(t.data, flat.data)  # updated in place
                 np.testing.assert_array_equal(t.data, ref[n])
-        assert st.step == 4
+        assert st.step == 4 and st.m.dtype == st.v.dtype == dtype
 
     def test_state_persists_across_steps(self):
-        params = _params([[0.0]])
+        flat = _flat([[0.0]])
         st = AdamState(lr=0.1)
         for _ in range(3):
-            params[0][1].grad = np.array([1.0])
-            adam_step(params, st)
+            flat.grad[:] = 1.0
+            adam_step(flat, st)
         assert st.step == 3
-        assert params[0][1].data[0] == pytest.approx(-0.3, abs=1e-3)
+        assert flat.data[0] == pytest.approx(-0.3, abs=1e-3)
 
 
 class TestClipping:
     def test_post_norm_is_min_of_pre_and_cap(self, rng):
-        params = _params([rng.standard_normal(10), rng.standard_normal(7)])
-        for _, t in params:
-            t.grad = 10.0 * np.ones_like(t.data)
-        pre = clip_global_norm(params, max_norm=5.0)
-        post = math.sqrt(sum(float((t.grad ** 2).sum()) for _, t in params))
+        flat = _flat([rng.standard_normal(10), rng.standard_normal(7)])
+        flat.grad[:] = 10.0
+        pre = clip_global_norm(flat, max_norm=5.0)
+        post = math.sqrt(sum(float((t.grad ** 2).sum()) for t in _tensors(flat)))
         assert post == pytest.approx(min(pre, 5.0), abs=1e-6)
 
     def test_small_gradients_untouched(self):
-        params = _params([[1.0]])
-        params[0][1].grad = np.array([0.1])
-        pre = clip_global_norm(params, max_norm=5.0)
+        flat = _flat([[1.0]])
+        flat.grad[:] = 0.1
+        pre = clip_global_norm(flat, max_norm=5.0)
         assert pre == pytest.approx(0.1)
-        np.testing.assert_array_equal(params[0][1].grad, [0.1])
+        np.testing.assert_array_equal(_tensors(flat)[0].grad, [0.1])
 
     def test_never_increases_norm(self, rng):
         for scale in (0.01, 1.0, 100.0):
-            params = _params([rng.standard_normal(20)])
-            params[0][1].grad = scale * rng.standard_normal(20)
-            pre = clip_global_norm(params, max_norm=5.0)
-            post = math.sqrt(float((params[0][1].grad ** 2).sum()))
+            flat = _flat([rng.standard_normal(20)])
+            flat.grad[:] = scale * rng.standard_normal(20)
+            pre = clip_global_norm(flat, max_norm=5.0)
+            post = math.sqrt(float((flat.grad ** 2).sum()))
             assert post <= pre + 1e-9
 
     def test_rejects_bad_cap(self):
         with pytest.raises(ValueError):
-            clip_global_norm([], max_norm=0.0)
+            clip_global_norm(_flat([[1.0]]), max_norm=0.0)
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("scale", [0.01, 100.0])
-    def test_matches_the_plain_expression_bit_for_bit(self, rng, scale):
-        # the norm squares each float64 copy in place; the products, the
-        # per-tensor pairwise sums and the clipped gradients stay those of
-        # the expression below, for float32 and float64 gradients alike
-        grads = [scale * rng.standard_normal(s).astype(dt)
-                 for s, dt in (((4, 3, 5), np.float32), ((257,), np.float64),
-                               ((16, 9), np.float32), ((1,), np.float64))]
-        params = _params([np.zeros_like(g) for g in grads])
-        for (_, t), g in zip(params, grads):
-            t.grad = g.copy()
-        params.append(("untaped", Tensor(np.zeros(3))))
+    def test_matches_the_plain_expression_bit_for_bit(self, rng, dtype, scale):
+        # the norm squares one float64 copy of the buffer and sums it per
+        # parameter; the products, the per-tensor pairwise sums and the
+        # clipped gradients stay those of the expression below. The third
+        # parameter gets no gradient: a zero slice.
+        grads = [scale * rng.standard_normal(s).astype(dtype)
+                 for s in ((4, 3, 5), (257,), (3,), (16, 9), (1,))]
+        grads[2][...] = 0.0
+        flat = _flat([np.zeros_like(g) for g in grads], dtype)
+        for t, g in zip(_tensors(flat), grads):
+            t.grad[...] = g
         norm = math.sqrt(sum(float((g.astype(np.float64) ** 2).sum()) for g in grads))
-        assert clip_global_norm(params, max_norm=5.0) == norm
-        for (_, t), g in zip(params, grads):
+        assert clip_global_norm(flat, max_norm=5.0) == norm
+        for t, g in zip(_tensors(flat), grads):
             want = g * (5.0 / norm) if norm > 5.0 else g
-            assert t.grad.dtype == want.dtype
+            assert t.grad.dtype == want.dtype == dtype
+            assert np.shares_memory(t.grad, flat.grad)  # scaled in place
             np.testing.assert_array_equal(t.grad, want)
+
+
+def _reference_clip(params, max_norm):
+    """Per-tensor global-norm clipping, as the trainer did before it kept
+    one flat gradient buffer."""
+    sq = 0.0
+    for _, t in params:
+        if t.grad is not None:
+            g = t.grad.astype(np.float64)
+            g *= g
+            sq += float(g.sum())
+    norm = math.sqrt(sq)
+    if norm > max_norm:
+        for _, t in params:
+            if t.grad is not None:
+                t.grad = t.grad * (max_norm / norm)
+    return norm
+
+
+def _reference_adam(params, st, moments):
+    """Per-tensor Adam, as the trainer did before it kept one flat buffer."""
+    st.step += 1
+    c1, c2 = 1.0 - st.beta1 ** st.step, 1.0 - st.beta2 ** st.step
+    for n, t in params:
+        g = np.zeros_like(t.data) if t.grad is None else t.grad
+        m, v = moments.setdefault(n, (np.zeros_like(g), np.zeros_like(g)))
+        m += (1.0 - st.beta1) * (g - m)
+        v += (1.0 - st.beta2) * (g * g - v)
+        t.data = t.data - st.lr * (m / c1) / (np.sqrt(v / c2) + st.eps)
+
+
+@pytest.mark.parametrize("audio_only", [False, True])
+def test_three_flat_steps_match_the_per_tensor_optimizer_bit_for_bit(audio_only):
+    # a tiny model with dropout: the same three steps through FlatParams,
+    # clip_global_norm and adam_step, and through the per-tensor reference
+    cfg = tiny_config(dropout_p=0.2, audio_only=audio_only, n_speakers=2 if audio_only else 1)
+    src = synth_sources(2, 400, seed=3)
+    mix, interf = mix_at_snr(src[0], [src[1]], 0.0)
+    vfeat = None if audio_only else energy_envelope(src[0], cfg.sample_rate)
+    runs = []
+    for flat_path in (True, False):
+        p = build_params(cfg, seed=5)
+        params = list(named_tensors(p))
+        rng, st, moments, norms = np.random.default_rng(7), AdamState(lr=0.01), {}, []
+        flat = FlatParams(params) if flat_path else None
+        for _ in range(3):
+            if flat_path:
+                flat.mark(True)
+            else:
+                for _, t in params:
+                    t.requires_grad, t.grad = True, None
+            trainer._forward_loss_av(mix, vfeat, [src[0], interf], cfg, p, rng).backward()
+            if flat_path:
+                norms.append(clip_global_norm(flat, max_norm=0.5))
+                adam_step(flat, st)
+                flat.grad.fill(0)
+            else:
+                norms.append(_reference_clip(params, max_norm=0.5))
+                _reference_adam(params, st, moments)
+        runs.append((norms, [t.data.copy() for _, t in params]))
+    (flat_norms, flat_data), (ref_norms, ref_data) = runs
+    assert flat_norms == ref_norms and flat_norms[0] > 0.5  # clipping took part
+    for got, want in zip(flat_data, ref_data):
+        assert got.dtype == want.dtype == np.float32
+        np.testing.assert_array_equal(got, want)
+    assert any(np.any(a != b) for a, b in
+               zip(flat_data, (t.data for _, t in named_tensors(build_params(cfg, seed=5)))))
 
 
 class TestSchedule:
@@ -221,6 +347,14 @@ class TestTrainToy:
             assert set(row) == {"epoch", "train_loss", "val_si_snri", "lr", "grad_norm", "step_s"}
             assert math.isfinite(row["grad_norm"]) and row["grad_norm"] > 0
             assert math.isfinite(row["step_s"]) and row["step_s"] > 0
+
+    def test_returns_plain_parameters_off_the_tape(self):
+        res = train_toy(tiny_config(), self._settings(max_steps=2, steps_per_epoch=1))
+        params = list(named_tensors(res.params))
+        assert params and all(not t.requires_grad and t.grad is None for _, t in params)
+        out = separate(Tensor(res.mixture[None, :].astype(np.float32)),
+                       Tensor(res.video_feat.astype(np.float32)), res.cfg, res.params)
+        assert all(not w.on_tape and w._backward is None for w in out.masks + out.waveforms)
 
     def test_loss_decreases(self):
         res = train_toy(tiny_config(), self._settings(max_steps=50, steps_per_epoch=10))
