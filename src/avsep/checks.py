@@ -60,8 +60,7 @@ def _gradcheck(name: str, make_loss, leaves: list[Tensor]) -> CheckResult:
     for t in leaves:
         t.requires_grad = True
         t.grad = None
-    loss = make_loss()
-    loss.backward()
+    make_loss().backward()  # the loss and its tape die here, before the oracle runs
     analytic = [np.zeros_like(t.data) if t.grad is None else t.grad for t in leaves]
     for t in leaves:  # the oracle's forward passes record no tape
         t.requires_grad = False

@@ -93,11 +93,13 @@ def cmd_train_toy(args) -> int:
     hist_path = args.history or (str(args.out) + ".history.csv")
     with open(hist_path, "w", newline="") as fh:
         w = csv.writer(fh)
-        w.writerow(["epoch", "train_loss", "val_si_snri", "lr", "grad_norm", "step_s"])
+        w.writerow(["epoch", "train_loss", "val_si_snri", "lr", "grad_norm", "step_s",
+                    "peak_rss_mb"])
         for row in result.history:
             w.writerow([row["epoch"], f"{row['train_loss']:.6f}",
                         f"{row['val_si_snri']:.6f}", f"{row['lr']:g}",
-                        f"{row['grad_norm']:.6g}", f"{row['step_s']:.6f}"])
+                        f"{row['grad_norm']:.6g}", f"{row['step_s']:.6f}",
+                        f"{row['peak_rss_mb']:.2f}"])
     print(f"final si-snri: {_clamp_db(result.final_si_snri_db):.2f} dB "
           f"({result.steps_run} steps)")
     return EXIT_OK

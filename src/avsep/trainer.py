@@ -4,6 +4,7 @@ halving, early stopping, and the toy overfit experiment."""
 from __future__ import annotations
 
 import math
+import resource
 import time
 from dataclasses import dataclass
 
@@ -185,7 +186,7 @@ class TrainSettings:
 class TrainResult:
     params: ModelParams
     cfg: ModelConfig
-    history: list[dict]  # epoch, train_loss, val_si_snri, lr, grad_norm, step_s
+    history: list[dict]  # epoch, train_loss, val_si_snri, lr, grad_norm, step_s, peak_rss_mb
     final_si_snri_db: float
     steps_run: int
     mixture: np.ndarray
@@ -250,6 +251,7 @@ def train_toy(cfg: ModelConfig, settings: TrainSettings,
             if not math.isfinite(train_loss):
                 raise TrainingError(f"non-finite loss at step {steps_run}")
             loss.backward()
+            del loss  # and with it the step's tape, before the next forward
             grad_norm = clip_global_norm(flat, settings.clip_norm)
             adam_step(flat, state)
             flat.grad.fill(0)
@@ -257,17 +259,20 @@ def train_toy(cfg: ModelConfig, settings: TrainSettings,
         step_s = (time.perf_counter() - t0) / n_steps
 
         flat.mark(False)  # so validation records no tape
-        out = _separate(mixture, video_feat, cfg, p)
-        _, val = metrics.pit_best(val_refs, [w.data[0] for w in out.waveforms])
+        _, val = metrics.pit_best(  # the separated output dies with this call
+            val_refs, [w.data[0] for w in _separate(mixture, video_feat, cfg, p).waveforms])
         val_si_snri = val - val_base
+        peak_rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024  # KiB on Linux
         # train_loss and grad_norm (pre-clip) are the epoch's last step's
         history.append({"epoch": epoch, "train_loss": train_loss,
                         "val_si_snri": val_si_snri, "lr": state.lr,
-                        "grad_norm": grad_norm, "step_s": step_s})
+                        "grad_norm": grad_norm, "step_s": step_s,
+                        "peak_rss_mb": peak_rss_mb})
         if log:
             log(f"epoch {epoch}: loss {train_loss:.3f}  "
                 f"si-snri {val_si_snri:.2f} dB  lr {state.lr:g}  "
-                f"grad-norm {grad_norm:.3g}  step {step_s * 1e3:.1f} ms")
+                f"grad-norm {grad_norm:.3g}  step {step_s * 1e3:.1f} ms  "
+                f"peak-rss {peak_rss_mb:.1f} MB")
         if val_si_snri >= settings.target_si_snri_db or sched.update(-val_si_snri, state):
             break
 

@@ -1,3 +1,4 @@
+import gc
 import time
 
 import numpy as np
@@ -33,3 +34,14 @@ def toy_run():
 @pytest.fixture
 def rng():
     return np.random.default_rng(0)
+
+
+@pytest.fixture
+def refcount_only():
+    """Collect no reference cycles during the test, so whatever it finds
+    freed was freed by reference counting alone, as soon as it was dropped."""
+    was_enabled = gc.isenabled()
+    gc.disable()
+    yield
+    if was_enabled:
+        gc.enable()

@@ -3,6 +3,8 @@ gradients over without a copy, but do the same floating-point operations
 in the same order as the plain expressions below. Every comparison with
 them is exact."""
 
+import weakref
+
 import numpy as np
 import pytest
 from conftest import tiny_config
@@ -342,6 +344,21 @@ def test_gradcheck_oracle_runs_tape_free_and_unmarks_its_leaves():
     assert taped[0] and not any(taped[1:])
     assert len(taped) == 1 + 2 * x.size
     assert not x.requires_grad and x.grad is None
+
+
+def test_gradcheck_drops_its_tape_before_the_oracle_runs(refcount_only):
+    x = Tensor(np.linspace(-1.0, 1.0, 6).reshape(2, 3), dtype=np.float64)
+    losses, live = [], []
+
+    def loss():
+        # Tensor has no __weakref__, so each loss is watched through its data
+        live.append(sum(r() is not None for r in losses))
+        y = checks._weighted_sum(T.sigmoid(x), 3)
+        losses.append(weakref.ref(y.data))
+        return y
+
+    assert checks._gradcheck("sigmoid", loss, [x]).passed
+    assert len(live) == 1 + 2 * x.size and not any(live)
 
 
 def test_readout_is_drawn_once_per_seed_and_shape():

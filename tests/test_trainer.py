@@ -1,4 +1,5 @@
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -340,13 +341,42 @@ class TestTrainToy:
                    in zip(named_tensors(runs[0].params), named_tensors(runs[1].params)))
 
     def test_history_schema(self):
-        res = train_toy(tiny_config(), self._settings())
+        lines = []
+        res = train_toy(tiny_config(), self._settings(), log=lines.append)
         assert res.steps_run == 10
-        assert len(res.history) == 2
-        for row in res.history:
-            assert set(row) == {"epoch", "train_loss", "val_si_snri", "lr", "grad_norm", "step_s"}
+        assert len(res.history) == 2 and len(lines) == 2
+        for row, line in zip(res.history, lines):
+            assert set(row) == {"epoch", "train_loss", "val_si_snri", "lr", "grad_norm", "step_s",
+                                "peak_rss_mb"}
             assert math.isfinite(row["grad_norm"]) and row["grad_norm"] > 0
             assert math.isfinite(row["step_s"]) and row["step_s"] > 0
+            assert math.isfinite(row["peak_rss_mb"]) and row["peak_rss_mb"] > 0
+            assert line.endswith(f"  peak-rss {row['peak_rss_mb']:.1f} MB")
+        assert res.history[0]["peak_rss_mb"] <= res.history[1]["peak_rss_mb"]  # a peak
+
+    def test_holds_one_tape_at_a_time(self, monkeypatch, refcount_only):
+        # Tensor has __slots__ and no __weakref__, so each step's loss and each
+        # separated output (training and validation) is watched through its data
+        losses, outputs, live = [], [], []
+        forward, sep = trainer._forward_loss_av, trainer._separate
+
+        def watched_forward(*args):
+            live.append([sum(r() is not None for r in refs) for refs in (losses, outputs)])
+            loss = forward(*args)
+            losses.append(weakref.ref(loss.data))
+            return loss
+
+        def watched_separate(*args):
+            out = sep(*args)
+            outputs.append(weakref.ref(out.waveforms[0].data))
+            return out
+
+        monkeypatch.setattr(trainer, "_forward_loss_av", watched_forward)
+        monkeypatch.setattr(trainer, "_separate", watched_separate)
+        train_toy(tiny_config(), self._settings(max_steps=3, steps_per_epoch=2))
+        assert live == [[0, 0]] * 3  # [live losses, live outputs] as each forward starts
+        assert len(losses) == 3 and len(outputs) == 5  # 3 steps, 2 validations
+        assert all(r() is None for r in losses + outputs)
 
     def test_returns_plain_parameters_off_the_tape(self):
         res = train_toy(tiny_config(), self._settings(max_steps=2, steps_per_epoch=1))
