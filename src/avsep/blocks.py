@@ -12,6 +12,7 @@ and ``top_down_pass`` run their audio half alone (the audio-only cycle).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -21,10 +22,12 @@ from .nn import (FfnParams, QParams, avg_pool1d, conv1d, dropout, ffn, gate, gln
                  interp_resample, q_op)
 from .tensor import Tensor
 
+if TYPE_CHECKING:
+    from .model import ModelParams
+
 __all__ = [
     "ScalePyramid",
     "InterTParams",
-    "TopDownParams",
     "InterBParams",
     "intra_a_global",
     "intra_a_prime",
@@ -63,15 +66,6 @@ class InterTParams:
     q_va: QParams | None  # audio summary -> video-channel gate
     ffn_s: FfnParams
     ffn_v: FfnParams | None  # absent in the audio-only variant
-
-
-@dataclass
-class TopDownParams:
-    global_s: list[QParams] | None  # per scale, None when the gate-only variant is used
-    global_v: list[QParams] | None
-    inter_m: list[QParams] | None  # per scale, None when mid-level fusion is disabled
-    local_s: list[QParams]  # per scale 0..D-1
-    local_v: list[QParams]
 
 
 @dataclass
@@ -179,22 +173,23 @@ def top_down_pass(
     video: ScalePyramid | None,
     s_g: Tensor,
     v_g: Tensor | None,
-    p: TopDownParams,
+    p: ModelParams,
 ) -> tuple[Tensor, Tensor | None]:
     """Global modulation per scale, optional mid-level cross-modal gating,
     then the coarse-to-fine reconstruction; returns the two finest-scale
-    outputs. Without video only the audio half runs, with no mid-level
-    gating, and the video output is None."""
+    outputs. The five per-scale stacks are read off the model's ``p``.
+    Without video only the audio half runs, with no mid-level gating, and
+    the video output is None."""
     d = audio.depth
     if d < 1:
         raise GeometryError("top-down pass needs depth >= 1")
-    s_bar = _global_modulation(audio.levels, s_g, p.global_s)
+    s_bar = _global_modulation(audio.levels, s_g, p.global_intra_s)
     if video is None:
-        return _coarse_to_fine(s_bar, p.local_s), None
-    v_bar = _global_modulation(video.levels, v_g, p.global_v)
+        return _coarse_to_fine(s_bar, p.local_intra_s), None
+    v_bar = _global_modulation(video.levels, v_g, p.global_intra_v)
     if p.inter_m is not None:
         s_bar = [inter_a_m(s_bar[i], v_bar[i], p.inter_m[i]) for i in range(d + 1)]
-    return _coarse_to_fine(s_bar, p.local_s), _coarse_to_fine(v_bar, p.local_v)
+    return _coarse_to_fine(s_bar, p.local_intra_s), _coarse_to_fine(v_bar, p.local_intra_v)
 
 
 def inter_a_b(s0: Tensor, v0: Tensor, p: InterBParams) -> tuple[Tensor, Tensor]:

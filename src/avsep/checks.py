@@ -182,7 +182,7 @@ def _check_blocks() -> list[CheckResult]:
     cfg, p, audio, video, rng = _block_fixture()
 
     x, y = audio.levels[0], audio.levels[2]
-    q = p.top_down.global_s[0]
+    q = p.global_intra_s[0]
     leaves = [x, y, q.conv.weight, q.gln.gain, q.gln.bias]
     out.append(_gradcheck(
         "intra_a_global",
@@ -192,16 +192,16 @@ def _check_blocks() -> list[CheckResult]:
         lambda: _weighted_sum(intra_a_prime(x, y), 12), [x, y]))
 
     sb, vb = audio.levels[1], video.levels[1]
-    qm = p.top_down.inter_m[1]
+    qm = p.inter_m[1]
     out.append(_gradcheck(
         "inter_a_m",
         lambda: _weighted_sum(inter_a_m(sb, vb, qm), 13),
         [sb, vb, qm.conv.weight, qm.gln.gain, qm.gln.bias]))
 
+    f = p.inter_t.ffn_s
     t_leaves = (audio.levels + video.levels
                 + [p.inter_t.q_av.conv.weight, p.inter_t.q_va.conv.weight]
-                + [c.weight for c in p.inter_t.ffn_s.convs]
-                + [p.inter_t.ffn_s.convs[1].bias, p.inter_t.ffn_s.gln.gain])
+                + [f.conv0.weight, f.conv1.weight, f.conv2.weight, f.conv1.bias, f.gln.gain])
 
     def t_loss():
         s_g, v_g = inter_a_t(audio, video, p.inter_t)
@@ -210,13 +210,11 @@ def _check_blocks() -> list[CheckResult]:
     out.append(_gradcheck("inter_a_t", t_loss, t_leaves))
 
     td_leaves = (audio.levels + video.levels
-                 + [p.top_down.global_s[1].conv.weight,
-                    p.top_down.local_s[0].conv.weight,
-                    p.top_down.inter_m[0].conv.weight,
-                    p.top_down.local_v[1].conv.weight])
+                 + [p.global_intra_s[1].conv.weight, p.local_intra_s[0].conv.weight,
+                    p.inter_m[0].conv.weight, p.local_intra_v[1].conv.weight])
 
     def td_loss():
-        s0, v0 = top_down_pass(audio, video, *inter_a_t(audio, video, p.inter_t), p.top_down)
+        s0, v0 = top_down_pass(audio, video, *inter_a_t(audio, video, p.inter_t), p)
         return T.ew_add(_weighted_sum(s0, 16), _weighted_sum(v0, 17))
 
     out.append(_gradcheck("top_down_pass", td_loss, td_leaves))

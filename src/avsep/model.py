@@ -20,7 +20,6 @@ from .blocks import (
     InterBParams,
     InterTParams,
     ScalePyramid,
-    TopDownParams,
     inter_a_b,
     inter_a_t,
     top_down_pass,
@@ -82,7 +81,7 @@ class ModelConfig:
     inter_t_enabled: bool = True
     inter_m_enabled: bool = True
     inter_b_enabled: bool = True
-    dropout_p: float = 0.0
+    dropout_p: float = 0.0  # fusion cycles only: no effect on an audio-only model
     ffn_channels: tuple[int, int, int] = (16, 32, 16)
     q_kernel: int = 1
     audio_only: bool = False
@@ -171,15 +170,21 @@ def paper_scale_config() -> ModelConfig:
 
 @dataclass
 class ModelParams:
-    """The shared parameter tree; its field order, block by block, is the
-    checkpoint's tensor order (:func:`named_tensors`)."""
+    """The shared parameter tree. It is the checkpoint layout: its field
+    order is the tensor order and each field path is the tensor's name
+    (:func:`named_tensors`). The per-scale stacks between ``inter_t`` and
+    ``inter_b`` are the top-down pass's."""
 
     encoder: Conv1dParams
     decoder: Conv1dParams
     audio_down: list[QParams]
     video_down: list[QParams] | None
     inter_t: InterTParams
-    top_down: TopDownParams
+    global_intra_s: list[QParams] | None  # per scale 0..D; None in the gate-only variant
+    global_intra_v: list[QParams] | None
+    inter_m: list[QParams] | None  # per scale 0..D; None when mid-level fusion is off
+    local_intra_s: list[QParams]  # per scale 0..D-1
+    local_intra_v: list[QParams]
     inter_b: InterBParams | None
     video_stub: list[Conv1dParams] | None
     mask_head: Conv1dParams | None
@@ -243,12 +248,9 @@ class _Init:
     def ffn(self, c_in, triple) -> FfnParams:
         c1, c2, c3 = triple
         return FfnParams(
-            convs=[
-                self.conv(c1, c_in, 1, bias=False),
-                self.conv(c2, c1, 5, padding=2, bias=True,
-                          groups=c1 if self.depthwise else 1),
-                self.conv(c3, c2, 1, bias=False),
-            ],
+            conv0=self.conv(c1, c_in, 1, bias=False),
+            conv1=self.conv(c2, c1, 5, padding=2, bias=True, groups=c1 if self.depthwise else 1),
+            conv2=self.conv(c3, c2, 1, bias=False),
             gln=self.gln(c3),
         )
 
@@ -303,8 +305,6 @@ def _build(cfg: ModelConfig, ini: _Init) -> ModelParams:
     global_s = ([ini.q(na, na, kq) for _ in range(d + 1)]
                 if cfg.intra_variant == "phi" else None)
     local_s = [ini.q(na, na, kq) for _ in range(d)]
-    top_down = TopDownParams(global_s=global_s, global_v=global_v,
-                             inter_m=inter_m, local_s=local_s, local_v=local_v)
 
     mask_head = (ini.conv(cfg.n_speakers * na, na, 1)
                  if cfg.n_speakers > 1 else None)
@@ -312,45 +312,25 @@ def _build(cfg: ModelConfig, ini: _Init) -> ModelParams:
     return ModelParams(
         encoder=encoder, decoder=decoder,
         audio_down=audio_down, video_down=video_down,
-        inter_t=inter_t, top_down=top_down, inter_b=inter_b,
-        video_stub=video_stub, mask_head=mask_head,
+        inter_t=inter_t, global_intra_s=global_s, global_intra_v=global_v,
+        inter_m=inter_m, local_intra_s=local_s, local_intra_v=local_v,
+        inter_b=inter_b, video_stub=video_stub, mask_head=mask_head,
     )
 
 
-def _walk(node, path: str = ""):
-    """Every tensor under ``node`` as (field path, tensor), in field order:
-    a dataclass walks its fields and a list its items by index; ``None``,
-    int and float fields hold no tensor."""
+def named_tensors(node, path: str = ""):
+    """Every tensor under ``node`` (any subtree, a whole ``ModelParams``
+    included) as (field path, tensor), in field order; for the whole tree
+    that is the checkpoint layout. A dataclass walks its fields and a list
+    its items by index; ``None``, int and float fields hold no tensor."""
     if isinstance(node, Tensor):
         yield path, node
     elif isinstance(node, list):
         for i, child in enumerate(node):
-            yield from _walk(child, f"{path}.{i}".lstrip("."))
+            yield from named_tensors(child, f"{path}.{i}".lstrip("."))
     elif is_dataclass(node):
         for f in fields(node):
-            yield from _walk(getattr(node, f.name), f"{path}.{f.name}".lstrip("."))
-
-
-# field paths the .iiac format names differently: the top-down stacks keep
-# their block names, and an FFN's convs are conv0..conv2
-_FILE_NAMES = (("top_down.global_s.", "global_intra_s."), ("top_down.global_v.", "global_intra_v."),
-               ("top_down.inter_m.", "inter_m."), ("top_down.local_s.", "local_intra_s."),
-               ("top_down.local_v.", "local_intra_v."), (".convs.", ".conv"))
-
-
-def named_tensors(p: ModelParams, include_aux: bool = True):
-    """Ordered (name, tensor) pairs; order defines the checkpoint layout.
-    Each name is the tensor's field path, renamed by ``_FILE_NAMES``.
-
-    ``include_aux=False`` drops the toy-training video stub and the
-    multi-speaker mask head, which are not part of the separation
-    architecture proper.
-    """
-    for name, t in _walk(p):
-        if include_aux or name.split(".", 1)[0] not in ("video_stub", "mask_head"):
-            for old, new in _FILE_NAMES:
-                name = name.replace(old, new)
-            yield name, t
+            yield from named_tensors(getattr(node, f.name), f"{path}.{f.name}".lstrip("."))
 
 
 # ---------------------------------------------------------------------------
@@ -421,7 +401,7 @@ def refinement_cycle(cur_s: Tensor, cur_v: Tensor | None, cfg: ModelConfig, p: M
     s_pyr = _bottom_up(cur_s, p.audio_down)
     v_pyr = None if cur_v is None else _bottom_up(cur_v, p.video_down)
     s_g, v_g = inter_a_t(s_pyr, v_pyr, p.inter_t, cfg.dropout_p, rng)
-    s0, v0 = top_down_pass(s_pyr, v_pyr, s_g, v_g, p.top_down)
+    s0, v0 = top_down_pass(s_pyr, v_pyr, s_g, v_g, p)
     if v0 is None or p.inter_b is None:
         return s0, v0
     return inter_a_b(s0, v0, p.inter_b)
@@ -501,11 +481,13 @@ def count_params(cfg: ModelConfig) -> int:
 
 
 def param_breakdown(cfg: ModelConfig) -> list[tuple[str, int]]:
-    """Parameters per top-level checkpoint name, read off the built tree."""
+    """Parameters per top-level checkpoint name, read off the built tree;
+    the auxiliary video stub and mask head have no row."""
     rows: dict[str, int] = {}
-    for name, t in named_tensors(_skeleton(cfg), include_aux=False):
+    for name, t in named_tensors(_skeleton(cfg)):
         group = name.split(".", 1)[0]
-        rows[group] = rows.get(group, 0) + t.size
+        if group not in ("video_stub", "mask_head"):
+            rows[group] = rows.get(group, 0) + t.size
     return list(rows.items())
 
 
@@ -533,7 +515,7 @@ def count_macs(cfg: ModelConfig, audio_seconds: float) -> int:
 def _weights(node) -> int:
     """Weight count of every conv in a parameter subtree, which is also its
     MACs per output frame; an ablated block (``None``) counts 0."""
-    return sum(t.size for path, t in _walk(node) if path.endswith("weight"))
+    return sum(t.size for path, t in named_tensors(node) if path.endswith("weight"))
 
 
 def _on_grid(stack, lens: list[int]) -> int:
@@ -557,19 +539,19 @@ def mac_breakdown(cfg: ModelConfig, audio_seconds: float) -> list[tuple[str, int
     an upsample at ``y``'s own, shorter, length."""
     ls, lv, t_a = _grid_lengths(cfg, audio_seconds)
     p = _skeleton(cfg)
-    d, td, it = cfg.depth, p.top_down, p.inter_t
+    d, it = cfg.depth, p.inter_t
     coarsest_s, coarsest_v = [ls[d]] * (d + 1), [lv[d]] * (d + 1)
     audio_cycle = (_on_grid(p.audio_down, ls[1:]) + _weights(it.ffn_s) * ls[d]
-                   + _on_grid(td.global_s, _q_frames(cfg, coarsest_s, ls))
-                   + _on_grid(td.local_s, _q_frames(cfg, ls[1:], ls)))
+                   + _on_grid(p.global_intra_s, _q_frames(cfg, coarsest_s, ls))
+                   + _on_grid(p.local_intra_s, _q_frames(cfg, ls[1:], ls)))
     if cfg.audio_only:
         out = [("audio_cycles", (cfg.n_fusion_cycles + cfg.n_audio_cycles) * audio_cycle)]
     else:
         fusion = (audio_cycle + _on_grid(p.video_down, lv[1:]) + _weights(it.ffn_v) * lv[d]
-                  + _on_grid(td.global_v, _q_frames(cfg, coarsest_v, lv))
-                  + _on_grid(td.local_v, _q_frames(cfg, lv[1:], lv))
+                  + _on_grid(p.global_intra_v, _q_frames(cfg, coarsest_v, lv))
+                  + _on_grid(p.local_intra_v, _q_frames(cfg, lv[1:], lv))
                   + _weights(it.q_av) * lv[d] + _weights(it.q_va) * ls[d]
-                  + _on_grid(td.inter_m, _q_frames(cfg, lv, ls)))
+                  + _on_grid(p.inter_m, _q_frames(cfg, lv, ls)))
         if p.inter_b is not None:
             ib = p.inter_b
             fusion += (_weights([ib.gate_s, ib.out_s]) * ls[0]
@@ -649,8 +631,12 @@ def load_checkpoint(path) -> tuple[ModelParams, ModelConfig]:
             manifest = json.loads(fh.read(mlen).decode())
             cfg = _config_from_dict(manifest["config"])
             listed = [(e["name"], tuple(e["shape"])) for e in manifest["tensors"]]
+            other = [e for e in manifest["tensors"] if e.get("dtype") != "f32"]
         except (ValueError, KeyError, TypeError) as e:
             raise FormatError(f"unreadable checkpoint manifest: {e}") from e
+        if other:  # version 1 writes f32 only
+            raise FormatError(f"checkpoint tensor {other[0]['name']} has dtype "
+                              f"{other[0].get('dtype')!r}, expected 'f32'")
         if not all(type(n) is int and n >= 0 for _, shape in listed for n in shape):
             raise FormatError("checkpoint tensor shapes must be non-negative integers")
 

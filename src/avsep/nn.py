@@ -94,7 +94,9 @@ class QParams:
 class FfnParams:
     """Three chained convolutions followed by one global layer norm."""
 
-    convs: list[Conv1dParams]
+    conv0: Conv1dParams
+    conv1: Conv1dParams
+    conv2: Conv1dParams
     gln: GlnParams
 
 
@@ -454,10 +456,7 @@ def q_op(x: Tensor, p: QParams) -> Tensor:
 def ffn(x: Tensor, p: FfnParams) -> Tensor:
     """Three chained convolutions (middle one padded to preserve length)
     followed by one global layer norm."""
-    h = x
-    for cp in p.convs:
-        h = conv1d(h, cp)
-    return gln(h, p.gln)
+    return gln(conv1d(conv1d(conv1d(x, p.conv0), p.conv1), p.conv2), p.gln)
 
 
 def pad_right(x: Tensor, n: int) -> Tensor:

@@ -211,6 +211,8 @@ def train_toy(cfg: ModelConfig, settings: TrainSettings,
               log=None) -> TrainResult:
     """Overfit a single synthetic two-source mixture (or dynamically mixed
     pool) and return the trained parameters plus the loss history."""
+    if cfg.n_speakers > 2:
+        raise ConfigError(f"n_speakers = {cfg.n_speakers}, but the toy mixture has two sources")
     rng = np.random.default_rng(settings.seed)
     length = int(round(settings.mixture_seconds * cfg.sample_rate))
     if length < cfg.enc_kernel:

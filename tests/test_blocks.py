@@ -218,7 +218,7 @@ class TestInterT:
         dropped = inter_a_t(audio, video, p, 0.3, np.random.default_rng(7))[0].data == 0
         assert np.any(dropped)
         leaves = [audio.levels[0], video.levels[1], p.q_av.conv.weight,
-                  p.q_va.gln.gain, p.ffn_s.convs[1].weight, p.ffn_v.gln.bias]
+                  p.q_va.gln.gain, p.ffn_s.conv1.weight, p.ffn_v.gln.bias]
         assert checks._gradcheck("inter_a_t_dropout", loss, leaves).passed
 
     def test_without_video_only_the_audio_ffn_runs(self, rng):
@@ -286,7 +286,7 @@ class TestTopDown:
         audio = _pyramid(rng, channels, l0, depth)
         video = _pyramid(rng, channels, l0 // 2, depth)
         s_g, v_g = inter_a_t(audio, video, p.inter_t)
-        s0, v0 = top_down_pass(audio, video, s_g, v_g, p.top_down)
+        s0, v0 = top_down_pass(audio, video, s_g, v_g, p)
         assert s0.shape == (channels, l0)
         assert v0.shape == (channels, l0 // 2)
 
@@ -297,16 +297,15 @@ class TestTopDown:
         audio = _pyramid(rng, 4, 16, 2)
         video = _pyramid(rng, 4, 8, 2)
         s_g, v_g = inter_a_t(audio, video, p.inter_t)
-        s0, v0 = top_down_pass(audio, video, s_g, v_g, p.top_down)
+        s0, v0 = top_down_pass(audio, video, s_g, v_g, p)
 
-        td = p.top_down
-        s_bar = [intra_a_global(x, s_g, td.global_s[i]) for i, x in enumerate(audio.levels)]
-        v_bar = [intra_a_global(x, v_g, td.global_v[i]) for i, x in enumerate(video.levels)]
-        s_mod = [inter_a_m(s_bar[i], v_bar[i], td.inter_m[i]) for i in range(3)]
-        s_want = intra_a_global(s_mod[1], s_mod[2], td.local_s[1])
-        s_want = intra_a_global(s_mod[0], s_want, td.local_s[0])
-        v_want = intra_a_global(v_bar[1], v_bar[2], td.local_v[1])
-        v_want = intra_a_global(v_bar[0], v_want, td.local_v[0])
+        s_bar = [intra_a_global(x, s_g, p.global_intra_s[i]) for i, x in enumerate(audio.levels)]
+        v_bar = [intra_a_global(x, v_g, p.global_intra_v[i]) for i, x in enumerate(video.levels)]
+        s_mod = [inter_a_m(s_bar[i], v_bar[i], p.inter_m[i]) for i in range(3)]
+        s_want = intra_a_global(s_mod[1], s_mod[2], p.local_intra_s[1])
+        s_want = intra_a_global(s_mod[0], s_want, p.local_intra_s[0])
+        v_want = intra_a_global(v_bar[1], v_bar[2], p.local_intra_v[1])
+        v_want = intra_a_global(v_bar[0], v_want, p.local_intra_v[0])
         assert np.max(np.abs(s0.data - s_want.data)) < 1e-6
         assert np.max(np.abs(v0.data - v_want.data)) < 1e-6
 
@@ -314,9 +313,9 @@ class TestTopDown:
         cfg = ModelConfig(n_audio_channels=4, n_video_channels=4, depth=2,
                           ffn_channels=(4, 8, 4), intra_variant="phi_prime")
         p = build_params(cfg, seed=1, dtype=np.float64)
-        assert p.top_down.global_s is None and p.top_down.global_v is None
+        assert p.global_intra_s is None and p.global_intra_v is None
         audio = _pyramid(rng, 4, 16, 2)
         video = _pyramid(rng, 4, 8, 2)
         s_g, v_g = inter_a_t(audio, video, p.inter_t)
-        s0, v0 = top_down_pass(audio, video, s_g, v_g, p.top_down)
+        s0, v0 = top_down_pass(audio, video, s_g, v_g, p)
         assert s0.shape == (4, 16) and v0.shape == (4, 8)

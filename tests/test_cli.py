@@ -132,6 +132,16 @@ class TestTrainToy:
         assert err.startswith("error: ") and key in err
         assert not (tmp_path / "x.iiac").exists()
 
+    def test_three_speakers_exit_2_without_a_traceback(self, tmp_path, capsys):
+        cfg = tmp_path / "three.cfg"
+        cfg.write_text(TINY_CFG + "audio_only = true\nn_speakers = 3\n")
+        assert main(["train-toy", "--config", str(cfg),
+                     "--out", str(tmp_path / "x.iiac")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "n_speakers" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "x.iiac").exists()
+
     def test_audio_only_flag(self, tmp_path):
         cfg = tmp_path / "tiny.cfg"
         cfg.write_text(TINY_CFG.replace("max_steps = 30", "max_steps = 5"))

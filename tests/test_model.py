@@ -1,3 +1,4 @@
+import hashlib
 import json
 import struct
 from dataclasses import replace
@@ -105,9 +106,10 @@ class TestGeometry:
         cfg = tiny_config(depthwise=True)
         p = build_params(cfg, seed=0)
         assert [q.conv.groups for q in p.audio_down + p.video_down] == [4] * 4
-        assert [cp.groups for cp in p.inter_t.ffn_s.convs] == [1, 4, 1]
-        assert p.inter_t.ffn_s.convs[1].weight.shape == (8, 1, 5)
-        assert p.top_down.local_s[0].conv.groups == 1
+        f = p.inter_t.ffn_s
+        assert [cp.groups for cp in (f.conv0, f.conv1, f.conv2)] == [1, 4, 1]
+        assert f.conv1.weight.shape == (8, 1, 5)
+        assert p.local_intra_s[0].conv.groups == 1
         wave = Tensor(rng.uniform(-0.5, 0.5, (1, 400)).astype(np.float32))
         feat = Tensor(rng.uniform(0, 0.3, (1, 1)).astype(np.float32))
         out = separate(wave, feat, cfg, p)
@@ -136,7 +138,7 @@ def unrolled_reference(e_s, e_v, cfg, p):
         sp = bottom_up(cur_s, p.audio_down)
         vp = bottom_up(cur_v, p.video_down)
         s_g, v_g = inter_a_t(sp, vp, p.inter_t)
-        s0, v0 = top_down_pass(sp, vp, s_g, v_g, p.top_down)
+        s0, v0 = top_down_pass(sp, vp, s_g, v_g, p)
         cur_s, cur_v = inter_a_b(s0, v0, p.inter_b)
     for _ in range(cfg.n_audio_cycles):
         sp = bottom_up(cur_s, p.audio_down)
@@ -145,11 +147,11 @@ def unrolled_reference(e_s, e_v, cfg, p):
         for i in range(d):
             acc = T.ew_add(acc, avg_pool1d(sp.levels[i], 2 ** (d - i)))
         s_g = ffn(acc, p.inter_t.ffn_s)
-        bar = [intra_a_global(x, s_g, p.top_down.global_s[i])
+        bar = [intra_a_global(x, s_g, p.global_intra_s[i])
                for i, x in enumerate(sp.levels)]
-        chk = intra_a_global(bar[d - 1], bar[d], p.top_down.local_s[d - 1])
+        chk = intra_a_global(bar[d - 1], bar[d], p.local_intra_s[d - 1])
         for i in range(d - 2, -1, -1):
-            chk = intra_a_global(bar[i], chk, p.top_down.local_s[i])
+            chk = intra_a_global(bar[i], chk, p.local_intra_s[i])
         cur_s = chk
     return T.relu(cur_s)
 
@@ -191,7 +193,7 @@ class TestUnrolledReference:
         e_v = Tensor(rng.standard_normal((4, 8)).astype(np.float32))
         s, v = refinement_cycle(e_s, e_v, cfg, p)
         sp, vp = (M._bottom_up(x, st) for x, st in ((e_s, p.audio_down), (e_v, p.video_down)))
-        want = inter_a_b(*top_down_pass(sp, vp, *inter_a_t(sp, vp, p.inter_t), p.top_down),
+        want = inter_a_b(*top_down_pass(sp, vp, *inter_a_t(sp, vp, p.inter_t), p),
                          p.inter_b)
         np.testing.assert_array_equal(s.data, want[0].data)
         np.testing.assert_array_equal(v.data, want[1].data)
@@ -225,8 +227,20 @@ class TestParameterAccounting:
                     tiny_config(audio_only=True),
                     tiny_config(audio_only=True, depthwise=True)):
             p = build_params(cfg, seed=0)
-            built = sum(t.size for _, t in named_tensors(p, include_aux=False))
+            aux = sum(t.size for _, t in named_tensors([p.video_stub, p.mask_head]))
+            built = sum(t.size for _, t in named_tensors(p)) - aux
             assert count_params(cfg) == built, cfg
+
+    def test_two_speaker_rows_are_pinned(self):
+        # the mask head is counted as MACs but, like the video stub, has no
+        # parameter row
+        cfg = tiny_config(audio_only=True, n_speakers=2)
+        assert M.param_breakdown(cfg) == [
+            ("encoder", 16), ("decoder", 16), ("audio_down", 176), ("inter_t", 224),
+            ("global_intra_s", 72), ("local_intra_s", 48)]
+        assert mac_breakdown(cfg, 0.5) == [
+            ("audio_cycles", 544000), ("encoder", 31984), ("decoder", 64000),
+            ("mask_head", 64000)]
 
     def test_prime_variant_strictly_smaller(self):
         assert count_params(tiny_config(intra_variant="phi_prime")) < count_params(tiny_config())
@@ -365,7 +379,52 @@ def _fused_layout(kq=1, depthwise=False):
                ("video_stub.1.weight", (4, 4, 3)), ("video_stub.1.bias", (4,))])
 
 
+# sha256 of save_checkpoint(build_params(cfg, seed=3), cfg, path): any
+# change to a name, the tensor order, the draw order or the manifest bytes
+# changes these
+_CHECKPOINT_SHA256 = [
+    ({}, "5d3588625faf473a1573a591320c96ac20df4a66c205d9317f515a6f9bcb4847"),
+    ({"depthwise": True, "q_kernel": 5, "dropout_p": 0.1},
+     "600a566ff36fbeeaeee8c19e35f11d0bfe73172c0a7ae526749884f80be52a4a"),
+    ({"audio_only": True, "n_speakers": 2},
+     "ec67b123931345e14fbe8f5cbc206f0266d8e94888fb2c859ce7cabb091b811b"),
+    ({"intra_variant": "phi_prime", "inter_t_enabled": False, "inter_m_enabled": False,
+      "inter_b_enabled": False},
+     "a15af36425bd569d003364aadf1a6ebbc702372def44b9b86e87a627a2ed3bcc"),
+]
+
+
+def _rewrite_manifest(path, edit):
+    """Apply ``edit`` to the checkpoint's manifest dict in place on disk."""
+    blob = path.read_bytes()
+    (mlen,) = struct.unpack_from("<Q", blob, 8)
+    manifest = json.loads(blob[16 : 16 + mlen])
+    edit(manifest)
+    mbytes = json.dumps(manifest).encode()
+    path.write_bytes(blob[:8] + struct.pack("<Q", len(mbytes)) + mbytes + blob[16 + mlen :])
+
+
 class TestCheckpointIO:
+    @pytest.mark.parametrize("over, digest", _CHECKPOINT_SHA256,
+                             ids=["fused", "depthwise", "two_speaker", "phi_prime_bare"])
+    def test_bytes_are_pinned(self, tmp_path, over, digest):
+        cfg = tiny_config(**over)
+        path, again = tmp_path / "m.iiac", tmp_path / "again.iiac"
+        save_checkpoint(build_params(cfg, seed=3), cfg, path)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+        save_checkpoint(*load_checkpoint(path), again)
+        assert again.read_bytes() == path.read_bytes()
+
+    @pytest.mark.parametrize("edit", [lambda e: e.update(dtype="f64"), lambda e: e.pop("dtype")],
+                             ids=["f64", "missing"])
+    def test_dtype_other_than_f32_rejected(self, tmp_path, edit):
+        cfg = tiny_config()
+        path = tmp_path / "m.iiac"
+        save_checkpoint(build_params(cfg, seed=0), cfg, path)
+        _rewrite_manifest(path, lambda m: edit(m["tensors"][3]))
+        with pytest.raises(FormatError, match=r"audio_down\.0\.gln\.gain"):
+            load_checkpoint(path)
+
     def test_layout_is_pinned(self):
         # the .iiac layout: every name and shape, in file order
         fused = _fused_layout()
@@ -430,13 +489,7 @@ class TestCheckpointIO:
         cfg = tiny_config()
         path = tmp_path / "m.iiac"
         save_checkpoint(build_params(cfg, seed=0), cfg, path)
-        blob = path.read_bytes()
-        (mlen,) = struct.unpack_from("<Q", blob, 8)
-        manifest = json.loads(blob[16 : 16 + mlen])
-        manifest["tensors"][0]["shape"] = ["x"]
-        mbytes = json.dumps(manifest).encode()
-        path.write_bytes(blob[:8] + struct.pack("<Q", len(mbytes)) + mbytes
-                         + blob[16 + mlen :])
+        _rewrite_manifest(path, lambda m: m["tensors"][0].update(shape=["x"]))
         with pytest.raises(FormatError):
             load_checkpoint(path)
 
@@ -460,14 +513,12 @@ class TestCheckpointIO:
         cfg = tiny_config()
         path = tmp_path / "m.iiac"
         save_checkpoint(build_params(cfg, seed=0), cfg, path)
-        blob = path.read_bytes()
-        (mlen,) = struct.unpack_from("<Q", blob, 8)
-        manifest = json.loads(blob[16 : 16 + mlen])
-        manifest["config"]["n_audio_channels"] = 2**60
-        manifest["config"]["ffn_channels"][2] = 2**60
-        mbytes = json.dumps(manifest).encode()
-        path.write_bytes(blob[:8] + struct.pack("<Q", len(mbytes)) + mbytes
-                         + blob[16 + mlen :])
+
+        def oversize(manifest):
+            manifest["config"]["n_audio_channels"] = 2**60
+            manifest["config"]["ffn_channels"][2] = 2**60
+
+        _rewrite_manifest(path, oversize)
         with pytest.raises(FormatError, match="too large"):
             load_checkpoint(path)
 

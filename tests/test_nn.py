@@ -283,21 +283,21 @@ class TestCompositeOps:
 
     def test_ffn_is_three_convs_then_gln(self, rng):
         x = Tensor(rng.standard_normal((4, 8)), dtype=np.float64)
-        convs = [_conv_params(rng, 4, 4, 1),
-                 _conv_params(rng, 8, 4, 5, padding=2, bias=True),
-                 _conv_params(rng, 4, 8, 1)]
+        c0, c1, c2 = (_conv_params(rng, 4, 4, 1),
+                      _conv_params(rng, 8, 4, 5, padding=2, bias=True),
+                      _conv_params(rng, 4, 8, 1))
         norm = GlnParams(gain=Tensor(np.ones(4)), bias=Tensor(np.zeros(4)))
-        got = ffn(x, FfnParams(convs=convs, gln=norm)).data
-        want = gln(conv1d(conv1d(conv1d(x, convs[0]), convs[1]), convs[2]), norm).data
+        got = ffn(x, FfnParams(conv0=c0, conv1=c1, conv2=c2, gln=norm)).data
+        want = gln(conv1d(conv1d(conv1d(x, c0), c1), c2), norm).data
         np.testing.assert_array_equal(got, want)
 
     def test_ffn_preserves_length(self, rng):
         x = Tensor(rng.standard_normal((4, 11)), dtype=np.float64)
-        convs = [_conv_params(rng, 6, 4, 1),
-                 _conv_params(rng, 8, 6, 5, padding=2, bias=True),
-                 _conv_params(rng, 4, 8, 1)]
         norm = GlnParams(gain=Tensor(np.ones(4)), bias=Tensor(np.zeros(4)))
-        assert ffn(x, FfnParams(convs=convs, gln=norm)).shape == (4, 11)
+        p = FfnParams(conv0=_conv_params(rng, 6, 4, 1),
+                      conv1=_conv_params(rng, 8, 6, 5, padding=2, bias=True),
+                      conv2=_conv_params(rng, 4, 8, 1), gln=norm)
+        assert ffn(x, p).shape == (4, 11)
 
 
 class TestPadCrop:

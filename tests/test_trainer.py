@@ -326,6 +326,15 @@ class TestTrainToy:
         with pytest.raises(ConfigError, match=field):
             self._settings(**{field: 0})
 
+    def test_more_than_two_speakers_rejected_before_building(self, monkeypatch):
+        # the toy mixture has two sources, so a third output has no reference
+        def no_build(*args, **kwargs):
+            raise AssertionError("train_toy built a model")
+
+        monkeypatch.setattr(trainer, "build_params", no_build)
+        with pytest.raises(ConfigError, match="n_speakers"):
+            train_toy(tiny_config(audio_only=True, n_speakers=3), self._settings())
+
     def test_deterministic_given_seed(self):
         cfg = tiny_config()
         a = train_toy(cfg, self._settings())
