@@ -163,10 +163,10 @@ def cmd_bench(args) -> int:
         cfg, _ = _load_configs(args.config)
     if args.fast:
         cfg = replace(cfg, n_audio_cycles=FAST_AUDIO_CYCLES)
+    macs = count_macs(cfg, args.audio_seconds)  # refuses a bad duration before any output
     print(f"parameters: {count_params(cfg)}")
     for name, n in param_breakdown(cfg):
         print(f"  {name:16s} {n}")
-    macs = count_macs(cfg, args.audio_seconds)
     print(f"macs @ {args.audio_seconds:g}s: {macs}")
     for name, n in mac_breakdown(cfg, args.audio_seconds):
         print(f"  {name:16s} {n}")

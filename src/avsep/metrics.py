@@ -129,8 +129,8 @@ def si_snr_loss(estimate: Tensor, reference: np.ndarray) -> Tensor:
     residual = T.ew_sub(estimate, target)
     target_pow = T.sum_all(T.ew_mul(target, target))
     res_pow = T.sum_all(T.ew_mul(residual, residual))
-    snr = T.scale(T.ew_sub(T.log(target_pow), T.log(res_pow)), 10.0 / _LOG10)
-    return T.scale(snr, -1.0)
+    # one scale by -10/ln 10: negating is exact, so this is -(snr in dB) bit for bit
+    return T.scale(T.ew_sub(T.log(target_pow), T.log(res_pow)), -10.0 / _LOG10)
 
 
 def pit_si_snr_loss(estimates: Sequence[Tensor], references: Sequence[np.ndarray]) -> Tensor:

@@ -344,8 +344,14 @@ def _ceil_to(n: int, m: int) -> int:
 def _frames(cfg: ModelConfig, t_a: int) -> int:
     """Audio embedding frames for a ``t_a``-sample mixture: the fewest from
     which the decoder covers every input sample, rounded up to a multiple
-    of 2^depth for the scale pyramid."""
-    return _ceil_to(-(-(t_a - cfg.enc_kernel) // cfg.enc_stride) + 1, 1 << cfg.depth)
+    of 2^depth for the scale pyramid. Fewer than 2^depth frames, less
+    than one coarsest-scale frame, are refused before the padding."""
+    n, step = -(-(t_a - cfg.enc_kernel) // cfg.enc_stride) + 1, 1 << cfg.depth
+    if n < step:
+        raise GeometryError(f"a {t_a}-sample mixture gives {max(n, 0)} encoder frames, "
+                            f"fewer than one coarsest-scale frame at depth {cfg.depth} "
+                            f"(2^{cfg.depth} = {step})")
+    return _ceil_to(n, step)
 
 
 def encode_audio(wave: Tensor, p: ModelParams) -> Tensor:

@@ -6,11 +6,12 @@ parameters are plain data, and whoever differentiates sets
 and the gradient harness do this for their own leaves). An operation with
 a marked or taped input returns a tape node holding references to its
 parents and a closure that propagates the upstream gradient; otherwise it
-returns plain data. An op's backward computes the gradient of an input
-only when that input is on the tape (:attr:`Tensor.on_tape`); an untaped
-input costs it nothing. ``Tensor.backward()`` walks the tape once in
-reverse topological order and frees each non-leaf node's ``grad`` once
-that node has passed it to its parents, so only the leaves keep theirs.
+returns plain data. :func:`_accum` drops the gradient of an input off
+the tape (:attr:`Tensor.on_tape`), which most backwards compute anyway;
+only ``conv1d``'s input and ``gate``'s two inputs skip that work.
+``Tensor.backward()`` walks the tape once in reverse topological order
+and frees each non-leaf node's ``grad`` once that node has passed it to
+its parents, so only the leaves keep theirs.
 It hands each backward its upstream gradient read-only, so a backward
 that passes it on, whole or as a view, cannot make it an input's
 ``grad``: :func:`_accum` copies read-only gradients and keeps a new
@@ -26,13 +27,13 @@ not scanned: finiteness is checked at the boundaries instead (the file
 readers, ``save_wav``, the trainer's loss and Adam step, and the metrics).
 
 Ops never write to their inputs' data; only the trainer updates its
-parameters' data in place, between steps. Broadcasting is
-deliberately restricted: operands must have the same number of axes and
-each axis must either match or be 1 on one side (size-1 tensors broadcast
-against anything). General numpy broadcasting is rejected to catch wiring
-bugs early. Nothing here resamples along time: ``avsep.nn.interp_resample``
-does, and ``avsep.nn.gate`` resamples its modulation to its input's frame
-count itself, inside its one tape node.
+parameters' data in place, between steps. ``ew_add``, ``ew_sub`` and
+``ew_mul`` take operands of equal shape, or one 0-d operand against any
+shape; any other pair, a size-1 operand of higher rank included, raises
+:class:`GeometryError`, to catch wiring bugs early. Nothing here
+resamples along time: ``avsep.nn.interp_resample`` does, and
+``avsep.nn.gate`` resamples its modulation to its input's frame count
+itself, inside its one tape node.
 """
 
 from __future__ import annotations
@@ -167,25 +168,14 @@ def _accum(t: Tensor, g: np.ndarray) -> None:
 
 def _check_broadcast(a: Tensor, b: Tensor) -> None:
     sa, sb = a.data.shape, b.data.shape
-    if sa == sb or a.data.size == 1 or b.data.size == 1:
-        return
-    if len(sa) != len(sb):
-        raise GeometryError(f"rank mismatch: {sa} vs {sb}")
-    for da, db in zip(sa, sb):
-        if da != db and da != 1 and db != 1:
-            raise GeometryError(f"shapes {sa} and {sb} are not broadcast-compatible")
+    if sa != sb and sa and sb:
+        raise GeometryError(f"shapes {sa} and {sb} differ and neither is 0-d")
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
-    """Sum the upstream gradient over axes that were broadcast."""
-    if g.shape == shape:
-        return g
-    if len(shape) < g.ndim:
-        g = g.sum(axis=tuple(range(g.ndim - len(shape))))
-    axes = tuple(i for i, d in enumerate(shape) if d == 1 and g.shape[i] != 1)
-    if axes:
-        g = g.sum(axis=axes, keepdims=True)
-    return g.reshape(shape)
+    """The upstream gradient of an operand of ``shape``: ``g`` itself, or
+    its sum for a 0-d operand."""
+    return g if g.shape == shape else g.sum().reshape(())
 
 
 def _node(out: np.ndarray, parents: tuple[Tensor, ...], back) -> Tensor:

@@ -166,10 +166,10 @@ class TrainSettings:
     pool_size: int = 4
 
     def __post_init__(self):
-        if self.steps_per_epoch < 1 or self.max_steps < 1:
-            raise ConfigError("steps_per_epoch and max_steps must be at least 1")
-        if self.seed < 0:
-            raise ConfigError(f"seed must be non-negative, got {self.seed}")
+        for key, low in (("max_steps", 1), ("steps_per_epoch", 1), ("seed", 0),
+                         ("plateau_patience", 1), ("stop_patience", 1), ("pool_size", 2)):
+            if getattr(self, key) < low:
+                raise ConfigError(f"{key} must be at least {low}, got {getattr(self, key)}")
         for key in ("lr", "clip_norm", "mixture_seconds"):
             value = getattr(self, key)
             if not (math.isfinite(value) and value > 0):
@@ -218,8 +218,7 @@ def train_toy(cfg: ModelConfig, settings: TrainSettings,
     if length < cfg.enc_kernel:
         raise ConfigError(f"mixture_seconds = {settings.mixture_seconds:g} is {length} samples, "
                           f"shorter than one encoder kernel ({cfg.enc_kernel} samples)")
-    pool = synth_sources(max(2, settings.pool_size if settings.dynamic_mix else 2),
-                         length, settings.seed)
+    pool = synth_sources(settings.pool_size if settings.dynamic_mix else 2, length, settings.seed)
     target, interferer = pool[0], pool[1]
     mixture, scaled_interf = mix_at_snr(target, [interferer], settings.snr_db)
     video_feat = None if cfg.audio_only else energy_envelope(target, cfg.sample_rate)

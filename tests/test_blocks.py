@@ -156,6 +156,47 @@ class TestPointwiseQBeforeResample:
         assert res.passed, res.max_rel_err
 
 
+class TestFiveTapQGradients:
+    """A Q wider than one tap runs after the upsample (``_q_up``'s
+    resample-first branch), as every upsampled Q at paper scale does: the
+    blocks equal that composition, and their gradients the oracle's."""
+
+    def _q(self, rng, c_in, c_out):
+        conv = Conv1dParams(weight=Tensor(rng.uniform(-1, 1, (c_out, c_in, 5)), dtype=np.float64),
+                            bias=None, padding=2)
+        return QParams(conv=conv, gln=GlnParams(
+            gain=Tensor(rng.uniform(0.5, 1.5, c_out), dtype=np.float64),
+            bias=Tensor(rng.uniform(-0.5, 0.5, c_out), dtype=np.float64)))
+
+    @pytest.mark.parametrize("l", [3, 5])  # 12 <- 3 is an integer ratio, 12 <- 5 is not
+    def test_intra_global(self, l, rng):
+        x = Tensor(rng.uniform(-2, 2, (3, 12)), dtype=np.float64)
+        y = Tensor(rng.uniform(-2, 2, (3, l)), dtype=np.float64)
+        q = self._q(rng, 3, 3)
+        m = q_op(interp_resample(y, 12), q)
+        want = T.ew_add(T.ew_mul(T.sigmoid(m), x), m).data
+        np.testing.assert_allclose(intra_a_global(x, y, q).data, want, rtol=0, atol=1e-12)
+        w = Tensor(rng.uniform(-1, 1, (3, 12)), dtype=np.float64)
+        res = checks._gradcheck(
+            f"intra_a_global_5tap_12_from_{l}",
+            lambda: T.sum_all(T.ew_mul(intra_a_global(x, y, q), w)),
+            [x, y, q.conv.weight, q.gln.gain, q.gln.bias])
+        assert res.passed, res.max_rel_err
+
+    @pytest.mark.parametrize("l", [3, 5])
+    def test_inter_m(self, l, rng):
+        s = Tensor(rng.uniform(-2, 2, (3, 12)), dtype=np.float64)
+        v = Tensor(rng.uniform(-2, 2, (2, l)), dtype=np.float64)
+        q = self._q(rng, 2, 3)
+        want = T.ew_mul(T.sigmoid(q_op(interp_resample(v, 12), q)), s).data
+        np.testing.assert_allclose(inter_a_m(s, v, q).data, want, rtol=0, atol=1e-12)
+        w = Tensor(rng.uniform(-1, 1, (3, 12)), dtype=np.float64)
+        res = checks._gradcheck(
+            f"inter_a_m_5tap_12_from_{l}", lambda: T.sum_all(T.ew_mul(inter_a_m(s, v, q), w)),
+            [s, v, q.conv.weight, q.gln.gain, q.gln.bias])
+        assert res.passed, res.max_rel_err
+
+
 class TestInterT:
     def _params(self, rng, na, nv):
         cfg = ModelConfig(n_audio_channels=na, n_video_channels=nv, depth=2,

@@ -132,6 +132,19 @@ class TestTrainToy:
         assert err.startswith("error: ") and key in err
         assert not (tmp_path / "x.iiac").exists()
 
+    @pytest.mark.parametrize("depth", [9, 12, 40])
+    def test_depth_beyond_the_mixture_exits_2(self, tmp_path, capsys, depth):
+        # 0.1 s is 399 encoder frames, under 2^depth; at depth 40 padding to
+        # one coarsest-scale frame would take 64 TiB
+        cfg = tmp_path / "deep.cfg"
+        cfg.write_text(TINY_CFG.replace("depth = 2", f"depth = {depth}")
+                       .replace("max_steps = 30", "max_steps = 1"))
+        assert main(["train-toy", "--config", str(cfg),
+                     "--out", str(tmp_path / "x.iiac")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and f"at depth {depth} (2^{depth} = {1 << depth})" in err
+        assert not (tmp_path / "x.iiac").exists()
+
     def test_three_speakers_exit_2_without_a_traceback(self, tmp_path, capsys):
         cfg = tmp_path / "three.cfg"
         cfg.write_text(TINY_CFG + "audio_only = true\nn_speakers = 3\n")
@@ -231,6 +244,19 @@ class TestSeparate:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error:") and "--embedding" in err[0]
         assert not (tmp_path / "x.0.wav").exists()
+
+    def test_mixture_under_one_coarsest_frame_exits_2(self, workdir, tmp_path, capsys):
+        # mix.wav is 800 samples, 399 encoder frames; depth 9 needs 512
+        ckpt = tmp_path / "deep.iiac"
+        cfg = ModelConfig(n_audio_channels=4, n_video_channels=4, depth=9, n_fusion_cycles=1,
+                          n_audio_cycles=1, ffn_channels=(4, 8, 4))
+        save_checkpoint(build_params(cfg, seed=0), cfg, ckpt)
+        rc = main(["separate", "--mixture", str(workdir / "mix.wav"),
+                   "--embedding", str(workdir / "a.iiav"),
+                   "--checkpoint", str(ckpt), "--out", str(tmp_path / "o")])
+        assert rc == 2
+        assert "399 encoder frames" in capsys.readouterr().err
+        assert not list(tmp_path.glob("o*.wav"))
 
     def test_audio_only_checkpoint_needs_no_embedding(self, workdir, tmp_path):
         cfg = tiny_config(audio_only=True, n_speakers=2)
@@ -369,6 +395,16 @@ class TestBench:
     def test_duration_under_one_encoder_kernel_exits_2(self, seconds, capsys):
         assert main(["bench", "--audio-seconds", seconds]) == 2
         assert "encoder kernel" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("depth, seconds", [(12, "1"), (40, "1"), (3, "0.001")])
+    def test_duration_under_one_coarsest_frame_exits_2(self, tmp_path, capsys, depth, seconds):
+        # the default config's encoder gives 3999 frames at 1 s and 3 at 1 ms
+        cfg = tmp_path / "deep.cfg"
+        cfg.write_text(f"depth = {depth}\n")
+        assert main(["bench", "--config", str(cfg), "--audio-seconds", seconds]) == 2
+        out, err = capsys.readouterr()
+        assert f"at depth {depth} (2^{depth} = {1 << depth})" in err
+        assert out == ""  # no partial report
 
 
 class TestGradcheck:

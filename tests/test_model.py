@@ -9,11 +9,13 @@ import pytest
 from conftest import tiny_config
 
 from avsep import blocks as B
+from avsep import checks
 from avsep import model as M
 from avsep import nn
 from avsep import tensor as T
 from avsep.blocks import ScalePyramid, inter_a_b, inter_a_t, intra_a_global, top_down_pass
 from avsep.errors import ConfigConflictError, ConfigError, FormatError, GeometryError
+from avsep.metrics import si_snr_loss
 from avsep.model import (
     ModelConfig,
     audio_only_cycle,
@@ -622,6 +624,39 @@ class TestDropout:
                 for s in (1, 1))
         np.testing.assert_array_equal(a, b)
         assert np.any(a != separate(wave, feat, cfg, p).waveform.data)
+
+
+def test_gradient_at_the_papers_routing():
+    """The whole model's gradient at the routing paper scale takes
+    (depthwise convs, 5-tap Qs, depth 2, dropout on), 2 channels wide.
+    Dropout replays from a fresh generator per evaluation, so the oracle
+    differentiates one fixed mask. At 160 samples and 16 video frames the
+    coarsest video level has 4 frames: at one frame a 2-channel gLN outputs
+    +-gain + bias whatever its input, every leaf that feeds it has a true
+    gradient of roundoff size, and the error's scale floor turns that
+    roundoff into a failure."""
+    cfg = ModelConfig(n_audio_channels=2, n_video_channels=2, depth=2, n_fusion_cycles=1,
+                      n_audio_cycles=1, ffn_channels=(2, 4, 2), q_kernel=5, depthwise=True,
+                      dropout_p=0.1)
+    for seed in range(8):
+        p = build_params(cfg, seed=seed, dtype=np.float64)
+        rng = np.random.default_rng(300 + seed)
+        wave = Tensor(rng.uniform(-0.5, 0.5, (1, 160)), dtype=np.float64)
+        vt = Tensor(rng.uniform(0.0, 0.3, (1, 16)), dtype=np.float64)
+        ref = rng.uniform(-0.5, 0.5, (1, 160))
+        feats = separation_features(*M.encode(wave, vt, cfg, p), cfg, p,
+                                    np.random.default_rng(7)).data
+        if float(np.abs(feats).min()) <= 1e-3:
+            continue  # pre-mask value too close to the relu kink; reseed
+
+        def loss():
+            out = separate(wave, vt, cfg, p, np.random.default_rng(7))
+            return si_snr_loss(out.waveform, ref)
+
+        res = checks._gradcheck("paper_routing", loss, [t for _, t in named_tensors(p)])
+        assert res.passed, res.max_rel_err
+        return
+    pytest.fail("no seed kept the pre-mask margin away from the relu kink")
 
 
 class TestMultiSpeaker:

@@ -96,8 +96,18 @@ def test_out_of_range_model_value_names_its_key(key, text):
     ("clip_norm", ["0", "-2.5", "nan"]),
     ("mixture_seconds", ["0", "-1", "inf"]),
     ("snr_db", ["nan", "inf", "-inf"]),
+    ("plateau_patience", ["0", "-1"]),
+    ("stop_patience", ["0", "-3"]),
+    ("pool_size", ["1", "0", "-2"]),
 ])
 def test_out_of_range_train_value_names_its_key(key, raws):
     for raw in raws:
         with pytest.raises(ConfigError, match=key):
             make_train_settings(parse_text(f"{key} = {raw}"))
+
+
+def test_small_pool_is_refused_with_or_without_dynamic_mix():
+    for dynamic_mix in ("true", "false"):
+        with pytest.raises(ConfigError, match="pool_size"):
+            make_train_settings(parse_text(f"pool_size = 1\ndynamic_mix = {dynamic_mix}"))
+    assert make_train_settings(parse_text("pool_size = 2")).pool_size == 2

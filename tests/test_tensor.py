@@ -45,34 +45,48 @@ class TestConstruction:
 
 
 class TestBroadcastRules:
-    def test_rank_mismatch_rejected(self):
-        a = _leaf(np.ones((2, 3)))
-        b = _leaf(np.ones(3))
-        with pytest.raises(GeometryError):
-            T.ew_add(a, b)
+    """Operands of an element-wise op have equal shapes, or one is 0-d."""
 
-    def test_general_numpy_broadcast_rejected(self):
-        a = _leaf(np.ones((2, 3)))
-        b = _leaf(np.ones((3, 2)))
+    @pytest.mark.parametrize("sa, sb", [
+        ((2, 3), (3,)),  # rank mismatch
+        ((2, 3), (3, 2)),  # general numpy broadcast
+        ((2, 3), (2, 1)),  # a size-1 axis
+        ((2, 3), (1, 1, 1)),  # size 1, but of higher rank: it would reshape the result
+        ((2, 3), (1,)),
+    ], ids=["rank", "numpy_broadcast", "axis_of_one", "size_one_higher_rank", "size_one"])
+    @pytest.mark.parametrize("op", [T.ew_add, T.ew_sub, T.ew_mul])
+    def test_other_shape_pairs_are_rejected(self, op, sa, sb):
+        a, b = _leaf(np.ones(sa)), _leaf(np.ones(sb))
         with pytest.raises(GeometryError):
-            T.ew_mul(a, b)
-
-    def test_axis_one_broadcast_allowed(self):
-        a = _leaf(np.arange(6.0).reshape(2, 3))
-        b = _leaf(np.array([[10.0], [20.0]]))
-        y = T.ew_add(a, b)
-        np.testing.assert_array_equal(y.data, a.data + b.data)
+            op(a, b)
+        with pytest.raises(GeometryError):
+            op(b, a)
 
     def test_scalar_broadcasts_freely(self):
         a = _leaf(np.ones((2, 3)))
         s = _leaf(np.array(2.0))
         assert T.ew_mul(a, s).shape == (2, 3)
+        assert T.ew_sub(s, a).shape == (2, 3)
 
-    def test_broadcast_gradient_sums(self):
-        a = _leaf(np.arange(6.0).reshape(2, 3))
-        b = _leaf(np.array([[1.0], [2.0]]))
-        T.sum_all(T.ew_mul(a, b)).backward()
-        np.testing.assert_allclose(b.grad, a.data.sum(axis=1, keepdims=True))
+    @pytest.mark.parametrize("shape", [(1, 1000), (3, 50)])
+    @pytest.mark.parametrize("op", [T.ew_add, T.ew_sub, T.ew_mul])
+    @pytest.mark.parametrize("scalar_first", [True, False])
+    def test_scalar_gradient_is_the_per_axis_rules_sum(self, op, shape, scalar_first, rng):
+        # bit for bit what the earlier per-axis rule gave a 0-d operand: a sum
+        # over the leading axes it padded, then a reshape to ()
+        a = Tensor(rng.standard_normal(shape).astype(np.float32), requires_grad=True)
+        s = Tensor(np.float32(0.7), requires_grad=True)
+        w = rng.standard_normal(shape).astype(np.float32)
+        y = op(s, a) if scalar_first else op(a, s)
+        T.sum_all(T.ew_mul(y, Tensor(w))).backward()
+        g = np.ones(shape, np.float32) * w  # the upstream gradient of y
+        if op is T.ew_mul:
+            g = g * a.data
+        elif op is T.ew_sub and scalar_first is False:
+            g = -g
+        want = g.sum(axis=tuple(range(g.ndim))).reshape(())
+        assert s.grad.shape == () and s.grad.dtype == np.float32
+        np.testing.assert_array_equal(s.grad, want)
 
 
 class TestBackward:
