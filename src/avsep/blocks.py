@@ -79,8 +79,8 @@ class InterBParams:
 def _q_up(y: Tensor, length: int, q: QParams) -> Tensor:
     """``Q(up(y))`` for a :func:`~avsep.nn.gate` on ``length`` frames,
     which resamples its modulation itself: ``q_op`` on ``y`` resampled to
-    ``length``, or at ``y``'s own length where Q commutes with the
-    upsample.
+    ``length`` inside its node, or at ``y``'s own length where Q commutes
+    with the upsample.
 
     A pointwise Q (one tap, stride 1, no padding) acts on each frame
     alone, so on an upsample its conv runs at ``y``'s length, before the
@@ -90,7 +90,7 @@ def _q_up(y: Tensor, length: int, q: QParams) -> Tensor:
     left for the gate to upsample."""
     c, l = q.conv, y.shape[1]
     if c.kernel > 1 or c.stride > 1 or c.padding or l > length:
-        return q_op(interp_resample(y, length), q)
+        return q_op(y, q, length)
     if length % l == 0:
         return q_op(y, q)
     return gln(interp_resample(conv1d(y, c), length), q.gln)

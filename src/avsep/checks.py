@@ -6,6 +6,8 @@ leaves so the oracle's forward passes record no tape, and compares
 against the central-difference oracle in
 :func:`avsep.tensor.finite_difference_grad`. The error reported is
 max |analytic - numeric| normalized by the gradient scale.
+:func:`directional_check` compares derivatives along random directions
+instead, for models too wide to check element by element.
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ from .nn import (
 )
 from .tensor import Tensor
 
-__all__ = ["CheckResult", "run_all", "GRAD_TOL"]
+__all__ = ["CheckResult", "directional_check", "run_all", "GRAD_TOL"]
 
 GRAD_TOL = 1e-6
 _EPS = 1e-5
@@ -56,15 +58,22 @@ class CheckResult:
         return self.max_rel_err < GRAD_TOL
 
 
-def _gradcheck(name: str, make_loss, leaves: list[Tensor]) -> CheckResult:
+def _analytic_grads(make_loss, leaves: list[Tensor]) -> list[np.ndarray]:
+    """The tape's gradient of every leaf, zeros where none flows. The
+    leaves end unmarked, so the oracle's forward passes record no tape."""
     for t in leaves:
         t.requires_grad = True
         t.grad = None
     make_loss().backward()  # the loss and its tape die here, before the oracle runs
     analytic = [np.zeros_like(t.data) if t.grad is None else t.grad for t in leaves]
-    for t in leaves:  # the oracle's forward passes record no tape
+    for t in leaves:
         t.requires_grad = False
         t.grad = None
+    return analytic
+
+
+def _gradcheck(name: str, make_loss, leaves: list[Tensor]) -> CheckResult:
+    analytic = _analytic_grads(make_loss, leaves)
     worst = 0.0
     for t, a in zip(leaves, analytic):
         base = t.data
@@ -79,6 +88,39 @@ def _gradcheck(name: str, make_loss, leaves: list[Tensor]) -> CheckResult:
         numeric = T.finite_difference_grad(f, base.copy(), eps=_EPS)
         scale = max(float(np.abs(numeric).max()), float(np.abs(a).max()), 1e-8)
         worst = max(worst, float(np.abs(a - numeric).max()) / scale)
+    return CheckResult(name=name, max_rel_err=worst)
+
+
+def directional_check(name: str, make_loss, leaves: list[Tensor], n_dirs: int,
+                      seed: int) -> CheckResult:
+    """Compare the tape's directional derivative ``grad(L) . v`` with the
+    central difference ``(L(theta + eps v) - L(theta - eps v)) / 2 eps``
+    along ``n_dirs`` random unit directions ``v`` over all ``leaves`` at
+    once, drawn from ``default_rng(seed)``. Two forwards per direction
+    reach models too wide for the per-element check. A direction's error
+    is the difference over the larger of the two derivatives (at least
+    1e-8); the result holds the worst."""
+    analytic = _analytic_grads(make_loss, leaves)
+    bases = [t.data for t in leaves]
+    rng = _rng(seed)
+
+    def loss_at(dirs, step):
+        for t, base, d in zip(leaves, bases, dirs):
+            t.data = base + step * d
+        try:
+            return make_loss().item()
+        finally:
+            for t, base in zip(leaves, bases):
+                t.data = base
+
+    worst = 0.0
+    for _ in range(n_dirs):
+        dirs = [rng.standard_normal(base.shape) for base in bases]
+        norm = np.sqrt(sum(np.vdot(d, d) for d in dirs))
+        dirs = [d / norm for d in dirs]
+        along = float(sum(np.vdot(a, d) for a, d in zip(analytic, dirs)))
+        numeric = (loss_at(dirs, _EPS) - loss_at(dirs, -_EPS)) / (2.0 * _EPS)
+        worst = max(worst, abs(along - numeric) / max(abs(along), abs(numeric), 1e-8))
     return CheckResult(name=name, max_rel_err=worst)
 
 

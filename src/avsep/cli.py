@@ -94,11 +94,12 @@ def cmd_train_toy(args) -> int:
     with open(hist_path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["epoch", "train_loss", "val_si_snri", "lr", "grad_norm", "step_s",
-                    "peak_rss_mb"])
+                    "fwd_s", "bwd_s", "opt_s", "peak_rss_mb"])
         for row in result.history:
             w.writerow([row["epoch"], f"{row['train_loss']:.6f}",
                         f"{row['val_si_snri']:.6f}", f"{row['lr']:g}",
-                        f"{row['grad_norm']:.6g}", f"{row['step_s']:.6f}",
+                        f"{row['grad_norm']:.6g}",
+                        *(f"{row[k]:.6f}" for k in ("step_s", "fwd_s", "bwd_s", "opt_s")),
                         f"{row['peak_rss_mb']:.2f}"])
     print(f"final si-snri: {_clamp_db(result.final_si_snri_db):.2f} dB "
           f"({result.steps_run} steps)")

@@ -154,11 +154,19 @@ def _overlap_add(y: np.ndarray, p: Conv1dParams, length: int, dtype) -> np.ndarr
     c_out, c_group, k = w.shape
     groups, stride, pad = p.groups, p.stride, p.padding
     c_in, l = c_group * groups, y.shape[1]
+    pointwise = k == 1 and stride == 1 and not pad
+    if groups == c_in == c_out and not pointwise:
+        # depthwise: each tap is one strided multiply-add, the same products
+        # summed in the same order as through a [C, K, L] temporary
+        out = np.zeros((c_in, length + 2 * pad), dtype=dtype)
+        for kk in range(k):
+            out[:, kk : kk + stride * l : stride] += y * w[:, :, kk]
+        return out[:, pad : pad + length]
     if groups == 1:
         tmp = w.reshape(c_out, -1).T @ y
     else:
         tmp = p.weight_blocks().transpose(0, 2, 1) @ y.reshape(groups, -1, l)
-    if k == 1 and stride == 1 and not pad:
+    if pointwise:
         return tmp.reshape(c_in, l).astype(dtype, copy=False)
     tmp = tmp.reshape(c_in, k, l)
     out = np.zeros((c_in, length + 2 * pad), dtype=dtype)
@@ -173,6 +181,23 @@ def _weight_grad(y: np.ndarray, cols: np.ndarray, p: Conv1dParams) -> np.ndarray
     if p.groups == 1:
         return (y @ cols[0].T).reshape(shape)
     return (y.reshape(p.groups, -1, cols.shape[2]) @ cols.transpose(0, 2, 1)).reshape(shape)
+
+
+def _conv_out(x: np.ndarray, p: Conv1dParams) -> tuple[np.ndarray, np.ndarray]:
+    """The conv of ``x`` [C_in, L] plus its bias, in a new buffer, and the
+    columns the weight gradient reads."""
+    y, cols = _correlate(x, p)
+    if p.bias is not None:
+        y += p.bias.data[:, None]
+    return y, cols
+
+
+def _conv_param_grads(g: np.ndarray, cols: np.ndarray, p: Conv1dParams) -> None:
+    """Accumulate the weight and bias gradients of the conv from its
+    upstream gradient ``g`` [C_out, L_out] and its input's columns."""
+    _accum(p.weight, _weight_grad(g, cols, p))
+    if p.bias is not None:
+        _accum(p.bias, g.sum(axis=1))
 
 
 def conv1d(x: Tensor, p: Conv1dParams) -> Tensor:
@@ -192,17 +217,11 @@ def conv1d(x: Tensor, p: Conv1dParams) -> Tensor:
     if conv1d_out_len(l_in, k, stride, pad) < 1:
         raise GeometryError(f"conv1d input too short: L={l_in}, K={k}, stride={stride}, pad={pad}")
 
-    y = _correlate(xd, p)[0]
-    if bias is not None:
-        y += bias.data[:, None]
-        parents = (x, w, bias)
-    else:
-        parents = (x, w)
+    y = _conv_out(xd, p)[0]
+    parents = (x, w) if bias is None else (x, w, bias)
 
     def back(grad):
-        _accum(w, _weight_grad(grad, _columns(x.data, p), p))
-        if bias is not None:
-            _accum(bias, grad.sum(axis=1))
+        _conv_param_grads(grad, _columns(x.data, p), p)
         if x.requires_grad or x._parents:
             _accum(x, _overlap_add(grad, p, l_in, x.data.dtype))
 
@@ -410,53 +429,104 @@ def gate(x: Tensor, m: Tensor, add: bool = False) -> Tensor:
     return _node(y, (x, m), back)
 
 
+def _gln_forward(x: np.ndarray, p: GlnParams, out: np.ndarray | None = None):
+    """Global layer norm of ``x`` [C, L] in ``out`` (``x`` itself may be
+    given) or a new buffer, with the mean and inverse scale its backward
+    reads."""
+    gain, bias = p.gain.data, p.bias.data
+    c, l = x.shape
+    if gain.shape[0] != c or bias.shape[0] != c:
+        raise GeometryError("gln gain/bias length must equal channel count")
+    n = c * l
+    # np.add.reduce is ndarray.sum without its Python wrapper
+    m = np.add.reduce(x, axis=None) / n  # ndarray.mean's sum and division
+    d = np.subtract(x, m, out=out)
+    inv = 1.0 / np.sqrt(np.vdot(d, d) / n + GLN_EPS)
+    d *= (gain * inv)[:, None]
+    d += bias[:, None]
+    return d, m, inv
+
+
+def _gln_backward(g: np.ndarray, d: np.ndarray, inv, p: GlnParams) -> np.ndarray:
+    """Accumulate gain's and bias's gradients from the upstream ``g`` and
+    return the input's, for the :func:`_gln_forward` that gave ``inv`` on
+    an input whose centred copy ``d`` (the input minus its mean) is
+    overwritten here."""
+    gain, n = p.gain, d.size
+    # inv * (u - mean(u) - xhat * sum(u * xhat) / n) with u = g * gain,
+    # in that order, in d's buffer and two more
+    xhat = d
+    xhat *= inv
+    t = g * xhat
+    _accum(gain, np.add.reduce(t, axis=1))
+    _accum(p.bias, np.add.reduce(g, axis=1))
+    u = np.multiply(g, gain.data[:, None], out=t)
+    s = np.add.reduce(u * xhat, axis=None)
+    gx = np.subtract(u, np.add.reduce(u, axis=None) / n, out=u)
+    xhat *= s
+    xhat /= n
+    gx -= xhat
+    gx *= inv
+    return gx
+
+
 def gln(x: Tensor, p: GlnParams) -> Tensor:
     """Global layer norm: ``y = gain[c] * (x - m) / sqrt(v + GLN_EPS) + bias[c]``
     with ``m`` and ``v`` the mean and variance over all C*T entries. ``v``
     is the mean of ``(x - m)**2``, taken after the mean, so a large mean
     does not cancel away a small spread."""
-    xd, gain, bias = x.data, p.gain, p.bias
-    c, l = xd.shape
-    if gain.data.shape[0] != c or bias.data.shape[0] != c:
-        raise GeometryError("gln gain/bias length must equal channel count")
-    n = c * l
-    # np.add.reduce is ndarray.sum without its Python wrapper
-    m = np.add.reduce(xd, axis=None) / n  # ndarray.mean's sum and division
-    d = xd - m
-    inv = 1.0 / np.sqrt(np.vdot(d, d) / n + GLN_EPS)
-    d *= (gain.data * inv)[:, None]
-    d += bias.data[:, None]
+    y, m, inv = _gln_forward(x.data, p)
 
     def back(g):
-        # inv * (u - mean(u) - xhat * sum(u * xhat) / n) with u = g * gain,
-        # in that order, reusing buffers where the order allows
-        xhat = x.data - m
-        xhat *= inv
-        t = g * xhat
-        _accum(gain, np.add.reduce(t, axis=1))
-        _accum(bias, np.add.reduce(g, axis=1))
-        u = np.multiply(g, gain.data[:, None], out=t)
-        s = np.add.reduce(u * xhat, axis=None)
-        gx = u - np.add.reduce(u, axis=None) / n
-        xhat *= s
-        xhat /= n
-        gx -= xhat
-        gx *= inv
-        _accum(x, gx)
+        _accum(x, _gln_backward(g, x.data - m, inv, p))
 
-    return _node(d, (x, gain, bias), back)
+    return _node(y, (x, p.gain, p.bias), back)
 
 
-def q_op(x: Tensor, p: QParams) -> Tensor:
-    """Convolution followed by global layer norm; each instance owns its
-    own parameters."""
-    return gln(conv1d(x, p.conv), p.gln)
+def q_op(x: Tensor, p: QParams, length: int | None = None) -> Tensor:
+    """Q(up(x)): global layer norm of the convolution of ``x`` [C, L]
+    resampled to ``length`` frames as :func:`interp_resample` does, or of
+    ``x`` itself when ``length`` is None or L. It records one tape node,
+    equal bit for bit to ``gln(conv1d(interp_resample(x, length)))``,
+    that keeps ``x`` and gLN's mean and inverse scale but neither the
+    resampled copy nor the conv output: its backward rebuilds both (one
+    resample and one im2col matrix product), then runs gLN's and the
+    conv's backward. The forward runs the public :func:`conv1d` on a
+    stand-in off the tape. Each instance owns its own parameters."""
+    xd = x.data
+    if xd.ndim != 2:
+        raise GeometryError(f"q_op expects [C, L], got {xd.shape}")
+    l = xd.shape[1]
+    if length is None:
+        length = l
+    elif length < 1:
+        raise GeometryError("target length must be positive")
+    r, idx = _nearest_map(l, length)
+    conv, norm = p.conv, p.gln
+
+    def up():
+        return xd if r == 1 else _resample(xd, length, r, idx)
+
+    z = conv1d(_node(up(), (), None), conv).data
+    y, m, inv = _gln_forward(z, norm, out=z)
+
+    def back(g):
+        z, cols = _conv_out(up(), conv)
+        z -= m
+        gz = _gln_backward(g, z, inv, norm)
+        _conv_param_grads(gz, cols, conv)
+        if x.requires_grad or x._parents:
+            _accum(x, _resample_adjoint(_overlap_add(gz, conv, length, xd.dtype), l, r, idx))
+
+    parents = (x, conv.weight, norm.gain, norm.bias)
+    return _node(y, parents if conv.bias is None else parents + (conv.bias,), back)
 
 
 def ffn(x: Tensor, p: FfnParams) -> Tensor:
     """Three chained convolutions (middle one padded to preserve length)
-    followed by one global layer norm."""
-    return gln(conv1d(conv1d(conv1d(x, p.conv0), p.conv1), p.conv2), p.gln)
+    followed by one global layer norm; the last conv and the norm are one
+    :func:`q_op` node."""
+    return q_op(conv1d(conv1d(x, p.conv0), p.conv1), QParams(conv=p.conv2, gln=p.gln))
 
 
 def pad_right(x: Tensor, n: int) -> Tensor:
@@ -469,7 +539,10 @@ def pad_right(x: Tensor, n: int) -> Tensor:
     def back(g):
         _accum(x, g[:, : x.shape[1]])
 
-    return _node(np.pad(x.data, ((0, 0), (0, n))), (x,), back)
+    c, l = x.shape
+    y = np.zeros((c, l + n), dtype=x.dtype)  # np.pad's fixed cost exceeds the copy
+    y[:, :l] = x.data
+    return _node(y, (x,), back)
 
 
 def crop_time(x: Tensor, length: int) -> Tensor:

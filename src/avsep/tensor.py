@@ -8,7 +8,8 @@ a marked or taped input returns a tape node holding references to its
 parents and a closure that propagates the upstream gradient; otherwise it
 returns plain data. :func:`_accum` drops the gradient of an input off
 the tape (:attr:`Tensor.on_tape`), which most backwards compute anyway;
-only ``conv1d``'s input and ``gate``'s two inputs skip that work.
+only the inputs of ``conv1d`` and ``q_op`` and ``gate``'s two inputs skip
+that work.
 ``Tensor.backward()`` walks the tape once in reverse topological order
 and frees each non-leaf node's ``grad`` once that node has passed it to
 its parents, so only the leaves keep theirs.
@@ -31,9 +32,9 @@ parameters' data in place, between steps. ``ew_add``, ``ew_sub`` and
 ``ew_mul`` take operands of equal shape, or one 0-d operand against any
 shape; any other pair, a size-1 operand of higher rank included, raises
 :class:`GeometryError`, to catch wiring bugs early. Nothing here
-resamples along time: ``avsep.nn.interp_resample`` does, and
-``avsep.nn.gate`` resamples its modulation to its input's frame count
-itself, inside its one tape node.
+resamples along time: ``avsep.nn.interp_resample`` does, ``avsep.nn.gate``
+resamples its modulation to its input's frame count itself, inside its
+one tape node, and ``avsep.nn.q_op`` resamples its input likewise.
 """
 
 from __future__ import annotations

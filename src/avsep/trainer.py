@@ -186,7 +186,10 @@ class TrainSettings:
 class TrainResult:
     params: ModelParams
     cfg: ModelConfig
-    history: list[dict]  # epoch, train_loss, val_si_snri, lr, grad_norm, step_s, peak_rss_mb
+    # epoch, train_loss, val_si_snri, lr, grad_norm, step_s, fwd_s, bwd_s, opt_s,
+    # peak_rss_mb; step_s and the three stage times (forward plus loss,
+    # backward, optimizer) are per-step means
+    history: list[dict]
     final_si_snri_db: float
     steps_run: int
     mixture: np.ndarray
@@ -238,8 +241,10 @@ def train_toy(cfg: ModelConfig, settings: TrainSettings,
         epoch += 1
         n_steps = min(settings.steps_per_epoch, settings.max_steps - steps_run)
         flat.mark(True)
-        t0 = time.perf_counter()
+        fwd_s = bwd_s = opt_s = 0.0
+        start = time.perf_counter()
         for _ in range(n_steps):
+            t0 = time.perf_counter()  # forward plus loss, with the step's data
             if settings.dynamic_mix:
                 spec = dynamic_mix_batch(pool, 1, rng)[0]
                 mix = spec.mixture
@@ -251,13 +256,20 @@ def train_toy(cfg: ModelConfig, settings: TrainSettings,
             train_loss = loss.item()
             if not math.isfinite(train_loss):
                 raise TrainingError(f"non-finite loss at step {steps_run}")
+            t1 = time.perf_counter()
             loss.backward()
             del loss  # and with it the step's tape, before the next forward
+            t2 = time.perf_counter()
             grad_norm = clip_global_norm(flat, settings.clip_norm)
             adam_step(flat, state)
             flat.grad.fill(0)
+            t3 = time.perf_counter()
+            fwd_s += t1 - t0
+            bwd_s += t2 - t1
+            opt_s += t3 - t2
             steps_run += 1
-        step_s = (time.perf_counter() - t0) / n_steps
+        step_s = (time.perf_counter() - start) / n_steps
+        fwd_s, bwd_s, opt_s = fwd_s / n_steps, bwd_s / n_steps, opt_s / n_steps
 
         flat.mark(False)  # so validation records no tape
         _, val = metrics.pit_best(  # the separated output dies with this call
@@ -267,13 +279,13 @@ def train_toy(cfg: ModelConfig, settings: TrainSettings,
         # train_loss and grad_norm (pre-clip) are the epoch's last step's
         history.append({"epoch": epoch, "train_loss": train_loss,
                         "val_si_snri": val_si_snri, "lr": state.lr,
-                        "grad_norm": grad_norm, "step_s": step_s,
-                        "peak_rss_mb": peak_rss_mb})
+                        "grad_norm": grad_norm, "step_s": step_s, "fwd_s": fwd_s,
+                        "bwd_s": bwd_s, "opt_s": opt_s, "peak_rss_mb": peak_rss_mb})
         if log:
             log(f"epoch {epoch}: loss {train_loss:.3f}  "
                 f"si-snri {val_si_snri:.2f} dB  lr {state.lr:g}  "
-                f"grad-norm {grad_norm:.3g}  step {step_s * 1e3:.1f} ms  "
-                f"peak-rss {peak_rss_mb:.1f} MB")
+                f"grad-norm {grad_norm:.3g}  step {step_s * 1e3:.1f} ms "
+                f"(bwd/fwd {bwd_s / fwd_s:.2f})  peak-rss {peak_rss_mb:.1f} MB")
         if val_si_snri >= settings.target_si_snri_db or sched.update(-val_si_snri, state):
             break
 

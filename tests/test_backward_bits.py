@@ -26,6 +26,7 @@ from avsep.nn import (
     gln,
     interp_resample,
     pad_right,
+    q_op,
 )
 from avsep.tensor import Tensor, _accum
 
@@ -190,6 +191,23 @@ def test_other_adjoints_keep_the_overlap_add(k, stride, pad):
                                   overlap_add_reference(y, p, length, np.float32))
 
 
+@pytest.mark.parametrize("dtype", DTYPES)
+@pytest.mark.parametrize("k", [1, 3, 5])
+def test_depthwise_adjoint_is_the_overlap_add_of_its_taps(k, dtype):
+    # the strided multiply-adds against the [C, K, L] temporary, also where
+    # the input is longer than the taps reach
+    rng = np.random.default_rng(k)
+    p = Conv1dParams(weight=Tensor(_arr(rng, (16, 1, k), dtype)), bias=None, groups=16)
+    for stride in (1, 2, 3):
+        for pad in (0, 1, 2):
+            p.stride, p.padding = stride, pad
+            y = _arr(rng, (16, 50), dtype)
+            reach = nn.conv_transpose1d_out_len(50, k, stride, pad)
+            for length in (reach, reach + stride - 1):
+                np.testing.assert_array_equal(_overlap_add(y, p, length, dtype),
+                                              overlap_add_reference(y, p, length, dtype))
+
+
 def _conv1d_grads(x_taped, dtype, k):
     """Weight, bias and input grads of a conv1d; the last is None when the
     input is not on the tape."""
@@ -331,6 +349,94 @@ def test_gate_resamples_its_modulation_like_interp_resample(l_m, l, add, dtype, 
             np.testing.assert_array_equal(got, want)
 
 
+def _q_params(rng, c, k, groups, bias, dtype):
+    conv = Conv1dParams(
+        weight=Tensor(_arr(rng, (c, c // groups, k), dtype), requires_grad=True),
+        bias=Tensor(_arr(rng, (c,), dtype), requires_grad=True) if bias else None,
+        padding=k // 2, groups=groups)
+    norm = GlnParams(gain=Tensor(_arr(rng, (c,), dtype, 1.0, 0.3), requires_grad=True),
+                     bias=Tensor(_arr(rng, (c,), dtype), requires_grad=True))
+    return nn.QParams(conv=conv, gln=norm)
+
+
+@pytest.mark.parametrize("dtype", DTYPES)
+@pytest.mark.parametrize("k", [1, 5])
+@pytest.mark.parametrize("groups", [1, 2, 4])
+@pytest.mark.parametrize("length", [None, 24, 15, 4])  # none, up x4, up x2.5, down
+def test_q_op_is_one_node_equal_to_the_composed_ops(length, groups, k, dtype):
+    rng = np.random.default_rng(100 * k + 10 * groups + (length or 0))
+    xd = _arr(rng, (4, 6), dtype)
+    g = _arr(rng, (4, length or 6), dtype)
+    for taped in (True, False):
+        for bias in (False, True):
+            results = []
+            for fused in (True, False):
+                q = _q_params(np.random.default_rng(groups), 4, k, groups, bias, dtype)
+                x = Tensor(xd, requires_grad=taped)
+                if fused:
+                    y = q_op(x, q, length)
+                    conv, norm = q.conv, q.gln
+                    want = (x, conv.weight, norm.gain, norm.bias) + ((conv.bias,) if bias else ())
+                    assert y._parents == want  # one tape node
+                else:
+                    up = x if length is None else interp_resample(x, length)
+                    y = gln(conv1d(up, q.conv), q.gln)
+                _backward_with(y, g)
+                leaves = [x, q.conv.weight, q.conv.bias, q.gln.gain, q.gln.bias]
+                results.append([y.data] + [None if t is None else t.grad for t in leaves])
+            for got, want in zip(*results):
+                if want is None:
+                    assert got is None
+                else:
+                    assert got.dtype == dtype
+                    np.testing.assert_array_equal(got, want)
+
+
+@pytest.mark.parametrize("length", [None, 24, 15, 4])
+def test_q_op_keeps_its_input_and_no_intermediate(length):
+    rng = np.random.default_rng(3)
+    x = Tensor(_arr(rng, (4, 6), np.float32), requires_grad=True)
+    y = q_op(x, _q_params(rng, 4, 5, 1, True, np.float32), length)
+    kept = [c.cell_contents for c in y._backward.__closure__]
+    arrays = [v for v in kept if isinstance(v, np.ndarray)]
+    # x's data, and for a non-integer ratio the nearest-neighbour map
+    assert any(v is x.data for v in arrays)
+    assert all(v is x.data or v.dtype.kind == "i" for v in arrays)
+
+
+@pytest.mark.parametrize("over", [{}, {"q_kernel": 5, "depthwise": True, "dropout_p": 0.1}])
+def test_a_model_step_keeps_no_q_intermediate(over):
+    # no conv output that only a gLN reads, and no upsampled copy that only
+    # a conv reads: each Q's node rebuilds both in its backward
+    cfg = tiny_config(**over)
+    p = build_params(cfg, seed=0)
+    for _, t in named_tensors(p):
+        t.requires_grad = True
+    rng = np.random.default_rng(0)
+    mix = rng.standard_normal(800).astype(np.float32)
+    out = separate(Tensor(mix[None, :]), Tensor(energy_envelope(mix, cfg.sample_rate)), cfg, p,
+                   np.random.default_rng(1))
+    loss = metrics.pit_si_snr_loss(out.waveforms, [rng.standard_normal(800)])
+    readers, seen, stack = {}, set(), [loss]
+    while stack:
+        node = stack.pop()
+        if node in seen:
+            continue
+        seen.add(node)
+        for parent in node._parents:
+            readers.setdefault(parent, []).append(node)
+            stack.append(parent)
+
+    def op(node):
+        return node._backward.__qualname__.split(".")[0] if node._backward else None
+
+    assert {"conv1d", "interp_resample"} <= {op(n) for n in seen}
+    for node in seen:
+        reads = {op(r) for r in readers.get(node, [])}
+        assert not (op(node) == "conv1d" and reads == {"gln"})
+        assert not (op(node) == "interp_resample" and reads == {"conv1d"})
+
+
 def test_gradcheck_oracle_runs_tape_free_and_unmarks_its_leaves():
     x = Tensor(np.linspace(-1.0, 1.0, 6).reshape(2, 3), dtype=np.float64)
     taped = []
@@ -455,5 +561,5 @@ def test_every_upstream_gradient_of_a_model_step_is_c_contiguous():
                 back(g)
             node._backward = spy
     loss.backward()
-    assert len(flags) > 100 and all(flags)
+    assert len(flags) > 90 and all(flags)  # this tape records 96 nodes
     assert all(t.grad.flags.c_contiguous for _, t in named_tensors(p) if t.grad is not None)

@@ -90,13 +90,13 @@ class TestTrainToy:
         hist = workdir / "tiny.iiac.history.csv"
         rows = list(csv.reader(hist.open()))
         assert rows[0] == ["epoch", "train_loss", "val_si_snri", "lr", "grad_norm", "step_s",
-                           "peak_rss_mb"]
+                           "fwd_s", "bwd_s", "opt_s", "peak_rss_mb"]
         assert len(rows) == 4  # 30 steps / 10 per epoch
         for row in rows[1:]:
-            grad_norm, step_s, peak_rss_mb = float(row[4]), float(row[5]), float(row[6])
-            assert math.isfinite(grad_norm) and grad_norm > 0
-            assert math.isfinite(step_s) and step_s > 0
-            assert math.isfinite(peak_rss_mb) and peak_rss_mb > 0
+            grad_norm, step_s, fwd_s, bwd_s, opt_s, peak_rss_mb = map(float, row[4:])
+            for value in (grad_norm, step_s, fwd_s, bwd_s, opt_s, peak_rss_mb):
+                assert math.isfinite(value) and value > 0
+            assert abs(fwd_s + bwd_s + opt_s - step_s) <= 0.05 * step_s
 
     def test_unknown_config_key_names_it(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"

@@ -356,10 +356,13 @@ class TestTrainToy:
         assert len(res.history) == 2 and len(lines) == 2
         for row, line in zip(res.history, lines):
             assert set(row) == {"epoch", "train_loss", "val_si_snri", "lr", "grad_norm", "step_s",
-                                "peak_rss_mb"}
+                                "fwd_s", "bwd_s", "opt_s", "peak_rss_mb"}
             assert math.isfinite(row["grad_norm"]) and row["grad_norm"] > 0
-            assert math.isfinite(row["step_s"]) and row["step_s"] > 0
-            assert math.isfinite(row["peak_rss_mb"]) and row["peak_rss_mb"] > 0
+            for key in ("step_s", "fwd_s", "bwd_s", "opt_s", "peak_rss_mb"):
+                assert math.isfinite(row[key]) and row[key] > 0
+            stages = row["fwd_s"] + row["bwd_s"] + row["opt_s"]
+            assert abs(stages - row["step_s"]) <= 0.05 * row["step_s"]
+            assert f"(bwd/fwd {row['bwd_s'] / row['fwd_s']:.2f})" in line
             assert line.endswith(f"  peak-rss {row['peak_rss_mb']:.1f} MB")
         assert res.history[0]["peak_rss_mb"] <= res.history[1]["peak_rss_mb"]  # a peak
 
