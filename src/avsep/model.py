@@ -212,18 +212,26 @@ class SeparationOutput:
 
 class _Init:
     """Parameter factory. With a generator, draws are consumed in field
-    order; without one every weight is zero, which builds the skeleton
-    that the cost accounting reads and checkpoint loading fills."""
+    order and every tensor is a ``Tensor``, scanned for finiteness. Without
+    one it builds the skeleton that the cost accounting reads the shapes of
+    and checkpoint loading fills: each tensor is allocated with
+    ``np.empty`` and wrapped by ``Tensor.unscanned``, so it is neither
+    filled nor scanned, and its values are undefined until a load
+    overwrites them."""
 
     def __init__(self, rng: np.random.Generator | None, dtype, depthwise: bool):
         self.rng = rng
         self.dtype = dtype
         self.depthwise = depthwise  # down-convs and FFN middle conv get groups=C_in
 
+    def _leaf(self, shape, values) -> Tensor:
+        """``Tensor(values())``, or in a skeleton an unfilled leaf of ``shape``."""
+        if self.rng is None:
+            return Tensor.unscanned(np.empty(shape, self.dtype))
+        return Tensor(values())
+
     def _uniform(self, bound: float, shape) -> Tensor:
-        data = (np.zeros(shape, self.dtype) if self.rng is None
-                else self.rng.uniform(-bound, bound, shape).astype(self.dtype))
-        return Tensor(data)
+        return self._leaf(shape, lambda: self.rng.uniform(-bound, bound, shape).astype(self.dtype))
 
     def conv(self, c_out, c_in, k, stride=1, padding=0, bias=False, groups=1) -> Conv1dParams:
         bound = 1.0 / np.sqrt((c_in // groups) * k)
@@ -233,8 +241,8 @@ class _Init:
 
     def gln(self, c) -> GlnParams:
         return GlnParams(
-            gain=Tensor(np.ones(c, dtype=self.dtype)),
-            bias=Tensor(np.zeros(c, dtype=self.dtype)),
+            gain=self._leaf(c, lambda: np.ones(c, dtype=self.dtype)),
+            bias=self._leaf(c, lambda: np.zeros(c, dtype=self.dtype)),
         )
 
     def q(self, c_in, c_out, kernel) -> QParams:
@@ -263,10 +271,12 @@ def build_params(cfg: ModelConfig, seed: int = 0, dtype=np.float32) -> ModelPara
 
 
 def _skeleton(cfg: ModelConfig) -> ModelParams:
-    """The parameter tree of ``cfg`` with every weight zero, built without a
-    random draw. A config too large to allocate raises ConfigError."""
+    """The parameter tree of ``cfg``, built without a random draw: every
+    tensor a ``<f4`` buffer of its own whose values are undefined, neither
+    filled nor scanned (see :class:`_Init`). Only shapes may be read until
+    a load fills it. A config too large to allocate raises ConfigError."""
     try:
-        return _build(cfg, _Init(None, np.float32, cfg.depthwise))
+        return _build(cfg, _Init(None, np.dtype("<f4"), cfg.depthwise))
     except (MemoryError, ValueError) as e:  # numpy: out of memory, or "array is too big"
         raise ConfigError(f"model too large to build: {e}") from e
 
@@ -612,14 +622,16 @@ def save_checkpoint(params: ModelParams, cfg: ModelConfig, path) -> None:
         fh.write(struct.pack("<Q", len(mbytes)))
         fh.write(mbytes)
         for _, t in entries:
-            fh.write(np.ascontiguousarray(t.data, dtype="<f4").tobytes())
+            fh.write(np.ascontiguousarray(t.data, dtype="<f4"))
 
 
 def load_checkpoint(path) -> tuple[ModelParams, ModelConfig]:
     """Read an ``.iiac`` file into its parameter tree and config. The
-    tensors are plain data, as from ``build_params``, each read straight
-    from the file into its own buffer. A malformed file or a non-finite
-    value raises ``FormatError``."""
+    tensors are plain data, as from ``build_params``: the file is read
+    straight into each buffer of :func:`_skeleton`'s tree, whose undefined
+    values it overwrites, and each tensor is scanned for finiteness once,
+    right after its read. A malformed file or a non-finite value raises
+    ``FormatError``."""
     with open(path, "rb") as fh:
         head = fh.read(16)
         if head[:4] != CHECKPOINT_MAGIC:
@@ -661,12 +673,10 @@ def load_checkpoint(path) -> tuple[ModelParams, ModelConfig]:
         if listed != [(n, t.shape) for n, t in entries]:
             raise FormatError("checkpoint tensor names or shapes do not match its config")
         for name, t in entries:
-            data = np.empty(t.shape, dtype="<f4")
-            if fh.readinto(data) != data.nbytes:
+            if fh.readinto(t.data) != t.data.nbytes:
                 raise FormatError(f"truncated checkpoint tensor {name}")
-            if not np.all(np.isfinite(data)):
+            if not np.all(np.isfinite(t.data)):
                 raise FormatError(f"non-finite values in checkpoint tensor {name}")
-            t.data = data
     return params, cfg
 
 

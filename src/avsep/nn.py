@@ -507,7 +507,7 @@ def q_op(x: Tensor, p: QParams, length: int | None = None) -> Tensor:
     def up():
         return xd if r == 1 else _resample(xd, length, r, idx)
 
-    z = conv1d(_node(up(), (), None), conv).data
+    z = conv1d(Tensor.unscanned(up()), conv).data
     y, m, inv = _gln_forward(z, norm, out=z)
 
     def back(g):

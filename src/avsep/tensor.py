@@ -23,9 +23,13 @@ forward pass, so weight sharing across repeated applications of the same
 parameters needs no special handling: gradients simply accumulate on the
 shared leaves.
 
-``Tensor(data)`` rejects non-finite caller-supplied data. Op results are
-not scanned: finiteness is checked at the boundaries instead (the file
-readers, ``save_wav``, the trainer's loss and Adam step, and the metrics).
+``Tensor(data)`` rejects non-finite caller-supplied data. Two
+constructors skip that scan: :func:`_node`, which builds op results,
+and :meth:`Tensor.unscanned`, which wraps an array as a plain-data leaf
+(``q_op``'s conv input, and the parameter skeleton of ``avsep.model``,
+whose values are undefined until a checkpoint load fills them).
+Finiteness is checked at the boundaries instead (the file readers,
+``save_wav``, the trainer's loss and Adam step, and the metrics).
 
 Ops never write to their inputs' data; only the trainer updates its
 parameters' data in place, between steps. ``ew_add``, ``ew_sub`` and
@@ -78,6 +82,13 @@ class Tensor:
         self.grad: np.ndarray | None = None
         self._parents: tuple[Tensor, ...] = ()
         self._backward: Callable[[np.ndarray], None] | None = None
+
+    @staticmethod
+    def unscanned(data: np.ndarray) -> Tensor:
+        """A plain-data leaf over the array ``data`` itself: no copy, no
+        cast and no finiteness scan. For arrays whose values are checked
+        elsewhere or not read at all."""
+        return _node(data, (), None)
 
     # -- introspection -------------------------------------------------
 

@@ -36,6 +36,7 @@ from avsep.model import (
 )
 from avsep.nn import avg_pool1d, conv1d, ffn, gln
 from avsep.tensor import Tensor
+from avsep.trainer import AdamState, FlatParams, adam_step
 
 
 class TestConfigValidation:
@@ -424,7 +425,8 @@ class TestCheckpointIO:
         path = tmp_path / "m.iiac"
         save_checkpoint(build_params(cfg, seed=0), cfg, path)
         _rewrite_manifest(path, lambda m: edit(m["tensors"][3]))
-        with pytest.raises(FormatError, match=r"audio_down\.0\.gln\.gain"):
+        with pytest.raises(FormatError, match=r"^checkpoint tensor audio_down\.0\.gln\.gain "
+                                              r"has dtype (None|'f64'), expected 'f32'$"):
             load_checkpoint(path)
 
     def test_layout_is_pinned(self):
@@ -484,7 +486,8 @@ class TestCheckpointIO:
         path = tmp_path / "m.iiac"
         save_checkpoint(build_params(cfg, seed=0), cfg, path)
         path.write_bytes(path.read_bytes()[:-4] + struct.pack("<f", float("nan")))
-        with pytest.raises(FormatError, match="video_stub.1.bias"):
+        with pytest.raises(FormatError,
+                           match=r"^non-finite values in checkpoint tensor video_stub\.1\.bias$"):
             load_checkpoint(path)
 
     def test_non_integer_manifest_shape_rejected(self, tmp_path):
@@ -509,6 +512,70 @@ class TestCheckpointIO:
         for (_, t1), (_, t2) in zip(named_tensors(p), named_tensors(p2)):
             np.testing.assert_array_equal(t1.data, t2.data)
 
+    @staticmethod
+    def _count_scanned(monkeypatch) -> list[int]:
+        """Patch ``np.isfinite`` to add the size of every array it scans to
+        the returned list's one entry."""
+        scanned, isfinite = [0], np.isfinite
+
+        def counting(x, *args, **kwargs):
+            scanned[0] += np.size(x)
+            return isfinite(x, *args, **kwargs)
+
+        monkeypatch.setattr(np, "isfinite", counting)
+        return scanned
+
+    @pytest.mark.parametrize("over", [{}, {"depthwise": True},
+                                      {"audio_only": True, "n_speakers": 2}],
+                             ids=["fused", "depthwise", "two_speaker"])
+    def test_load_scans_each_payload_float_once(self, tmp_path, monkeypatch, over):
+        cfg = tiny_config(**over)
+        path = tmp_path / "m.iiac"
+        p = build_params(cfg, seed=5)
+        save_checkpoint(p, cfg, path)
+        scanned = self._count_scanned(monkeypatch)
+        load_checkpoint(path)
+        assert scanned[0] == sum(t.size for _, t in named_tensors(p))
+
+    @pytest.mark.parametrize("cfg", [tiny_config(), paper_scale_config(), full_scale_config()],
+                             ids=["tiny", "paper", "full"])
+    def test_accounting_scans_no_parameter(self, monkeypatch, cfg):
+        scanned = self._count_scanned(monkeypatch)
+        assert count_params(cfg) > 0 and count_macs(cfg, 1.0) > 0
+        assert M.param_breakdown(cfg) and mac_breakdown(cfg, 1.0)
+        assert scanned[0] == 0
+
+    def test_loaded_tree_owns_its_buffers_and_trains_in_place(self, tmp_path, monkeypatch):
+        cfg = tiny_config(depthwise=True)
+        path = tmp_path / "m.iiac"
+        save_checkpoint(build_params(cfg, seed=5), cfg, path)
+        allocated, skeleton = [], M._skeleton
+
+        def recorded(c):
+            tree = skeleton(c)
+            allocated.extend(t.data for _, t in named_tensors(tree))
+            return tree
+
+        monkeypatch.setattr(M, "_skeleton", recorded)
+        p, _ = load_checkpoint(path)
+        for (name, t), buf in zip(named_tensors(p), allocated, strict=True):
+            a = t.data
+            assert a is buf, name  # read into the skeleton's buffer, not a second one
+            assert a.flags.writeable and a.flags.c_contiguous and a.flags.owndata, name
+            assert a.base is None and a.dtype == np.dtype("<f4"), name
+            assert not t.requires_grad and not t.on_tape and t.grad is None, name
+
+        named = list(named_tensors(p))
+        before = [t.data.copy() for _, t in named]
+        flat = FlatParams(named)
+        flat.mark(True)
+        flat.grad[:] = 1.0
+        adam_step(flat, AdamState())
+        for (name, t), old, span in zip(named, before, flat.spans):
+            assert t.data.base is flat.data, name
+            np.testing.assert_array_equal(t.data.ravel(), flat.data[span])
+            assert np.all(t.data < old), name
+
     def test_oversized_config_rejected(self, tmp_path):
         # a 2**60-channel config over a valid tiny payload: numpy refuses
         # the shape before allocating, and the loader reports a bad file
@@ -521,7 +588,7 @@ class TestCheckpointIO:
             manifest["config"]["ffn_channels"][2] = 2**60
 
         _rewrite_manifest(path, oversize)
-        with pytest.raises(FormatError, match="too large"):
+        with pytest.raises(FormatError, match="^bad config in checkpoint: model too large "):
             load_checkpoint(path)
 
     def test_magic_and_version(self, tmp_path):
@@ -552,8 +619,11 @@ class TestCheckpointIO:
         cfg = tiny_config()
         path = tmp_path / "m.iiac"
         save_checkpoint(build_params(cfg, seed=0), cfg, path)
+        size = path.stat().st_size
         path.write_bytes(path.read_bytes()[:-8])
-        with pytest.raises(FormatError):
+        payload = size - 8 - 16 - struct.unpack_from("<Q", path.read_bytes(), 8)[0]
+        with pytest.raises(FormatError, match=f"^corrupt checkpoint payload: {payload} bytes, "
+                                              f"expected {payload + 8}$"):
             load_checkpoint(path)
 
     def test_short_read_rejected(self, tmp_path, monkeypatch):
@@ -565,7 +635,8 @@ class TestCheckpointIO:
         path.write_bytes(path.read_bytes()[:-8])
         stat = SimpleNamespace(st_size=size)
         monkeypatch.setattr(M, "os", SimpleNamespace(fstat=lambda fd: stat))
-        with pytest.raises(FormatError, match="truncated checkpoint tensor"):
+        with pytest.raises(FormatError,
+                           match=r"^truncated checkpoint tensor video_stub\.1\.bias$"):
             load_checkpoint(path)
 
     def test_config_conflict(self):
