@@ -203,6 +203,4 @@ def inter_a_b(s0: Tensor, v0: Tensor, p: InterBParams) -> tuple[Tensor, Tensor]:
     e_s = T.ew_add(s0, q_op(fused_s, p.out_s))
     fused_v = gate(interp_resample(s0, t_v), q_op(v0, p.gate_v))
     e_v = T.ew_add(v0, q_op(fused_v, p.out_v))
-    if e_s.shape != s0.shape or e_v.shape != v0.shape:
-        raise GeometryError("residual fusion must preserve input shapes")
     return e_s, e_v

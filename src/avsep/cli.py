@@ -15,9 +15,9 @@ from . import checks, metrics, runconfig
 from .data import load_embedding, load_wav, save_wav
 from .errors import ConfigConflictError, ConfigError, FormatError, GeometryError, TrainingError
 from .model import (
-    check_config_compatible,
     count_macs,
     count_params,
+    full_scale_config,
     load_checkpoint,
     mac_breakdown,
     param_breakdown,
@@ -53,8 +53,8 @@ def _load_configs(path):
 def _load_model(args):
     """The checkpoint's parameters and config, checked against ``--config``."""
     params, cfg = load_checkpoint(args.checkpoint)
-    if args.config:
-        check_config_compatible(cfg, _load_configs(args.config)[0])
+    if args.config and cfg != _load_configs(args.config)[0]:
+        raise ConfigConflictError("checkpoint config disagrees with the supplied config")
     return params, cfg
 
 
@@ -157,11 +157,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    if args.full_scale:
-        from .model import full_scale_config
-        cfg = full_scale_config()
-    else:
-        cfg, _ = _load_configs(args.config)
+    cfg = full_scale_config() if args.full_scale else _load_configs(args.config)[0]
     if args.fast:
         cfg = replace(cfg, n_audio_cycles=FAST_AUDIO_CYCLES)
     macs = count_macs(cfg, args.audio_seconds)  # refuses a bad duration before any output
@@ -224,9 +220,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("bench", help="report parameter and MAC counts")
-    p.add_argument("--config", help="run-config file")
-    p.add_argument("--full-scale", action="store_true",
-                   help="use the full-scale reference configuration")
+    source = p.add_mutually_exclusive_group()
+    source.add_argument("--config", help="run-config file")
+    source.add_argument("--full-scale", action="store_true",
+                        help="use the full-scale reference configuration")
     p.add_argument("--fast", action="store_true",
                    help=f"count with {FAST_AUDIO_CYCLES} audio-only cycles")
     p.add_argument("--audio-seconds", type=float, default=1.0)

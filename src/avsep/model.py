@@ -24,7 +24,7 @@ from .blocks import (
     inter_a_t,
     top_down_pass,
 )
-from .errors import ConfigConflictError, ConfigError, FormatError, GeometryError
+from .errors import ConfigError, FormatError, GeometryError
 from .nn import (
     Conv1dParams,
     FfnParams,
@@ -678,8 +678,3 @@ def load_checkpoint(path) -> tuple[ModelParams, ModelConfig]:
             if not np.all(np.isfinite(t.data)):
                 raise FormatError(f"non-finite values in checkpoint tensor {name}")
     return params, cfg
-
-
-def check_config_compatible(ckpt_cfg: ModelConfig, cli_cfg: ModelConfig | None) -> None:
-    if cli_cfg is not None and ckpt_cfg != cli_cfg:
-        raise ConfigConflictError("checkpoint config disagrees with the supplied config")

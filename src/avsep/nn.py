@@ -41,7 +41,9 @@ GLN_EPS = 1e-8
 class Conv1dParams:
     """Weights of a 1-D convolution whose channels split into ``groups``
     independent blocks: output block ``j`` sees only input block ``j``.
-    ``groups=1`` is the dense conv; ``groups == C_in`` is depthwise."""
+    ``groups=1`` is the dense conv; ``groups == C_in`` is depthwise. The
+    bias, if any, is [C_out] and only :func:`conv1d` adds it:
+    :func:`conv_transpose1d` takes none."""
 
     weight: Tensor  # [C_out, C_in / groups, K]
     bias: Tensor | None  # [C_out]
@@ -233,9 +235,12 @@ def conv_transpose1d(x: Tensor, p: Conv1dParams) -> Tensor:
 
     ``x`` must have ``p.out_channels`` channels; the result has
     ``p.in_channels`` channels and length ``(L-1)*stride + K - 2*padding``.
+    It adds no bias: ``p.bias`` must be None.
     """
     if x.data.ndim != 2:
         raise GeometryError(f"conv_transpose1d expects [C, L], got {x.shape}")
+    if p.bias is not None:
+        raise GeometryError("conv_transpose1d takes no bias")
     c, l_in = x.shape
     if c != p.out_channels:
         raise GeometryError(
@@ -245,23 +250,12 @@ def conv_transpose1d(x: Tensor, p: Conv1dParams) -> Tensor:
     if l_out < 1:
         raise GeometryError("conv_transpose1d output would be empty")
 
-    y = _overlap_add(x.data, p, l_out, x.dtype)
-    if p.bias is not None:
-        # transpose-direction bias lives on the result channels (C_in of p)
-        if p.bias.shape[0] != p.in_channels:
-            raise GeometryError("conv_transpose1d bias length mismatch")
-        y = y + p.bias.data[:, None]
-
-    parents = (x, p.weight) + ((p.bias,) if p.bias is not None else ())
-
     def back(grad):
-        if p.bias is not None:
-            _accum(p.bias, grad.sum(axis=1))
         gx, cols = _correlate(grad, p)
         _accum(x, gx)
         _accum(p.weight, _weight_grad(x.data, cols, p))
 
-    return _node(y, parents, back)
+    return _node(_overlap_add(x.data, p, l_out, x.dtype), (x, p.weight), back)
 
 
 def _window_sums(x3: np.ndarray) -> np.ndarray:
@@ -291,24 +285,22 @@ def _window_sums(x3: np.ndarray) -> np.ndarray:
 def avg_pool1d(x: Tensor, ratio: int) -> Tensor:
     """Non-overlapping window means along time; L must divide by ratio.
     Equal bit for bit to ``reshape(C, L // ratio, ratio).mean(axis=2)``,
-    which it computes for windows longer than 128, where numpy's pairwise
-    sum splits the window."""
+    which it computes at ratio 1 and for windows longer than 128, where
+    numpy's pairwise sum splits the window."""
     if ratio < 1:
         raise GeometryError("pool ratio must be >= 1")
     c, l = x.shape
     if l % ratio:
         raise GeometryError(f"length {l} not divisible by pool ratio {ratio}")
     x3 = x.data.reshape(c, l // ratio, ratio)
-    if ratio == 1:
-        y = x.data.copy()
-    elif ratio <= 128:
+    if 1 < ratio <= 128:
         y = _window_sums(x3)
         y /= ratio
     else:
         y = x3.mean(axis=2)
 
     def back(g):
-        _accum(x, np.repeat(g / ratio, ratio, axis=1) if ratio > 1 else g)
+        _accum(x, np.repeat(g / ratio, ratio, axis=1))
 
     return _node(y, (x,), back)
 
@@ -335,8 +327,6 @@ def _resample(a: np.ndarray, target_len: int, r: int, idx: np.ndarray | None) ->
     repeats each frame by its count, where ``np.take`` is up to 6x slower
     at the 62.5x and 125x video-to-audio ratios."""
     c, l = a.shape
-    if r == 1:
-        return a.copy()
     if 1 < r <= 4:
         y = np.empty((c, target_len), dtype=a.dtype)
         y3 = y.reshape(c, l, r)

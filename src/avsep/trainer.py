@@ -28,15 +28,20 @@ __all__ = [
 ]
 
 
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+MIN_DELTA = 1e-6  # see ScheduleState
+
+
 @dataclass
 class AdamState:
-    """Adam's hyperparameters, its step count and its moment buffers
-    ``m`` and ``v``, which the first :func:`adam_step` makes."""
+    """Adam's learning rate, its step count and its moment buffers ``m``
+    and ``v``, which the first :func:`adam_step` makes. The moment decays
+    and the denominator's epsilon are ``ADAM_BETA1``, ``ADAM_BETA2`` and
+    ``ADAM_EPS``."""
 
     lr: float = 0.001
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     step: int = 0
     m: np.ndarray | None = None
     v: np.ndarray | None = None
@@ -78,29 +83,28 @@ def adam_step(flat: FlatParams, state: AdamState) -> None:
     if state.m is None:
         state.m, state.v = np.zeros_like(g), np.zeros_like(g)
     state.step += 1
-    b1, b2 = state.beta1, state.beta2
-    c1 = 1.0 - b1 ** state.step
-    c2 = 1.0 - b2 ** state.step
+    c1 = 1.0 - ADAM_BETA1 ** state.step
+    c2 = 1.0 - ADAM_BETA2 ** state.step
     m, v = state.m, state.v
     # m += (1 - b1)(g - m); v += (1 - b2)(g^2 - v);
     # data - lr (m / c1) / (sqrt(v / c2) + eps), one buffer per term
     d = g - m
-    d *= 1.0 - b1
+    d *= 1.0 - ADAM_BETA1
     m += d
     np.multiply(g, g, out=d)
     d -= v
-    d *= 1.0 - b2
+    d *= 1.0 - ADAM_BETA2
     v += d
     np.divide(v, c2, out=d)
     np.sqrt(d, out=d)
-    d += state.eps
+    d += ADAM_EPS
     u = m / c1
     u *= state.lr
     u /= d
     flat.data -= u
 
 
-def clip_global_norm(flat: FlatParams, max_norm: float = 5.0) -> float:
+def clip_global_norm(flat: FlatParams, max_norm: float) -> float:
     """Scale ``flat.grad`` in place so its L2 norm is at most max_norm;
     returns the pre-clip norm."""
     if max_norm <= 0:
@@ -120,20 +124,19 @@ def clip_global_norm(flat: FlatParams, max_norm: float = 5.0) -> float:
 class ScheduleState:
     """Plateau LR halving plus early stopping on the validation loss.
 
-    Improvement means a strict decrease by at least min_delta; it resets
-    both counters. Halving resets only the LR counter.
+    Improvement means a strict decrease by more than ``MIN_DELTA``; it
+    resets both counters. Halving resets only the LR counter.
     """
 
     plateau_patience: int = 15
     stop_patience: int = 30
-    min_delta: float = 1e-6
     best: float = math.inf
     since_improve_lr: int = 0
     since_improve_stop: int = 0
 
     def update(self, val_loss: float, state: AdamState) -> bool:
         """Record one epoch's validation loss; returns True to stop."""
-        if val_loss < self.best - self.min_delta:
+        if val_loss < self.best - MIN_DELTA:
             self.best = val_loss
             self.since_improve_lr = 0
             self.since_improve_stop = 0

@@ -315,6 +315,15 @@ class TestInterB:
         es, ev = inter_a_b(s0, v0, p)
         assert es.shape == s0.shape and ev.shape == v0.shape
 
+    def test_wrong_width_out_q_is_rejected(self, rng):
+        # out_s maps onto 5 channels, not the audio's 4: the residual add refuses it
+        s0 = Tensor(rng.standard_normal((4, 16)), dtype=np.float64)
+        v0 = Tensor(rng.standard_normal((3, 6)), dtype=np.float64)
+        p = InterBParams(gate_s=_q(rng, 4, 3), out_s=_q(rng, 3, 5),
+                         gate_v=_q(rng, 3, 4), out_v=_q(rng, 4, 3))
+        with pytest.raises(GeometryError, match=r"^shapes \(4, 16\) and \(5, 16\) differ"):
+            inter_a_b(s0, v0, p)
+
 
 class TestTopDown:
     @pytest.mark.parametrize("depth", [1, 2, 3])

@@ -1,4 +1,6 @@
+import contextlib
 import csv
+import io
 import math
 
 import numpy as np
@@ -201,12 +203,12 @@ class TestSeparate:
     def test_config_conflict_exits_3(self, workdir, tmp_path):
         bad = tmp_path / "conflict.cfg"
         bad.write_text(TINY_CFG.replace("depth = 2", "depth = 3"))
-        rc = main(["separate", "--mixture", str(workdir / "mix.wav"),
-                   "--embedding", str(workdir / "a.iiav"),
-                   "--checkpoint", str(workdir / "tiny.iiac"),
-                   "--config", str(bad),
-                   "--out", str(tmp_path / "x")])
-        assert rc == 3
+        args = ["separate", "--mixture", str(workdir / "mix.wav"),
+                "--embedding", str(workdir / "a.iiav"),
+                "--checkpoint", str(workdir / "tiny.iiac"), "--out", str(tmp_path / "x")]
+        assert main(args + ["--config", str(bad)]) == 3
+        assert not (tmp_path / "x.0.wav").exists()
+        assert main(args + ["--config", str(workdir / "tiny.cfg")]) == 0  # an agreeing one
 
     def test_fast_flag_runs(self, workdir, tmp_path):
         rc = main(["separate", "--mixture", str(workdir / "mix.wav"),
@@ -391,6 +393,17 @@ class TestBench:
         cfg.write_text("depth = zero\n")
         assert main(["bench", "--config", str(cfg)]) == 2
 
+    @pytest.mark.parametrize("exists", [False, True])
+    def test_full_scale_and_config_are_alternatives(self, tmp_path, capsys, exists):
+        cfg = tmp_path / "paper.cfg"
+        if exists:
+            cfg.write_text(PAPER_SCALE_CFG)
+        with pytest.raises(SystemExit) as exit_:
+            main(["bench", "--full-scale", "--config", str(cfg)])
+        assert exit_.value.code == 2
+        out, err = capsys.readouterr()
+        assert "not allowed with argument" in err and out == ""
+
     @pytest.mark.parametrize("seconds", ["0", "nan", "inf", "0.0001"])
     def test_duration_under_one_encoder_kernel_exits_2(self, seconds, capsys):
         assert main(["bench", "--audio-seconds", seconds]) == 2
@@ -407,9 +420,32 @@ class TestBench:
         assert out == ""  # no partial report
 
 
+# checks.run_all()'s entries, in order. Each is one operation of the
+# benchmark's gradcheck workload, so changing them changes the benchmark.
+RUN_ALL_ENTRIES = [
+    "ew_mul", "sigmoid", "gate", "gate_add", "relu", "conv1d", "conv_transpose1d",
+    "avg_pool1d", "interp_resample", "gln", "conv1d_g2", "conv_transpose1d_g2",
+    "conv1d_dw", "conv_transpose1d_dw", "intra_a_global", "intra_a_prime", "inter_a_m",
+    "inter_a_t", "top_down_pass", "inter_a_b", "full_model_si_snr",
+]
+
+
+@pytest.fixture(scope="module")
+def gradcheck_run():
+    """The exit code and standard output of one ``avsep gradcheck``."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        rc = main(["gradcheck"])
+    return rc, out.getvalue()
+
+
 class TestGradcheck:
-    def test_all_pass(self, capsys):
-        assert main(["gradcheck"]) == 0
-        out = capsys.readouterr().out
+    def test_all_pass(self, gradcheck_run):
+        rc, out = gradcheck_run
+        assert rc == 0
         assert "FAIL" not in out
         assert out.count("pass") >= 10
+
+    def test_entries_are_pinned(self, gradcheck_run):
+        rows = [line.split() for line in gradcheck_run[1].splitlines()]
+        assert [row[1] for row in rows] == RUN_ALL_ENTRIES

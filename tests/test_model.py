@@ -14,13 +14,12 @@ from avsep import model as M
 from avsep import nn
 from avsep import tensor as T
 from avsep.blocks import ScalePyramid, inter_a_b, inter_a_t, intra_a_global, top_down_pass
-from avsep.errors import ConfigConflictError, ConfigError, FormatError, GeometryError
+from avsep.errors import ConfigError, FormatError, GeometryError
 from avsep.metrics import si_snr_loss
 from avsep.model import (
     ModelConfig,
     audio_only_cycle,
     build_params,
-    check_config_compatible,
     count_macs,
     count_params,
     encode_audio,
@@ -638,12 +637,6 @@ class TestCheckpointIO:
         with pytest.raises(FormatError,
                            match=r"^truncated checkpoint tensor video_stub\.1\.bias$"):
             load_checkpoint(path)
-
-    def test_config_conflict(self):
-        with pytest.raises(ConfigConflictError):
-            check_config_compatible(tiny_config(), tiny_config(depth=3))
-        check_config_compatible(tiny_config(), tiny_config())  # fine
-        check_config_compatible(tiny_config(), None)  # no CLI config supplied
 
 
 class TestAblations:

@@ -135,6 +135,13 @@ class TestConvTranspose1d:
         # frame 0 -> [1, 10] at t=0; frame 1 -> [2, 20] at t=2
         np.testing.assert_array_equal(conv_transpose1d(x, p).data, [[1.0, 10.0, 2.0, 20.0]])
 
+    @pytest.mark.parametrize("c_bias", [3, 2])  # conv1d's [C_out], and the result's channels
+    def test_bias_is_rejected(self, rng, c_bias):
+        p = _conv_params(rng, 3, 2, 4, stride=2)
+        p.bias = Tensor(np.ones(c_bias))
+        with pytest.raises(GeometryError, match="takes no bias"):
+            conv_transpose1d(Tensor(np.zeros((3, 5))), p)
+
     # geometries where conv followed by its adjoint round-trips the length
     @pytest.mark.parametrize("stride,padding", [(1, 0), (2, 0), (2, 2), (3, 0)])
     def test_adjoint_identity(self, stride, padding, rng):

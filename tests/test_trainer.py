@@ -12,6 +12,9 @@ from avsep.errors import ConfigError, TrainingError
 from avsep.model import build_params, named_tensors, separate
 from avsep.tensor import Tensor
 from avsep.trainer import (
+    ADAM_BETA1,
+    ADAM_BETA2,
+    ADAM_EPS,
     AdamState,
     FlatParams,
     ScheduleState,
@@ -140,12 +143,12 @@ class TestAdam:
                 t.grad[...] = 0.0 if i == 1 and step % 2 else \
                     rng.standard_normal(t.shape).astype(dtype)
             adam_step(flat, st)
-            c1, c2 = 1.0 - st.beta1 ** step, 1.0 - st.beta2 ** step
+            c1, c2 = 1.0 - ADAM_BETA1 ** step, 1.0 - ADAM_BETA2 ** step
             for n, t in flat.params:
                 g, m, v = t.grad, ref_m[n], ref_v[n]
-                m += (1.0 - st.beta1) * (g - m)
-                v += (1.0 - st.beta2) * (g * g - v)
-                ref[n] = ref[n] - st.lr * (m / c1) / (np.sqrt(v / c2) + st.eps)
+                m += (1.0 - ADAM_BETA1) * (g - m)
+                v += (1.0 - ADAM_BETA2) * (g * g - v)
+                ref[n] = ref[n] - st.lr * (m / c1) / (np.sqrt(v / c2) + ADAM_EPS)
                 assert t.data.dtype == ref[n].dtype == dtype and t.data.shape == ref[n].shape
                 assert np.shares_memory(t.data, flat.data)  # updated in place
                 np.testing.assert_array_equal(t.data, ref[n])
@@ -230,13 +233,13 @@ def _reference_clip(params, max_norm):
 def _reference_adam(params, st, moments):
     """Per-tensor Adam, as the trainer did before it kept one flat buffer."""
     st.step += 1
-    c1, c2 = 1.0 - st.beta1 ** st.step, 1.0 - st.beta2 ** st.step
+    c1, c2 = 1.0 - ADAM_BETA1 ** st.step, 1.0 - ADAM_BETA2 ** st.step
     for n, t in params:
         g = np.zeros_like(t.data) if t.grad is None else t.grad
         m, v = moments.setdefault(n, (np.zeros_like(g), np.zeros_like(g)))
-        m += (1.0 - st.beta1) * (g - m)
-        v += (1.0 - st.beta2) * (g * g - v)
-        t.data = t.data - st.lr * (m / c1) / (np.sqrt(v / c2) + st.eps)
+        m += (1.0 - ADAM_BETA1) * (g - m)
+        v += (1.0 - ADAM_BETA2) * (g * g - v)
+        t.data = t.data - st.lr * (m / c1) / (np.sqrt(v / c2) + ADAM_EPS)
 
 
 @pytest.mark.parametrize("audio_only", [False, True])
@@ -307,7 +310,7 @@ class TestSchedule:
         assert stops[5] is True  # 5 epochs without improvement after the best
 
     def test_tiny_decrease_is_not_improvement(self):
-        s = ScheduleState(plateau_patience=1, stop_patience=10, min_delta=1e-6)
+        s = ScheduleState(plateau_patience=1, stop_patience=10)
         st = AdamState(lr=1.0)
         s.update(1.0, st)
         s.update(1.0 - 1e-9, st)
