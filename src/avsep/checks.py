@@ -1,13 +1,14 @@
 """Finite-difference verification of every differentiable unit.
 
-Each check rebuilds its graph at float64, marks its leaves
+:func:`gradcheck` rebuilds its graph at float64, marks its leaves
 ``requires_grad``, computes analytic gradients via the tape, unmarks the
 leaves so the oracle's forward passes record no tape, and compares
 against the central-difference oracle in
 :func:`avsep.tensor.finite_difference_grad`. The error reported is
 max |analytic - numeric| normalized by the gradient scale.
 :func:`directional_check` compares derivatives along random directions
-instead, for models too wide to check element by element.
+instead, for models too wide to check element by element. Both step by
+:data:`avsep.tensor.FD_EPS`.
 """
 
 from __future__ import annotations
@@ -42,10 +43,9 @@ from .nn import (
 )
 from .tensor import Tensor
 
-__all__ = ["CheckResult", "directional_check", "run_all", "GRAD_TOL"]
+__all__ = ["CheckResult", "gradcheck", "directional_check", "run_all", "GRAD_TOL"]
 
 GRAD_TOL = 1e-6
-_EPS = 1e-5
 
 
 @dataclass
@@ -72,7 +72,8 @@ def _analytic_grads(make_loss, leaves: list[Tensor]) -> list[np.ndarray]:
     return analytic
 
 
-def _gradcheck(name: str, make_loss, leaves: list[Tensor]) -> CheckResult:
+def gradcheck(name: str, make_loss, leaves: list[Tensor]) -> CheckResult:
+    """Every leaf's tape gradient against the oracle's, element by element."""
     analytic = _analytic_grads(make_loss, leaves)
     worst = 0.0
     for t, a in zip(leaves, analytic):
@@ -85,7 +86,7 @@ def _gradcheck(name: str, make_loss, leaves: list[Tensor]) -> CheckResult:
             finally:
                 _t.data = _base
 
-        numeric = T.finite_difference_grad(f, base.copy(), eps=_EPS)
+        numeric = T.finite_difference_grad(f, base.copy())
         scale = max(float(np.abs(numeric).max()), float(np.abs(a).max()), 1e-8)
         worst = max(worst, float(np.abs(a - numeric).max()) / scale)
     return CheckResult(name=name, max_rel_err=worst)
@@ -102,7 +103,7 @@ def directional_check(name: str, make_loss, leaves: list[Tensor], n_dirs: int,
     1e-8); the result holds the worst."""
     analytic = _analytic_grads(make_loss, leaves)
     bases = [t.data for t in leaves]
-    rng = _rng(seed)
+    rng = np.random.default_rng(seed)
 
     def loss_at(dirs, step):
         for t, base, d in zip(leaves, bases, dirs):
@@ -119,13 +120,9 @@ def directional_check(name: str, make_loss, leaves: list[Tensor], n_dirs: int,
         norm = np.sqrt(sum(np.vdot(d, d) for d in dirs))
         dirs = [d / norm for d in dirs]
         along = float(sum(np.vdot(a, d) for a, d in zip(analytic, dirs)))
-        numeric = (loss_at(dirs, _EPS) - loss_at(dirs, -_EPS)) / (2.0 * _EPS)
+        numeric = (loss_at(dirs, T.FD_EPS) - loss_at(dirs, -T.FD_EPS)) / (2.0 * T.FD_EPS)
         worst = max(worst, abs(along - numeric) / max(abs(along), abs(numeric), 1e-8))
     return CheckResult(name=name, max_rel_err=worst)
-
-
-def _rng(seed=0):
-    return np.random.default_rng(seed)
 
 
 def _t(rng, *shape, lo=-2.0, hi=2.0) -> Tensor:
@@ -134,7 +131,7 @@ def _t(rng, *shape, lo=-2.0, hi=2.0) -> Tensor:
 
 @functools.cache
 def _readout(seed: int, shape: tuple[int, ...]) -> Tensor:
-    return Tensor(_rng(seed).uniform(-1, 1, shape), dtype=np.float64)
+    return Tensor(np.random.default_rng(seed).uniform(-1, 1, shape), dtype=np.float64)
 
 
 def _weighted_sum(x: Tensor, seed: int) -> Tensor:
@@ -143,98 +140,90 @@ def _weighted_sum(x: Tensor, seed: int) -> Tensor:
     return T.sum_all(T.ew_mul(x, _readout(seed, x.shape)))
 
 
-def _tiny_params(cfg: ModelConfig, seed=0):
-    return build_params(cfg, seed=seed, dtype=np.float64)
-
-
 def _check_primitives() -> list[CheckResult]:
     out = []
-    rng = _rng(1)
+    rng = np.random.default_rng(1)
 
     x = _t(rng, 3, 8)
     y = _t(rng, 3, 8)
-    r = rng
-    out.append(_gradcheck("ew_mul", lambda: _weighted_sum(T.ew_mul(x, y), 2), [x, y]))
-    out.append(_gradcheck("sigmoid", lambda: _weighted_sum(T.sigmoid(x), 3), [x]))
+    out.append(gradcheck("ew_mul", lambda: _weighted_sum(T.ew_mul(x, y), 2), [x, y]))
+    out.append(gradcheck("sigmoid", lambda: _weighted_sum(T.sigmoid(x), 3), [x]))
     for add in (False, True):
-        out.append(_gradcheck("gate_add" if add else "gate",
-                              lambda add=add: _weighted_sum(gate(x, y, add), 10),
-                              [x, y]))
+        out.append(gradcheck("gate_add" if add else "gate",
+                             lambda add=add: _weighted_sum(gate(x, y, add), 10),
+                             [x, y]))
 
     xr = Tensor(np.where(np.abs(x.data) < 1e-2, 0.5, x.data), dtype=np.float64)  # off the kink
-    out.append(_gradcheck("relu", lambda: _weighted_sum(T.relu(xr), 4), [xr]))
+    out.append(gradcheck("relu", lambda: _weighted_sum(T.relu(xr), 4), [xr]))
 
-    w = _t(r, 4, 3, 5, lo=-1, hi=1)
-    b = _t(r, 4, lo=-1, hi=1)
+    w = _t(rng, 4, 3, 5, lo=-1, hi=1)
+    b = _t(rng, 4, lo=-1, hi=1)
     cp = Conv1dParams(weight=w, bias=b, stride=2, padding=2)
-    out.append(_gradcheck("conv1d",
-                          lambda: _weighted_sum(conv1d(x, cp), 5), [x, w, b]))
+    out.append(gradcheck("conv1d",
+                         lambda: _weighted_sum(conv1d(x, cp), 5), [x, w, b]))
 
-    xt = _t(r, 4, 6)
-    _t(r, 3)  # drawn, unused, so that every later entry keeps its inputs
+    xt = _t(rng, 4, 6)
+    _t(rng, 3)  # drawn, unused, so that every later entry keeps its inputs
     cpt = Conv1dParams(weight=w, bias=None, stride=2, padding=2)
-    out.append(_gradcheck("conv_transpose1d",
-                          lambda: _weighted_sum(conv_transpose1d(xt, cpt), 6), [xt, w]))
+    out.append(gradcheck("conv_transpose1d",
+                         lambda: _weighted_sum(conv_transpose1d(xt, cpt), 6), [xt, w]))
 
-    out.append(_gradcheck("avg_pool1d",
-                          lambda: _weighted_sum(avg_pool1d(x, 2), 7), [x]))
-    out.append(_gradcheck("interp_resample",
-                          lambda: _weighted_sum(interp_resample(x, 13), 8), [x]))
+    out.append(gradcheck("avg_pool1d",
+                         lambda: _weighted_sum(avg_pool1d(x, 2), 7), [x]))
+    out.append(gradcheck("interp_resample",
+                         lambda: _weighted_sum(interp_resample(x, 13), 8), [x]))
 
-    gp = GlnParams(gain=_t(r, 3, lo=0.5, hi=1.5), bias=_t(r, 3, lo=-0.5, hi=0.5))
-    out.append(_gradcheck("gln",
-                          lambda: _weighted_sum(gln(x, gp), 9),
-                          [x, gp.gain, gp.bias]))
+    gp = GlnParams(gain=_t(rng, 3, lo=0.5, hi=1.5), bias=_t(rng, 3, lo=-0.5, hi=0.5))
+    out.append(gradcheck("gln",
+                         lambda: _weighted_sum(gln(x, gp), 9),
+                         [x, gp.gain, gp.bias]))
 
     # grouped (2 groups) and depthwise (multiplier 2) convs, both directions
-    rg = _rng(20)
+    rg = np.random.default_rng(20)
     for tag, c_in, c_out, groups in (("g2", 4, 6, 2), ("dw", 3, 6, 3)):
         xg = _t(rg, c_in, 8)
         wg = _t(rg, c_out, c_in // groups, 5, lo=-1, hi=1)
         bg = _t(rg, c_out, lo=-1, hi=1)
         cpg = Conv1dParams(weight=wg, bias=bg, stride=2, padding=2, groups=groups)
-        out.append(_gradcheck(f"conv1d_{tag}",
-                              lambda: _weighted_sum(conv1d(xg, cpg), 21),
-                              [xg, wg, bg]))
+        out.append(gradcheck(f"conv1d_{tag}",
+                             lambda: _weighted_sum(conv1d(xg, cpg), 21),
+                             [xg, wg, bg]))
         xtg = _t(rg, c_out, 6)
         _t(rg, c_in)  # drawn, unused, so that every later entry keeps its inputs
         cptg = Conv1dParams(weight=wg, bias=None, stride=2, padding=2, groups=groups)
-        out.append(_gradcheck(f"conv_transpose1d_{tag}",
-                              lambda: _weighted_sum(conv_transpose1d(xtg, cptg), 22),
-                              [xtg, wg]))
+        out.append(gradcheck(f"conv_transpose1d_{tag}",
+                             lambda: _weighted_sum(conv_transpose1d(xtg, cptg), 22),
+                             [xtg, wg]))
     return out
 
 
-def _block_fixture(seed=0, depth=2, na=2, nv=3, la=16, lv=8):
-    cfg = ModelConfig(
-        n_audio_channels=na, n_video_channels=nv, depth=depth,
-        n_fusion_cycles=1, n_audio_cycles=1,
-        ffn_channels=(na, 2 * na, na),
-    )
-    p = _tiny_params(cfg, seed)
-    rng = _rng(seed + 100)
-    audio = ScalePyramid(levels=[_t(rng, na, la >> i) for i in range(depth + 1)])
-    video = ScalePyramid(levels=[_t(rng, nv, lv >> i) for i in range(depth + 1)])
-    return cfg, p, audio, video, rng
+def _block_fixture():
+    cfg = ModelConfig(n_audio_channels=2, n_video_channels=3, depth=2,
+                      n_fusion_cycles=1, n_audio_cycles=1, ffn_channels=(2, 4, 2))
+    p = build_params(cfg, seed=0, dtype=np.float64)
+    rng = np.random.default_rng(100)
+    audio = ScalePyramid(levels=[_t(rng, 2, 16 >> i) for i in range(3)])
+    video = ScalePyramid(levels=[_t(rng, 3, 8 >> i) for i in range(3)])
+    return p, audio, video
 
 
 def _check_blocks() -> list[CheckResult]:
     out = []
-    cfg, p, audio, video, rng = _block_fixture()
+    p, audio, video = _block_fixture()
 
     x, y = audio.levels[0], audio.levels[2]
     q = p.global_intra_s[0]
     leaves = [x, y, q.conv.weight, q.gln.gain, q.gln.bias]
-    out.append(_gradcheck(
+    out.append(gradcheck(
         "intra_a_global",
         lambda: _weighted_sum(intra_a_global(x, y, q), 11), leaves))
-    out.append(_gradcheck(
+    out.append(gradcheck(
         "intra_a_prime",
         lambda: _weighted_sum(intra_a_prime(x, y), 12), [x, y]))
 
     sb, vb = audio.levels[1], video.levels[1]
     qm = p.inter_m[1]
-    out.append(_gradcheck(
+    out.append(gradcheck(
         "inter_a_m",
         lambda: _weighted_sum(inter_a_m(sb, vb, qm), 13),
         [sb, vb, qm.conv.weight, qm.gln.gain, qm.gln.bias]))
@@ -248,7 +237,7 @@ def _check_blocks() -> list[CheckResult]:
         s_g, v_g = inter_a_t(audio, video, p.inter_t)
         return T.ew_add(_weighted_sum(s_g, 14), _weighted_sum(v_g, 15))
 
-    out.append(_gradcheck("inter_a_t", t_loss, t_leaves))
+    out.append(gradcheck("inter_a_t", t_loss, t_leaves))
 
     td_leaves = (audio.levels + video.levels
                  + [p.global_intra_s[1].conv.weight, p.local_intra_s[0].conv.weight,
@@ -258,7 +247,7 @@ def _check_blocks() -> list[CheckResult]:
         s0, v0 = top_down_pass(audio, video, *inter_a_t(audio, video, p.inter_t), p)
         return T.ew_add(_weighted_sum(s0, 16), _weighted_sum(v0, 17))
 
-    out.append(_gradcheck("top_down_pass", td_loss, td_leaves))
+    out.append(gradcheck("top_down_pass", td_loss, td_leaves))
 
     s0, v0 = audio.levels[0], video.levels[0]
     ib: InterBParams = p.inter_b
@@ -270,7 +259,7 @@ def _check_blocks() -> list[CheckResult]:
         es, ev = inter_a_b(s0, v0, ib)
         return T.ew_add(_weighted_sum(es, 18), _weighted_sum(ev, 19))
 
-    out.append(_gradcheck("inter_a_b", b_loss, b_leaves))
+    out.append(gradcheck("inter_a_b", b_loss, b_leaves))
     return out
 
 
@@ -282,7 +271,7 @@ def _check_full_model() -> CheckResult:
     )
     for seed in range(8):
         p = build_params(cfg, seed=seed, dtype=np.float64)
-        rng = _rng(200 + seed)
+        rng = np.random.default_rng(200 + seed)
         mix = rng.uniform(-0.5, 0.5, 40)
         ref = rng.uniform(-0.5, 0.5, 40)
         vfeat = rng.uniform(0.0, 0.3, (1, 4))
@@ -299,8 +288,7 @@ def _check_full_model() -> CheckResult:
             out = separate(wave, vt, cfg, p)
             return si_snr_loss(out.waveform, ref[None, :])
 
-        res = _gradcheck("full_model_si_snr", loss, leaves)
-        return res
+        return gradcheck("full_model_si_snr", loss, leaves)
     raise RuntimeError("no seed kept the pre-mask margin away from the relu kink")
 
 

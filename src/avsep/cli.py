@@ -15,8 +15,6 @@ from . import checks, metrics, runconfig
 from .data import load_embedding, load_wav, save_wav
 from .errors import ConfigConflictError, ConfigError, FormatError, GeometryError, TrainingError
 from .model import (
-    count_macs,
-    count_params,
     full_scale_config,
     load_checkpoint,
     mac_breakdown,
@@ -86,8 +84,6 @@ def cmd_train_toy(args) -> int:
     cfg, settings = _load_configs(args.config)
     if args.audio_only:
         cfg = replace(cfg, audio_only=True, n_speakers=2)
-    if args.dynamic_mix:
-        settings = replace(settings, dynamic_mix=True)
     result = train_toy(cfg, settings, log=lambda m: print(m, file=sys.stderr))
     save_checkpoint(result.params, result.cfg, args.out)
     hist_path = args.history or (str(args.out) + ".history.csv")
@@ -109,7 +105,7 @@ def cmd_train_toy(args) -> int:
 def cmd_eval(args) -> int:
     params, cfg = _load_model(args)
     try:
-        with open(args.pairs, "r", encoding="utf-8", newline="") as fh:
+        with open(args.pairs, "r", encoding="utf-8-sig", newline="") as fh:
             rows = [r for r in csv.reader(fh) if r and any(c.strip() for c in r)]
     except (UnicodeDecodeError, csv.Error) as e:
         raise FormatError(f"{args.pairs}: unreadable pairs manifest ({e})") from e
@@ -160,13 +156,12 @@ def cmd_bench(args) -> int:
     cfg = full_scale_config() if args.full_scale else _load_configs(args.config)[0]
     if args.fast:
         cfg = replace(cfg, n_audio_cycles=FAST_AUDIO_CYCLES)
-    macs = count_macs(cfg, args.audio_seconds)  # refuses a bad duration before any output
-    print(f"parameters: {count_params(cfg)}")
-    for name, n in param_breakdown(cfg):
-        print(f"  {name:16s} {n}")
-    print(f"macs @ {args.audio_seconds:g}s: {macs}")
-    for name, n in mac_breakdown(cfg, args.audio_seconds):
-        print(f"  {name:16s} {n}")
+    macs = mac_breakdown(cfg, args.audio_seconds)  # refuses a bad duration before any output
+    for title, rows in (("parameters", param_breakdown(cfg)),
+                        (f"macs @ {args.audio_seconds:g}s", macs)):
+        print(f"{title}: {sum(n for _, n in rows)}")
+        for name, n in rows:
+            print(f"  {name:16s} {n}")
     return EXIT_OK
 
 
@@ -207,8 +202,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--history", help="loss-history CSV path (default: OUT.history.csv)")
     p.add_argument("--audio-only", action="store_true",
                    help="train the two-speaker audio-only variant with PIT")
-    p.add_argument("--dynamic-mix", action="store_true",
-                   help="remix random source pairs at random gains every step")
     p.set_defaults(func=cmd_train_toy)
 
     p = sub.add_parser("eval", help="score separated outputs against references")

@@ -590,7 +590,6 @@ def mac_breakdown(cfg: ModelConfig, audio_seconds: float) -> list[tuple[str, int
 
 def _config_to_dict(cfg: ModelConfig) -> dict:
     d = asdict(cfg)
-    d["ffn_channels"] = list(cfg.ffn_channels)
     if not cfg.depthwise:
         # dense checkpoints keep the manifest they had before the field
         # existed, and a manifest without the key loads as dense

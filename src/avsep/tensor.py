@@ -39,6 +39,9 @@ shape; any other pair, a size-1 operand of higher rank included, raises
 resamples along time: ``avsep.nn.interp_resample`` does, ``avsep.nn.gate``
 resamples its modulation to its input's frame count itself, inside its
 one tape node, and ``avsep.nn.q_op`` resamples its input likewise.
+
+:func:`finite_difference_grad` is the tape-free oracle of
+:func:`avsep.checks.gradcheck`; both gradient oracles step by ``FD_EPS``.
 """
 
 from __future__ import annotations
@@ -60,8 +63,10 @@ __all__ = [
     "log",
     "sum_all",
     "finite_difference_grad",
+    "FD_EPS",
 ]
 
+FD_EPS = 1e-5  # the central-difference step of both gradient oracles
 
 _DONE = object()  # Tensor.backward's post-order marker
 
@@ -287,26 +292,23 @@ def sum_all(x: Tensor) -> Tensor:
     return _node(x.data.sum(keepdims=False).reshape(()), (x,), back)
 
 
-def finite_difference_grad(
-    f: Callable[[np.ndarray], float], x: np.ndarray, eps: float = 1e-5
-) -> np.ndarray:
-    """Central-difference gradient of a scalar function, at float64.
+def finite_difference_grad(f: Callable[[np.ndarray], float], x: np.ndarray) -> np.ndarray:
+    """Central-difference gradient of a scalar function, at float64, with
+    step :data:`FD_EPS`.
 
     Independent oracle for the analytic backward pass; shares no code with
     the tape.
     """
-    if eps <= 0:
-        raise ValueError("eps must be positive")
     x = np.asarray(x, dtype=np.float64)
     g = np.zeros_like(x)
     flat = x.reshape(-1)
     gflat = g.reshape(-1)
     for i in range(flat.size):
         orig = flat[i]
-        flat[i] = orig + eps
+        flat[i] = orig + FD_EPS
         fp = float(f(x))
-        flat[i] = orig - eps
+        flat[i] = orig - FD_EPS
         fm = float(f(x))
         flat[i] = orig
-        gflat[i] = (fp - fm) / (2.0 * eps)
+        gflat[i] = (fp - fm) / (2.0 * FD_EPS)
     return g

@@ -41,7 +41,7 @@ class AdamState:
     and the denominator's epsilon are ``ADAM_BETA1``, ``ADAM_BETA2`` and
     ``ADAM_EPS``."""
 
-    lr: float = 0.001
+    lr: float
     step: int = 0
     m: np.ndarray | None = None
     v: np.ndarray | None = None
@@ -128,8 +128,8 @@ class ScheduleState:
     resets both counters. Halving resets only the LR counter.
     """
 
-    plateau_patience: int = 15
-    stop_patience: int = 30
+    plateau_patience: int
+    stop_patience: int
     best: float = math.inf
     since_improve_lr: int = 0
     since_improve_stop: int = 0
@@ -187,17 +187,23 @@ class TrainSettings:
 
 @dataclass
 class TrainResult:
+    """A toy run's outcome. ``final_si_snri_db`` is the last history row's
+    ``val_si_snri``: every epoch ends by validating its parameters."""
+
     params: ModelParams
     cfg: ModelConfig
     # epoch, train_loss, val_si_snri, lr, grad_norm, step_s, fwd_s, bwd_s, opt_s,
     # peak_rss_mb; step_s and the three stage times (forward plus loss,
     # backward, optimizer) are per-step means
     history: list[dict]
-    final_si_snri_db: float
     steps_run: int
     mixture: np.ndarray
     reference: np.ndarray
     video_feat: np.ndarray | None
+
+    @property
+    def final_si_snri_db(self) -> float:
+        return self.history[-1]["val_si_snri"]
 
 
 def _separate(mixture: np.ndarray, video_feat: np.ndarray | None, cfg, p, rng=None):
@@ -292,7 +298,5 @@ def train_toy(cfg: ModelConfig, settings: TrainSettings,
         if val_si_snri >= settings.target_si_snri_db or sched.update(-val_si_snri, state):
             break
 
-    # every epoch ends in a validation, so the last one scored the final parameters
-    return TrainResult(params=p, cfg=cfg, history=history,
-                       final_si_snri_db=history[-1]["val_si_snri"], steps_run=steps_run,
+    return TrainResult(params=p, cfg=cfg, history=history, steps_run=steps_run,
                        mixture=mixture, reference=target, video_feat=video_feat)

@@ -460,7 +460,7 @@ def test_gradcheck_oracle_runs_tape_free_and_unmarks_its_leaves():
         taped.append(y.on_tape)
         return y
 
-    assert checks._gradcheck("sigmoid", loss, [x]).passed
+    assert checks.gradcheck("sigmoid", loss, [x]).passed
     assert taped[0] and not any(taped[1:])
     assert len(taped) == 1 + 2 * x.size
     assert not x.requires_grad and x.grad is None
@@ -477,7 +477,7 @@ def test_gradcheck_drops_its_tape_before_the_oracle_runs(refcount_only):
         losses.append(weakref.ref(y.data))
         return y
 
-    assert checks._gradcheck("sigmoid", loss, [x]).passed
+    assert checks.gradcheck("sigmoid", loss, [x]).passed
     assert len(live) == 1 + 2 * x.size and not any(live)
 
 

@@ -150,7 +150,7 @@ class TestPointwiseQBeforeResample:
         v = Tensor(rng.uniform(-2, 2, (2, 5)), dtype=np.float64)
         q = self._q(rng, 2, 3)
         w = Tensor(rng.uniform(-1, 1, (3, 12)), dtype=np.float64)
-        res = checks._gradcheck(
+        res = checks.gradcheck(
             "inter_a_m_12_from_5", lambda: T.sum_all(T.ew_mul(inter_a_m(s, v, q), w)),
             [s, v, q.conv.weight, q.gln.gain, q.gln.bias])
         assert res.passed, res.max_rel_err
@@ -177,7 +177,7 @@ class TestFiveTapQGradients:
         want = T.ew_add(T.ew_mul(T.sigmoid(m), x), m).data
         np.testing.assert_allclose(intra_a_global(x, y, q).data, want, rtol=0, atol=1e-12)
         w = Tensor(rng.uniform(-1, 1, (3, 12)), dtype=np.float64)
-        res = checks._gradcheck(
+        res = checks.gradcheck(
             f"intra_a_global_5tap_12_from_{l}",
             lambda: T.sum_all(T.ew_mul(intra_a_global(x, y, q), w)),
             [x, y, q.conv.weight, q.gln.gain, q.gln.bias])
@@ -191,7 +191,7 @@ class TestFiveTapQGradients:
         want = T.ew_mul(T.sigmoid(q_op(interp_resample(v, 12), q)), s).data
         np.testing.assert_allclose(inter_a_m(s, v, q).data, want, rtol=0, atol=1e-12)
         w = Tensor(rng.uniform(-1, 1, (3, 12)), dtype=np.float64)
-        res = checks._gradcheck(
+        res = checks.gradcheck(
             f"inter_a_m_5tap_12_from_{l}", lambda: T.sum_all(T.ew_mul(inter_a_m(s, v, q), w)),
             [s, v, q.conv.weight, q.gln.gain, q.gln.bias])
         assert res.passed, res.max_rel_err
@@ -260,7 +260,7 @@ class TestInterT:
         assert np.any(dropped)
         leaves = [audio.levels[0], video.levels[1], p.q_av.conv.weight,
                   p.q_va.gln.gain, p.ffn_s.conv1.weight, p.ffn_v.gln.bias]
-        assert checks._gradcheck("inter_a_t_dropout", loss, leaves).passed
+        assert checks.gradcheck("inter_a_t_dropout", loss, leaves).passed
 
     def test_without_video_only_the_audio_ffn_runs(self, rng):
         p = self._params(rng, 4, 3)

@@ -2,6 +2,10 @@ import contextlib
 import csv
 import io
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -157,6 +161,17 @@ class TestTrainToy:
         assert "Traceback" not in err
         assert not (tmp_path / "x.iiac").exists()
 
+    def test_non_finite_loss_exits_1_and_writes_nothing(self, tmp_path, capsys):
+        # the first Adam step at this rate moves the weights by about 1e30,
+        # so the second forward overflows float32
+        cfg = tmp_path / "blowup.cfg"
+        cfg.write_text(TINY_CFG + "lr = 1e30\n")
+        with np.errstate(over="ignore", invalid="ignore"):
+            rc = main(["train-toy", "--config", str(cfg), "--out", str(tmp_path / "x.iiac")])
+        assert rc == 1
+        assert "error: non-finite loss at step 1" in capsys.readouterr().err
+        assert not list(tmp_path.glob("x.iiac*"))
+
     def test_audio_only_flag(self, tmp_path):
         cfg = tmp_path / "tiny.cfg"
         cfg.write_text(TINY_CFG.replace("max_steps = 30", "max_steps = 5"))
@@ -228,6 +243,27 @@ class TestSeparate:
         assert rc == 2
         assert "non-finite" in capsys.readouterr().err
         assert not (tmp_path / "sep.0.wav").exists()
+
+    def test_mixture_at_another_rate_exits_2_and_writes_nothing(self, workdir, tmp_path,
+                                                                capsys):
+        mixture, _ = load_wav(workdir / "mix.wav")
+        save_wav(tmp_path / "mix16k.wav", mixture, 16000)
+        rc = main(["separate", "--mixture", str(tmp_path / "mix16k.wav"),
+                   "--embedding", str(workdir / "a.iiav"),
+                   "--checkpoint", str(workdir / "tiny.iiac"), "--out", str(tmp_path / "x")])
+        assert rc == 2
+        assert "sample rate 16000 != model rate 8000" in capsys.readouterr().err
+        assert not list(tmp_path.glob("x*.wav"))
+
+    def test_embedding_of_neither_width_exits_2(self, workdir, tmp_path, capsys):
+        # the tiny model reads 1-channel raw features or 4-channel embeddings
+        emb = tmp_path / "three.iiav"
+        save_embedding(emb, np.ones((3, 50), dtype=np.float32))
+        rc = main(["separate", "--mixture", str(workdir / "mix.wav"), "--embedding", str(emb),
+                   "--checkpoint", str(workdir / "tiny.iiac"), "--out", str(tmp_path / "x")])
+        assert rc == 2
+        assert "video features must have 1 or 4 channels, got 3" in capsys.readouterr().err
+        assert not list(tmp_path.glob("x*.wav"))
 
     def test_nan_embedding_exits_2(self, workdir, tmp_path, capsys):
         nan = tmp_path / "nan.iiav"
@@ -333,6 +369,41 @@ class TestEval:
         rows = list(csv.reader(out.open()))
         assert len(rows) == 3  # header + surviving row + mean
 
+    def test_rate_and_length_mismatches_fail_their_rows_and_leave_the_mean(
+            self, workdir, tmp_path, capsys):
+        reference, _ = load_wav(workdir / "ref.wav")
+        save_wav(tmp_path / "ref16k.wav", reference, 16000)
+        save_wav(tmp_path / "short.wav", reference[:-8], 8000)
+        good = [str(workdir / "mix.wav"), str(workdir / "ref.wav"), str(workdir / "a.iiav")]
+        pairs = self._pairs(workdir, tmp_path, [
+            good,
+            [good[0], str(tmp_path / "ref16k.wav"), good[2]],
+            [good[0], str(tmp_path / "short.wav"), good[2]],
+        ])
+        out = tmp_path / "report.csv"
+        rc = main(["eval", "--pairs", str(pairs),
+                   "--checkpoint", str(workdir / "tiny.iiac"), "--out", str(out)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "sample rate does not match the model" in err
+        assert "mixture/reference length mismatch" in err
+        rows = list(csv.reader(out.open()))
+        assert [r[0] for r in rows] == ["path", good[0], "mean"]
+        assert rows[2][1:] == rows[1][1:]  # the mean of the one scored row
+
+    def test_manifest_with_a_byte_order_mark_reads_its_header(self, workdir, tmp_path):
+        # spreadsheet editors start a UTF-8 CSV with a BOM
+        pairs = tmp_path / "pairs.csv"
+        pairs.write_text(f"mixture,reference,embedding\n{workdir / 'mix.wav'},"
+                         f"{workdir / 'ref.wav'},{workdir / 'a.iiav'}\n", encoding="utf-8-sig")
+        assert pairs.read_bytes().startswith(b"\xef\xbb\xbf")
+        out = tmp_path / "report.csv"
+        rc = main(["eval", "--pairs", str(pairs),
+                   "--checkpoint", str(workdir / "tiny.iiac"), "--out", str(out)])
+        assert rc == 0
+        assert [r[0] for r in csv.reader(out.open())] == ["path", str(workdir / "mix.wav"),
+                                                         "mean"]
+
     def test_non_finite_separation_fails_its_row(self, workdir, tmp_path, capsys):
         _overflowing_checkpoint(tmp_path / "big.iiac")
         pairs = self._pairs(workdir, tmp_path, [
@@ -403,6 +474,16 @@ class TestBench:
         assert exit_.value.code == 2
         out, err = capsys.readouterr()
         assert "not allowed with argument" in err and out == ""
+
+    def test_module_entry_point_prints_what_main_prints(self, capsys):
+        assert main(["bench", "--full-scale"]) == 0
+        want = capsys.readouterr().out
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+        done = subprocess.run([sys.executable, "-m", "avsep.cli", "bench", "--full-scale"],
+                              env=env, capture_output=True, text=True)
+        assert (done.returncode, done.stdout, done.stderr) == (0, want, "")
 
     @pytest.mark.parametrize("seconds", ["0", "nan", "inf", "0.0001"])
     def test_duration_under_one_encoder_kernel_exits_2(self, seconds, capsys):

@@ -569,7 +569,7 @@ class TestCheckpointIO:
         flat = FlatParams(named)
         flat.mark(True)
         flat.grad[:] = 1.0
-        adam_step(flat, AdamState())
+        adam_step(flat, AdamState(lr=0.001))
         for (name, t), old, span in zip(named, before, flat.spans):
             assert t.data.base is flat.data, name
             np.testing.assert_array_equal(t.data.ravel(), flat.data[span])
@@ -717,7 +717,7 @@ def test_gradient_at_the_papers_routing():
             out = separate(wave, vt, cfg, p, np.random.default_rng(7))
             return si_snr_loss(out.waveform, ref)
 
-        res = checks._gradcheck("paper_routing", loss, [t for _, t in named_tensors(p)])
+        res = checks.gradcheck("paper_routing", loss, [t for _, t in named_tensors(p)])
         assert res.passed, res.max_rel_err
         return
     pytest.fail("no seed kept the pre-mask margin away from the relu kink")

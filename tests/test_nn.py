@@ -201,7 +201,7 @@ class TestPoolingAndResampling:
     def test_downsampling_gradient_matches_finite_difference(self, rng):
         x = Tensor(rng.uniform(-2, 2, (3, 13)), dtype=np.float64)
         w = Tensor(rng.uniform(-1, 1, (3, 5)), dtype=np.float64)
-        res = checks._gradcheck(
+        res = checks.gradcheck(
             "interp_resample_down", lambda: T.sum_all(T.ew_mul(interp_resample(x, 5), w)), [x])
         assert res.passed
 

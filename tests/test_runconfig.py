@@ -7,7 +7,7 @@ import pytest
 
 from avsep.errors import ConfigError
 from avsep.model import ModelConfig
-from avsep.runconfig import make_model_config, make_train_settings, parse_text
+from avsep.runconfig import make_model_config, make_train_settings, parse_file, parse_text
 from avsep.trainer import TrainSettings
 
 # field -> (config text, parsed value); every value differs from the default
@@ -111,3 +111,11 @@ def test_small_pool_is_refused_with_or_without_dynamic_mix():
         with pytest.raises(ConfigError, match="pool_size"):
             make_train_settings(parse_text(f"pool_size = 1\ndynamic_mix = {dynamic_mix}"))
     assert make_train_settings(parse_text("pool_size = 2")).pool_size == 2
+
+
+def test_file_with_a_byte_order_mark_parses(tmp_path):
+    # spreadsheet and Windows editors start a UTF-8 file with a BOM
+    path = tmp_path / "run.cfg"
+    path.write_text("depth = 3\nlr = 0.01\n", encoding="utf-8-sig")
+    assert path.read_bytes().startswith(b"\xef\xbb\xbf")
+    assert parse_file(path) == {"depth": 3, "lr": 0.01}

@@ -229,6 +229,10 @@ class TestFiniteDifferenceOracle:
         g = finite_difference_grad(lambda v: float((v ** 2).sum()), x)
         np.testing.assert_allclose(g, 2 * x, atol=1e-8)
 
-    def test_rejects_bad_eps(self):
-        with pytest.raises(ValueError):
-            finite_difference_grad(lambda v: 0.0, np.zeros(2), eps=0.0)
+    def test_steps_each_entry_by_fd_eps_and_restores_it(self):
+        x = np.array([0.5, -1.5])
+        seen = []
+        finite_difference_grad(lambda v: seen.append(v.copy()) or 0.0, x)
+        want = [x + s * T.FD_EPS * np.eye(2)[i] for i in range(2) for s in (1, -1)]
+        np.testing.assert_array_equal(seen, want)
+        np.testing.assert_array_equal(x, [0.5, -1.5])

@@ -118,12 +118,12 @@ class TestAdam:
         flat = _flat([[1.0]])
         flat.grad[:] = math.nan
         with pytest.raises(TrainingError, match="p0"):
-            adam_step(flat, AdamState())
+            adam_step(flat, AdamState(lr=0.001))
 
     def test_nan_in_second_of_three_names_it_and_changes_nothing(self):
         flat = _flat([[1.0], [2.0, 3.0], [4.0]])
         flat.grad[:] = [0.5, 0.1, math.nan, 0.2]
-        st = AdamState()
+        st = AdamState(lr=0.001)
         with pytest.raises(TrainingError, match="'p1'"):
             adam_step(flat, st)
         assert st.step == 0 and st.m is None and st.v is None
