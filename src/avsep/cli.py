@@ -109,7 +109,7 @@ def cmd_eval(args) -> int:
             rows = [r for r in csv.reader(fh) if r and any(c.strip() for c in r)]
     except (UnicodeDecodeError, csv.Error) as e:
         raise FormatError(f"{args.pairs}: unreadable pairs manifest ({e})") from e
-    if rows and rows[0][:2] == ["mixture", "reference"]:
+    if rows and [c.strip().casefold() for c in rows[0][:2]] == ["mixture", "reference"]:
         rows = rows[1:]
     if not rows:
         print("error: empty pairs manifest", file=sys.stderr)
@@ -206,7 +206,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("eval", help="score separated outputs against references")
     p.add_argument("--pairs", required=True,
-                   help="CSV manifest: mixture,reference,embedding")
+                   help="CSV manifest: mixture,reference,embedding; a header row, "
+                        "in any case, is skipped")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--config", help="optional run-config; must agree with the checkpoint")
     p.add_argument("--out", help="report CSV path (default: stdout)")

@@ -11,17 +11,22 @@ the tape (:attr:`Tensor.on_tape`), which most backwards compute anyway;
 only the inputs of ``conv1d`` and ``q_op`` and ``gate``'s two inputs skip
 that work.
 ``Tensor.backward()`` walks the tape once in reverse topological order
-and frees each non-leaf node's ``grad`` once that node has passed it to
-its parents, so only the leaves keep theirs.
+and consumes it: once a non-leaf node has passed its ``grad`` to its
+parents, it drops that ``grad``, its parents and its backward closure,
+so the node and whatever the closure saved are freed before the walk
+reaches the parents, and only the leaves keep a ``grad``. A tape is
+therefore walked once: afterwards its root is plain data, and a second
+``backward()`` on it raises :class:`GeometryError`, as does one on a
+loss that no marked leaf reaches or one whose tape shares a node with a
+tape walked already. Differentiating again means running the forward
+again.
 It hands each backward its upstream gradient read-only, so a backward
 that passes it on, whole or as a view, cannot make it an input's
 ``grad``: :func:`_accum` copies read-only gradients and keeps a new
 buffer a backward made as the input's ``grad`` without copying it.
-The tape itself stays: calling ``backward()`` again on the same graph adds
-the same gradients to the leaves once more. The tape is rebuilt on every
-forward pass, so weight sharing across repeated applications of the same
-parameters needs no special handling: gradients simply accumulate on the
-shared leaves.
+The tape is rebuilt on every forward pass, so weight sharing across
+repeated applications of the same parameters needs no special handling:
+gradients simply accumulate on the shared leaves.
 
 ``Tensor(data)`` rejects non-finite caller-supplied data. Two
 constructors skip that scan: :func:`_node`, which builds op results,
@@ -69,6 +74,7 @@ __all__ = [
 FD_EPS = 1e-5  # the central-difference step of both gradient oracles
 
 _DONE = object()  # Tensor.backward's post-order marker
+_WALKED = object()  # the _backward of a node that a backward() has consumed
 
 
 class Tensor:
@@ -128,12 +134,20 @@ class Tensor:
     def backward(self) -> None:
         """Seed d(self)/d(self)=1 and accumulate gradients on every leaf.
 
-        ``self`` must be scalar (size 1). Each tape node is visited exactly
-        once; fan-out gradients sum. A non-leaf node's ``grad`` is dropped
-        once its backward has run, so after the call only leaves hold one.
+        ``self`` must be scalar (size 1) and on the tape. Each tape node is
+        visited exactly once; fan-out gradients sum into the leaves' own
+        buffers. Once a non-leaf node's backward has run, the node drops its
+        ``grad``, parents and closure, so the walk frees the tape as it
+        goes: after the call only leaves hold a ``grad``, and ``self`` is
+        plain data. A root off the tape, or a tape that reaches a node of
+        one walked already, raises :class:`GeometryError` before any
+        ``grad`` changes.
         """
         if self.size != 1:
             raise GeometryError(f"backward() requires a scalar root, got shape {self.shape}")
+        if not self.on_tape:
+            raise GeometryError("backward() on a root off the tape: no marked leaf "
+                                "reaches it, or its graph was walked already")
         # depth-first post-order: a node follows its parents; _DONE on the
         # stack marks that the node below it has had its parents pushed
         topo: list[Tensor] = []
@@ -146,20 +160,26 @@ class Tensor:
                 continue
             if node in seen:
                 continue
+            if node._backward is _WALKED:
+                raise GeometryError("backward() reaches a node of a tape that was walked already")
             seen.add(node)
             stack.append(node)
             stack.append(_DONE)
             for p in node._parents:
                 if p not in seen:
                     stack.append(p)
+        del seen  # topo alone holds the tape now, and gives each node up in turn
         self.grad = np.ones_like(self.data)
-        for node in reversed(topo):
+        while topo:
+            node = topo.pop()
             back, g = node._backward, node.grad
             if back is not None and g is not None:
                 g.flags.writeable = False
                 back(g)
             if node._parents:
                 node.grad = None
+                node._parents = ()
+                node._backward = _WALKED
 
 
 def _accum(t: Tensor, g: np.ndarray) -> None:

@@ -267,7 +267,6 @@ def train_toy(cfg: ModelConfig, settings: TrainSettings,
                 raise TrainingError(f"non-finite loss at step {steps_run}")
             t1 = time.perf_counter()
             loss.backward()
-            del loss  # and with it the step's tape, before the next forward
             t2 = time.perf_counter()
             grad_norm = clip_global_norm(flat, settings.clip_norm)
             adam_step(flat, state)

@@ -529,10 +529,11 @@ def test_fan_out_inputs_that_gain_more_gradient_keep_their_own():
 
 def test_sum_all_gradient_is_a_writable_copy():
     x = Tensor(np.arange(6.0).reshape(2, 3), requires_grad=True)
-    loss = T.sum_all(x)
-    loss.backward()
+    T.sum_all(x).backward()
     assert x.grad.flags.writeable and x.grad.flags.owndata
-    loss.backward()
+    first = x.grad
+    T.sum_all(x).backward()  # the same graph built again
+    assert x.grad is first
     np.testing.assert_array_equal(x.grad, np.full((2, 3), 2.0))
 
 
@@ -542,14 +543,19 @@ def test_pad_and_crop_gradients_with_more_gradient_later(dtype):
     rng = np.random.default_rng(7)
     x = Tensor(_arr(rng, (3, 10), dtype), requires_grad=True)
     g1, g2, g3 = (rng.integers(-8, 8, (3, n)).astype(dtype) for n in (14, 6, 10))
-    loss = T.ew_add(T.ew_add(T.sum_all(T.ew_mul(pad_right(x, 4), Tensor(g1))),
-                             T.sum_all(T.ew_mul(crop_time(x, 6), Tensor(g2)))),
-                    T.sum_all(T.ew_mul(x, Tensor(g3))))
-    loss.backward()
+
+    def loss():
+        return T.ew_add(T.ew_add(T.sum_all(T.ew_mul(pad_right(x, 4), Tensor(g1))),
+                                 T.sum_all(T.ew_mul(crop_time(x, 6), Tensor(g2)))),
+                        T.sum_all(T.ew_mul(x, Tensor(g3))))
+
+    loss().backward()
     want = g1[:, :10] + g3
     want[:, :6] += g2
     np.testing.assert_array_equal(x.grad, want)
-    loss.backward()  # the same graph again adds the same gradients once more
+    first = x.grad
+    loss().backward()  # the same graph built again adds the same gradients once more
+    assert x.grad is first
     np.testing.assert_array_equal(x.grad, want + want)
 
 

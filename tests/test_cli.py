@@ -404,6 +404,20 @@ class TestEval:
         assert [r[0] for r in csv.reader(out.open())] == ["path", str(workdir / "mix.wav"),
                                                          "mean"]
 
+    @pytest.mark.parametrize("header", ["mixture, reference, embedding",
+                                        "Mixture,Reference,Embedding",
+                                        " MIXTURE ,Reference\t,embedding"])
+    def test_header_cells_are_read_stripped_and_case_folded(self, workdir, tmp_path, header):
+        pairs = tmp_path / "pairs.csv"
+        pairs.write_text(f"{header}\n{workdir / 'mix.wav'},{workdir / 'ref.wav'},"
+                         f"{workdir / 'a.iiav'}\n")
+        out = tmp_path / "report.csv"
+        rc = main(["eval", "--pairs", str(pairs),
+                   "--checkpoint", str(workdir / "tiny.iiac"), "--out", str(out)])
+        assert rc == 0
+        assert [r[0] for r in csv.reader(out.open())] == ["path", str(workdir / "mix.wav"),
+                                                         "mean"]
+
     def test_non_finite_separation_fails_its_row(self, workdir, tmp_path, capsys):
         _overflowing_checkpoint(tmp_path / "big.iiac")
         pairs = self._pairs(workdir, tmp_path, [

@@ -1,5 +1,6 @@
 import math
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -134,14 +135,74 @@ class TestTapeMemory:
 
     def test_second_backward_doubles_the_leaf_grads(self):
         x, w = _leaf([1.0, 2.0]), _leaf([3.0, 5.0])
-        loss = T.sum_all(T.ew_mul(x, w))
-        loss.backward()
+        T.sum_all(T.ew_mul(x, w)).backward()
         np.testing.assert_array_equal(x.grad, [3.0, 5.0])
         first = x.grad
-        loss.backward()  # stale intermediate grads would make this [9, 15]
+        # the same graph built again: stale intermediate grads would make this [9, 15]
+        T.sum_all(T.ew_mul(x, w)).backward()
         assert x.grad is first  # added into the buffer the leaf owns
         np.testing.assert_array_equal(x.grad, [6.0, 10.0])
         np.testing.assert_array_equal(w.grad, [2.0, 4.0])
+
+    def test_a_node_is_freed_before_its_parents_backward_runs(self, refcount_only):
+        # x -> a -> b -> loss. Tensor has no __weakref__, so b is watched
+        # through its data, which sigmoid's backward also saves
+        x = _leaf([0.5, -1.0])
+        a = T.scale(x, 2.0)
+        b = T.sigmoid(a)
+        b_alive, loss = weakref.ref(b.data), T.sum_all(b)
+        del b
+        alive_in_a = []
+        back_a = a._backward
+
+        def spy(g):
+            alive_in_a.append(b_alive() is not None)
+            back_a(g)
+
+        a._backward = spy
+        assert b_alive() is not None
+        loss.backward()
+        assert alive_in_a == [False]
+        assert not a.on_tape and a.grad is None
+        y = 1.0 / (1.0 + np.exp(-2.0 * x.data))
+        np.testing.assert_allclose(x.grad, 2.0 * y * (1.0 - y), rtol=1e-15)
+
+    def test_a_walked_root_is_plain_data(self):
+        x, w, nodes, loss = self._graph()
+        loss.backward()
+        for n in nodes:
+            assert not n.on_tape and n.grad is None
+        assert x.on_tape and w.on_tape  # marked leaves stay marked
+
+    def test_a_second_backward_raises_and_changes_no_grad(self):
+        x, w, _, loss = self._graph()
+        loss.backward()
+        before = [x.grad.tobytes(), w.grad.tobytes()]
+        grads = [x.grad, w.grad]
+        with pytest.raises(GeometryError, match="off the tape"):
+            loss.backward()
+        assert x.grad is grads[0] and w.grad is grads[1]
+        assert [x.grad.tobytes(), w.grad.tobytes()] == before
+
+    def test_a_loss_that_shares_a_walked_node_raises_and_changes_no_grad(self):
+        x = _leaf([1.0, 2.0])
+        h = T.scale(x, 3.0)
+        first, second = T.sum_all(h), T.sum_all(T.ew_mul(h, h))
+        first.backward()
+        before = x.grad.tobytes()
+        with pytest.raises(GeometryError, match="walked already"):
+            second.backward()  # through h, whose backward first.backward() consumed
+        assert x.grad.tobytes() == before and second.on_tape
+
+    def test_a_loss_no_marked_leaf_reaches_raises_and_changes_no_grad(self):
+        x = _leaf([1.0, 2.0])
+        x.grad = np.array([4.0, 8.0])
+        before = x.grad.tobytes()
+        loss = T.sum_all(T.ew_mul(Tensor([3.0, 5.0], dtype=np.float64),
+                                  Tensor([1.0, 1.0], dtype=np.float64)))
+        with pytest.raises(GeometryError, match="off the tape"):
+            loss.backward()
+        assert loss.grad is None and x.grad.tobytes() == before
 
     def test_non_leaf_grads_are_freed_and_leaf_grads_kept(self):
         x, w, nodes, loss = self._graph()

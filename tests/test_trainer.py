@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -76,9 +77,10 @@ class TestFlatParams:
     def test_a_second_backward_adds_into_the_buffer(self):
         flat = _flat([[1.0, 2.0]])
         (x,) = _tensors(flat)
-        loss = T.sum_all(T.scale(x, 3.0))
-        loss.backward()
-        loss.backward()
+        T.sum_all(T.scale(x, 3.0)).backward()
+        first = x.grad
+        T.sum_all(T.scale(x, 3.0)).backward()  # the same graph built again
+        assert x.grad is first
         np.testing.assert_array_equal(flat.grad, [6.0, 6.0])
 
     def test_unmarked_parameters_are_plain_data(self):
@@ -280,6 +282,31 @@ def test_three_flat_steps_match_the_per_tensor_optimizer_bit_for_bit(audio_only)
                zip(flat_data, (t.data for _, t in named_tensors(build_params(cfg, seed=5)))))
 
 
+def test_a_step_backward_gives_its_tape_back_while_the_root_is_held():
+    # flat parameters own their gradients before the forward, so what the
+    # forward allocates is the tape; the backward frees it as it walks
+    cfg = tiny_config(dropout_p=0.2)
+    src = synth_sources(2, 4000, seed=3)
+    mix, interf = mix_at_snr(src[0], [src[1]], 0.0)
+    vfeat = energy_envelope(src[0], cfg.sample_rate)
+    p = build_params(cfg, seed=5)
+    flat = FlatParams(list(named_tensors(p)))
+    flat.mark(True)
+    rng = np.random.default_rng(7)
+    trainer._forward_loss_av(mix, vfeat, [src[0], interf], cfg, p, rng).backward()  # warm-up
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        loss = trainer._forward_loss_av(mix, vfeat, [src[0], interf], cfg, p, rng)
+        taped = tracemalloc.get_traced_memory()[0] - before
+        loss.backward()
+        after = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert taped > 1 << 20  # the tape this step recorded
+    assert after < 64 << 10 and not loss.on_tape and loss.data.shape == ()
+
+
 class TestSchedule:
     def test_improvement_resets_counters(self):
         s = ScheduleState(plateau_patience=2, stop_patience=4)
@@ -370,15 +397,22 @@ class TestTrainToy:
         assert res.history[0]["peak_rss_mb"] <= res.history[1]["peak_rss_mb"]  # a peak
 
     def test_holds_one_tape_at_a_time(self, monkeypatch, refcount_only):
-        # Tensor has __slots__ and no __weakref__, so each step's loss and each
+        # Tensor has __slots__ and no __weakref__, so each step's tape and each
         # separated output (training and validation) is watched through its data
-        losses, outputs, live = [], [], []
+        losses, taped, outputs, live = [], [], [], []
         forward, sep = trainer._forward_loss_av, trainer._separate
 
         def watched_forward(*args):
-            live.append([sum(r() is not None for r in refs) for refs in (losses, outputs)])
+            live.append([sum(r() is not None for r in refs) for refs in (taped, outputs)])
             loss = forward(*args)
-            losses.append(weakref.ref(loss.data))
+            losses.append(loss)
+            seen, stack = set(), list(loss._parents)
+            while stack:
+                node = stack.pop()
+                if node._parents and id(node) not in seen:
+                    seen.add(id(node))
+                    taped.append(weakref.ref(node.data))
+                    stack.extend(node._parents)
             return loss
 
         def watched_separate(*args):
@@ -389,9 +423,12 @@ class TestTrainToy:
         monkeypatch.setattr(trainer, "_forward_loss_av", watched_forward)
         monkeypatch.setattr(trainer, "_separate", watched_separate)
         train_toy(tiny_config(), self._settings(max_steps=3, steps_per_epoch=2))
-        assert live == [[0, 0]] * 3  # [live losses, live outputs] as each forward starts
+        assert live == [[0, 0]] * 3  # [live tape arrays, live outputs] as each forward starts
         assert len(losses) == 3 and len(outputs) == 5  # 3 steps, 2 validations
-        assert all(r() is None for r in losses + outputs)
+        assert len(taped) > 3 * 90  # every node of each step's tape below its root
+        assert all(r() is None for r in taped + outputs)
+        # each loss the trainer still held as the next forward started is plain data
+        assert all(not loss.on_tape and loss.data.shape == () for loss in losses)
 
     def test_returns_plain_parameters_off_the_tape(self):
         res = train_toy(tiny_config(), self._settings(max_steps=2, steps_per_epoch=1))
