@@ -31,34 +31,4 @@ from .model import (
 from .tensor import Tensor
 from .trainer import TrainSettings, train_toy
 
-__all__ = [
-    "AvsepError",
-    "ConfigConflictError",
-    "ConfigError",
-    "FormatError",
-    "GeometryError",
-    "TrainingError",
-    "ModelConfig",
-    "ModelParams",
-    "SeparationOutput",
-    "Tensor",
-    "TrainSettings",
-    "build_params",
-    "count_macs",
-    "count_params",
-    "load_checkpoint",
-    "full_scale_config",
-    "paper_scale_config",
-    "pit_best",
-    "pit_si_snr_loss",
-    "save_checkpoint",
-    "sdr",
-    "sdri",
-    "separate",
-    "si_snr",
-    "si_snr_loss",
-    "si_snri",
-    "train_toy",
-]
-
 __version__ = "0.1.0"

@@ -25,19 +25,6 @@ from .tensor import Tensor
 if TYPE_CHECKING:
     from .model import ModelParams
 
-__all__ = [
-    "ScalePyramid",
-    "InterTParams",
-    "InterBParams",
-    "intra_a_global",
-    "intra_a_prime",
-    "inter_a_t",
-    "inter_a_m",
-    "pooled_sum",
-    "top_down_pass",
-    "inter_a_b",
-]
-
 
 @dataclass
 class ScalePyramid:

@@ -43,8 +43,6 @@ from .nn import (
 )
 from .tensor import Tensor
 
-__all__ = ["CheckResult", "gradcheck", "directional_check", "run_all", "GRAD_TOL"]
-
 GRAD_TOL = 1e-6
 
 

@@ -25,8 +25,6 @@ from .model import (
 from .tensor import Tensor
 from .trainer import train_toy
 
-__all__ = ["main"]
-
 EXIT_OK = 0
 EXIT_PARTIAL = 1
 EXIT_USAGE = 2

@@ -16,18 +16,6 @@ import numpy as np
 from .errors import FormatError, GeometryError
 from .model import VIDEO_FPS
 
-__all__ = [
-    "MixtureSpec",
-    "load_wav",
-    "save_wav",
-    "mix_at_snr",
-    "synth_sources",
-    "dynamic_mix_batch",
-    "load_embedding",
-    "save_embedding",
-    "energy_envelope",
-]
-
 EMBEDDING_MAGIC = b"IIAV"
 
 

@@ -21,17 +21,6 @@ import numpy as np
 from . import tensor as T
 from .tensor import Tensor
 
-__all__ = [
-    "DISPLAY_CLAMP_DB",
-    "si_snr",
-    "si_snri",
-    "sdr",
-    "sdri",
-    "pit_best",
-    "si_snr_loss",
-    "pit_si_snr_loss",
-]
-
 DISPLAY_CLAMP_DB = 60.0
 _LOG10 = math.log(10.0)
 

@@ -40,27 +40,6 @@ from .nn import (
 )
 from .tensor import Tensor
 
-__all__ = [
-    "ModelConfig",
-    "ModelParams",
-    "SeparationOutput",
-    "build_params",
-    "named_tensors",
-    "encode_audio",
-    "encode",
-    "refinement_cycle",
-    "audio_only_cycle",
-    "separate",
-    "count_params",
-    "count_macs",
-    "param_breakdown",
-    "mac_breakdown",
-    "save_checkpoint",
-    "load_checkpoint",
-    "full_scale_config",
-    "paper_scale_config",
-]
-
 CHECKPOINT_MAGIC = b"IIAC"
 CHECKPOINT_VERSION = 1
 VIDEO_FPS = 25  # lip-frame rate the temporal grids are derived from
@@ -211,13 +190,13 @@ class SeparationOutput:
 
 
 class _Init:
-    """Parameter factory. With a generator, draws are consumed in field
-    order and every tensor is a ``Tensor``, scanned for finiteness. Without
-    one it builds the skeleton that the cost accounting reads the shapes of
-    and checkpoint loading fills: each tensor is allocated with
-    ``np.empty`` and wrapped by ``Tensor.unscanned``, so it is neither
-    filled nor scanned, and its values are undefined until a load
-    overwrites them."""
+    """Parameter factory. Every tensor is allocated with ``np.empty`` and
+    wrapped by ``Tensor.unscanned``. With a generator each is filled in
+    place, draws consumed in field order; its values are finite by
+    construction, so none is scanned. Without one it builds the skeleton
+    that the cost accounting reads the shapes of and checkpoint loading
+    fills: its values are undefined until a load overwrites them. A tensor
+    too large to allocate raises ConfigError."""
 
     def __init__(self, rng: np.random.Generator | None, dtype, depthwise: bool):
         self.rng = rng
@@ -225,13 +204,17 @@ class _Init:
         self.depthwise = depthwise  # down-convs and FFN middle conv get groups=C_in
 
     def _leaf(self, shape, values) -> Tensor:
-        """``Tensor(values())``, or in a skeleton an unfilled leaf of ``shape``."""
-        if self.rng is None:
-            return Tensor.unscanned(np.empty(shape, self.dtype))
-        return Tensor(values())
+        """A leaf of ``shape`` filled with ``values()``, or in a skeleton unfilled."""
+        try:
+            data = np.empty(shape, self.dtype)
+            if self.rng is not None:
+                data[...] = values()
+        except (MemoryError, ValueError) as e:  # numpy: out of memory, or "array is too big"
+            raise ConfigError(f"model too large to build: {e}") from e
+        return Tensor.unscanned(data)
 
     def _uniform(self, bound: float, shape) -> Tensor:
-        return self._leaf(shape, lambda: self.rng.uniform(-bound, bound, shape).astype(self.dtype))
+        return self._leaf(shape, lambda: self.rng.uniform(-bound, bound, shape))
 
     def conv(self, c_out, c_in, k, stride=1, padding=0, bias=False, groups=1) -> Conv1dParams:
         bound = 1.0 / np.sqrt((c_in // groups) * k)
@@ -241,8 +224,8 @@ class _Init:
 
     def gln(self, c) -> GlnParams:
         return GlnParams(
-            gain=self._leaf(c, lambda: np.ones(c, dtype=self.dtype)),
-            bias=self._leaf(c, lambda: np.zeros(c, dtype=self.dtype)),
+            gain=self._leaf(c, lambda: 1.0),
+            bias=self._leaf(c, lambda: 0.0),
         )
 
     def q(self, c_in, c_out, kernel) -> QParams:
@@ -266,7 +249,8 @@ class _Init:
 def build_params(cfg: ModelConfig, seed: int = 0, dtype=np.float32) -> ModelParams:
     """A randomly initialised parameter tree for ``cfg``. The tensors are
     plain data (``requires_grad`` False), so a forward pass records no tape;
-    mark the ones you differentiate."""
+    mark the ones you differentiate. A config too large to allocate raises
+    ConfigError."""
     return _build(cfg, _Init(np.random.default_rng(seed), dtype, cfg.depthwise))
 
 
@@ -275,10 +259,7 @@ def _skeleton(cfg: ModelConfig) -> ModelParams:
     tensor a ``<f4`` buffer of its own whose values are undefined, neither
     filled nor scanned (see :class:`_Init`). Only shapes may be read until
     a load fills it. A config too large to allocate raises ConfigError."""
-    try:
-        return _build(cfg, _Init(None, np.dtype("<f4"), cfg.depthwise))
-    except (MemoryError, ValueError) as e:  # numpy: out of memory, or "array is too big"
-        raise ConfigError(f"model too large to build: {e}") from e
+    return _build(cfg, _Init(None, np.dtype("<f4"), cfg.depthwise))
 
 
 def _build(cfg: ModelConfig, ini: _Init) -> ModelParams:
@@ -365,38 +346,32 @@ def _frames(cfg: ModelConfig, t_a: int) -> int:
 
 
 def encode_audio(wave: Tensor, p: ModelParams) -> Tensor:
-    if wave.shape[1] < p.encoder.kernel:
-        raise GeometryError("waveform shorter than the encoder kernel")
     return conv1d(wave, p.encoder)
-
-
-def apply_video_stub(feat: Tensor, p: ModelParams) -> Tensor:
-    if p.video_stub is None:
-        raise ConfigError("this model has no video pathway")
-    h = T.sigmoid(conv1d(feat, p.video_stub[0]))
-    return conv1d(h, p.video_stub[1])
 
 
 def encode(
     mixture: Tensor, video_feat: Tensor | None, cfg: ModelConfig, p: ModelParams
 ) -> tuple[Tensor, Tensor | None]:
     """Encode the mixture, zero-padded to :func:`_frames`, and for the fused
-    model the video (raw features through the stub, or already at
-    embedding width), zero-padded to a multiple of 2^depth frames."""
+    model the video (raw ``n_video_in``-channel features through the stub,
+    or features already at embedding width), zero-padded to a multiple of
+    2^depth frames. Each bad input is refused once, before any conv runs on
+    it: a mixture under one coarsest-scale frame by :func:`_frames`, and
+    missing video or video of another channel count here."""
+    frames = _frames(cfg, mixture.shape[1])
     e_s = encode_audio(mixture, p)
-    e_s = pad_right(e_s, _frames(cfg, mixture.shape[1]) - e_s.shape[1])
+    e_s = pad_right(e_s, frames - e_s.shape[1])
     if cfg.audio_only:
         return e_s, None
     if video_feat is None:
         raise GeometryError("the fused model needs video features")
-    ev_raw = apply_video_stub(video_feat, p) if video_feat.shape[0] == cfg.n_video_in \
-        else video_feat
-    if ev_raw.shape[0] != cfg.n_video_channels:
-        raise GeometryError(
-            f"video features must have {cfg.n_video_in} or "
-            f"{cfg.n_video_channels} channels, got {video_feat.shape[0]}"
-        )
-    return e_s, pad_right(ev_raw, _ceil_to(ev_raw.shape[1], 1 << cfg.depth) - ev_raw.shape[1])
+    e_v = video_feat
+    if e_v.shape[0] == cfg.n_video_in:
+        e_v = conv1d(T.sigmoid(conv1d(e_v, p.video_stub[0])), p.video_stub[1])
+    elif e_v.shape[0] != cfg.n_video_channels:
+        raise GeometryError(f"video features must have {cfg.n_video_in} or "
+                            f"{cfg.n_video_channels} channels, got {e_v.shape[0]}")
+    return e_s, pad_right(e_v, _ceil_to(e_v.shape[1], 1 << cfg.depth) - e_v.shape[1])
 
 
 def _bottom_up(x: Tensor, stack: list[QParams]) -> ScalePyramid:

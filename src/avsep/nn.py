@@ -15,25 +15,6 @@ import numpy as np
 from .errors import GeometryError
 from .tensor import Tensor, _accum, _node, _sigmoid
 
-__all__ = [
-    "Conv1dParams",
-    "GlnParams",
-    "QParams",
-    "FfnParams",
-    "conv1d",
-    "conv_transpose1d",
-    "avg_pool1d",
-    "interp_resample",
-    "gate",
-    "gln",
-    "q_op",
-    "ffn",
-    "dropout",
-    "slice_channels",
-    "conv1d_out_len",
-    "conv_transpose1d_out_len",
-]
-
 GLN_EPS = 1e-8
 
 
@@ -134,16 +115,20 @@ def _columns(x: np.ndarray, p: Conv1dParams) -> np.ndarray:
 
 
 def _correlate(x: np.ndarray, p: Conv1dParams) -> tuple[np.ndarray, np.ndarray]:
-    """Cross-correlate ``x`` [C_in, L] with the weight: each channel group is
-    one matrix product over its :func:`_columns`, and the groups run as one
-    batched matmul (one plain matmul when there is one group). Returns the
-    result [C_out, L_out] in a new buffer and the columns the weight
-    gradient reads."""
+    """Cross-correlate ``x`` [C_in, L] with the weight and add the bias when
+    ``p`` has one: each channel group is one matrix product over its
+    :func:`_columns`, and the groups run as one batched matmul (one plain
+    matmul when there is one group). Returns the result [C_out, L_out] in a
+    new buffer and the columns the weight gradient reads."""
     cols = _columns(x, p)
     w = p.weight.data
     if p.groups == 1:
-        return w.reshape(w.shape[0], -1) @ cols[0], cols
-    return (p.weight_blocks() @ cols).reshape(w.shape[0], cols.shape[2]), cols
+        y = w.reshape(w.shape[0], -1) @ cols[0]
+    else:
+        y = (p.weight_blocks() @ cols).reshape(w.shape[0], cols.shape[2])
+    if p.bias is not None:
+        y += p.bias.data[:, None]
+    return y, cols
 
 
 def _overlap_add(y: np.ndarray, p: Conv1dParams, length: int, dtype) -> np.ndarray:
@@ -185,15 +170,6 @@ def _weight_grad(y: np.ndarray, cols: np.ndarray, p: Conv1dParams) -> np.ndarray
     return (y.reshape(p.groups, -1, cols.shape[2]) @ cols.transpose(0, 2, 1)).reshape(shape)
 
 
-def _conv_out(x: np.ndarray, p: Conv1dParams) -> tuple[np.ndarray, np.ndarray]:
-    """The conv of ``x`` [C_in, L] plus its bias, in a new buffer, and the
-    columns the weight gradient reads."""
-    y, cols = _correlate(x, p)
-    if p.bias is not None:
-        y += p.bias.data[:, None]
-    return y, cols
-
-
 def _conv_param_grads(g: np.ndarray, cols: np.ndarray, p: Conv1dParams) -> None:
     """Accumulate the weight and bias gradients of the conv from its
     upstream gradient ``g`` [C_out, L_out] and its input's columns."""
@@ -219,7 +195,7 @@ def conv1d(x: Tensor, p: Conv1dParams) -> Tensor:
     if conv1d_out_len(l_in, k, stride, pad) < 1:
         raise GeometryError(f"conv1d input too short: L={l_in}, K={k}, stride={stride}, pad={pad}")
 
-    y = _conv_out(xd, p)[0]
+    y = _correlate(xd, p)[0]
     parents = (x, w) if bias is None else (x, w, bias)
 
     def back(grad):
@@ -501,7 +477,7 @@ def q_op(x: Tensor, p: QParams, length: int | None = None) -> Tensor:
     y, m, inv = _gln_forward(z, norm, out=z)
 
     def back(g):
-        z, cols = _conv_out(up(), conv)
+        z, cols = _correlate(up(), conv)
         z -= m
         gz = _gln_backward(g, z, inv, norm)
         _conv_param_grads(gz, cols, conv)

@@ -14,7 +14,6 @@ from .errors import ConfigError
 from .model import ModelConfig
 from .trainer import TrainSettings
 
-__all__ = ["parse_file", "parse_text", "make_model_config", "make_train_settings"]
 
 def _bool(raw: str) -> bool:
     if raw.lower() not in ("true", "false"):

@@ -31,8 +31,9 @@ gradients simply accumulate on the shared leaves.
 ``Tensor(data)`` rejects non-finite caller-supplied data. Two
 constructors skip that scan: :func:`_node`, which builds op results,
 and :meth:`Tensor.unscanned`, which wraps an array as a plain-data leaf
-(``q_op``'s conv input, and the parameter skeleton of ``avsep.model``,
-whose values are undefined until a checkpoint load fills them).
+(``q_op``'s conv input, and every parameter ``avsep.model`` builds:
+drawn in place, or in the skeleton undefined until a checkpoint load
+fills them).
 Finiteness is checked at the boundaries instead (the file readers,
 ``save_wav``, the trainer's loss and Adam step, and the metrics).
 
@@ -56,20 +57,6 @@ from typing import Callable
 import numpy as np
 
 from .errors import GeometryError
-
-__all__ = [
-    "Tensor",
-    "ew_add",
-    "ew_sub",
-    "ew_mul",
-    "scale",
-    "sigmoid",
-    "relu",
-    "log",
-    "sum_all",
-    "finite_difference_grad",
-    "FD_EPS",
-]
 
 FD_EPS = 1e-5  # the central-difference step of both gradient oracles
 

@@ -16,17 +16,6 @@ from .errors import ConfigError, TrainingError
 from .model import ModelConfig, ModelParams, build_params, named_tensors, separate
 from .tensor import Tensor
 
-__all__ = [
-    "AdamState",
-    "FlatParams",
-    "ScheduleState",
-    "TrainSettings",
-    "adam_step",
-    "clip_global_norm",
-    "train_toy",
-    "TrainResult",
-]
-
 
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
@@ -222,7 +211,8 @@ def _forward_loss_av(mixture, video_feat, refs, cfg, p, rng) -> Tensor:
 def train_toy(cfg: ModelConfig, settings: TrainSettings,
               log=None) -> TrainResult:
     """Overfit a single synthetic two-source mixture (or dynamically mixed
-    pool) and return the trained parameters plus the loss history."""
+    pool) and return the trained parameters plus the loss history. A
+    mixture or model too large to allocate raises ConfigError."""
     if cfg.n_speakers > 2:
         raise ConfigError(f"n_speakers = {cfg.n_speakers}, but the toy mixture has two sources")
     rng = np.random.default_rng(settings.seed)
@@ -230,7 +220,13 @@ def train_toy(cfg: ModelConfig, settings: TrainSettings,
     if length < cfg.enc_kernel:
         raise ConfigError(f"mixture_seconds = {settings.mixture_seconds:g} is {length} samples, "
                           f"shorter than one encoder kernel ({cfg.enc_kernel} samples)")
-    pool = synth_sources(settings.pool_size if settings.dynamic_mix else 2, length, settings.seed)
+    n_sources = settings.pool_size if settings.dynamic_mix else 2
+    try:
+        pool = synth_sources(n_sources, length, settings.seed)
+    except (MemoryError, ValueError) as e:  # numpy: out of memory, or "array is too big"
+        raise ConfigError(f"{n_sources} sources of {length} samples (mixture_seconds = "
+                          f"{settings.mixture_seconds:g} at sample_rate = {cfg.sample_rate}) "
+                          f"are too large to allocate: {e}") from e
     target, interferer = pool[0], pool[1]
     mixture, scaled_interf = mix_at_snr(target, [interferer], settings.snr_db)
     video_feat = None if cfg.audio_only else energy_envelope(target, cfg.sample_rate)

@@ -151,6 +151,23 @@ class TestTrainToy:
         assert err.startswith("error: ") and f"at depth {depth} (2^{depth} = {1 << depth})" in err
         assert not (tmp_path / "x.iiac").exists()
 
+    @pytest.mark.parametrize("text, named", [
+        # numpy refuses each TiB-sized request at once: the encoder weight,
+        # and the 0.5 s mixture at this rate
+        ("n_audio_channels = 1000000000000\nffn_channels = 16,32,1000000000000\n",
+         "model too large to build"),
+        ("sample_rate = 1000000000000000\n", "sample_rate = 1000000000000000"),
+    ], ids=["channels", "sample_rate"])
+    def test_unallocatable_config_exits_2(self, tmp_path, capsys, text, named):
+        cfg = tmp_path / "huge.cfg"
+        cfg.write_text(text + "max_steps = 1\n")
+        assert main(["train-toy", "--config", str(cfg),
+                     "--out", str(tmp_path / "x.iiac")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and named in err
+        assert "Traceback" not in err
+        assert not list(tmp_path.glob("x.iiac*"))
+
     def test_three_speakers_exit_2_without_a_traceback(self, tmp_path, capsys):
         cfg = tmp_path / "three.cfg"
         cfg.write_text(TINY_CFG + "audio_only = true\nn_speakers = 3\n")

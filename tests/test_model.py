@@ -13,7 +13,7 @@ from avsep import checks
 from avsep import model as M
 from avsep import nn
 from avsep import tensor as T
-from avsep.blocks import ScalePyramid, inter_a_b, inter_a_t, intra_a_global, top_down_pass
+from avsep.blocks import ScalePyramid, inter_a_b, inter_a_t, top_down_pass
 from avsep.errors import ConfigError, FormatError, GeometryError
 from avsep.metrics import si_snr_loss
 from avsep.model import (
@@ -33,7 +33,7 @@ from avsep.model import (
     separate,
     separation_features,
 )
-from avsep.nn import avg_pool1d, conv1d, ffn, gln
+from avsep.nn import avg_pool1d, conv1d, ffn, gln, interp_resample
 from avsep.tensor import Tensor
 from avsep.trainer import AdamState, FlatParams, adam_step
 
@@ -127,13 +127,39 @@ class TestGeometry:
 
 def unrolled_reference(e_s, e_v, cfg, p):
     """Equation-by-equation unroll of the cyclic network, written directly
-    against the block functions rather than the driver loop."""
+    against the block functions and primitives rather than the driver
+    loop. The audio cycles compute each ``Q(up(y))`` here as
+    ``gln(conv1d(interp_resample(y, L)))``, sharing no code with
+    ``intra_a_global`` or its ``_q_up``, and a depthwise down-conv is
+    summed here tap by tap, sharing no code with ``conv1d``."""
+
+    def down(x, cp):
+        if cp.groups == 1:
+            return conv1d(x, cp)
+        # depthwise: y[c, t] = sum_k w[c, 0, k] * x_padded[c, t * stride + k]
+        xp = np.pad(x.data, ((0, 0), (cp.padding, cp.padding)))
+        n, s = (xp.shape[1] - cp.kernel) // cp.stride + 1, cp.stride
+        return Tensor(sum(cp.weight.data[:, :, k] * xp[:, k : k + s * n : s]
+                          for k in range(cp.kernel)))
 
     def bottom_up(x, stack):
         levels = [x]
         for q in stack:
-            levels.append(gln(conv1d(levels[-1], q.conv), q.gln))
+            levels.append(gln(down(levels[-1], q.conv), q.gln))
         return ScalePyramid(levels=levels)
+
+    def q_up(y, length, q):
+        return gln(conv1d(interp_resample(y, length), q.conv), q.gln)
+
+    def intra(x, y, q):  # sigmoid(Q(up(y))) * x + Q(up(y))
+        m = q_up(y, x.shape[1], q)
+        return T.ew_add(T.ew_mul(T.sigmoid(m), x), m)
+
+    def coarse_to_fine(bar, qs):
+        chk = bar[-1]
+        for i in range(len(bar) - 2, -1, -1):
+            chk = intra(bar[i], chk, qs[i])
+        return chk
 
     cur_s, cur_v = e_s, e_v
     for _ in range(cfg.n_fusion_cycles):
@@ -149,12 +175,8 @@ def unrolled_reference(e_s, e_v, cfg, p):
         for i in range(d):
             acc = T.ew_add(acc, avg_pool1d(sp.levels[i], 2 ** (d - i)))
         s_g = ffn(acc, p.inter_t.ffn_s)
-        bar = [intra_a_global(x, s_g, p.global_intra_s[i])
-               for i, x in enumerate(sp.levels)]
-        chk = intra_a_global(bar[d - 1], bar[d], p.local_intra_s[d - 1])
-        for i in range(d - 2, -1, -1):
-            chk = intra_a_global(bar[i], chk, p.local_intra_s[i])
-        cur_s = chk
+        cur_s = coarse_to_fine([intra(x, s_g, q) for x, q in zip(sp.levels, p.global_intra_s)],
+                               p.local_intra_s)
     return T.relu(cur_s)
 
 
@@ -164,6 +186,22 @@ class TestUnrolledReference:
         p = build_params(cfg, seed=4)
         e_s = Tensor(rng.standard_normal((4, 32)).astype(np.float32))
         e_v = Tensor(rng.standard_normal((4, 8)).astype(np.float32))
+        got = T.relu(separation_features(e_s, e_v, cfg, p)).data
+        want = unrolled_reference(e_s, e_v, cfg, p).data
+        assert np.max(np.abs(got - want)) < 1e-6
+
+    def test_forward_matches_unroll_at_the_paper_routing(self, rng):
+        # depthwise down-convs and FFN middle conv (biased), 5-tap Q; a
+        # 160-sample mixture gives 80 frames and 16 raw video frames go
+        # through the stub, so both coarsest levels keep more than one frame
+        cfg = tiny_config(depth=2, n_fusion_cycles=2, n_audio_cycles=1, depthwise=True,
+                          q_kernel=5)
+        p = build_params(cfg, seed=4)
+        assert p.inter_t.ffn_s.conv1.groups == 4 and p.inter_t.ffn_s.conv1.bias is not None
+        mixture = Tensor(rng.uniform(-0.5, 0.5, (1, 160)).astype(np.float32))
+        video = Tensor(rng.uniform(0, 0.3, (1, 16)).astype(np.float32))
+        e_s, e_v = M.encode(mixture, video, cfg, p)
+        assert (e_s.shape, e_v.shape) == ((4, 80), (4, 16))
         got = T.relu(separation_features(e_s, e_v, cfg, p)).data
         want = unrolled_reference(e_s, e_v, cfg, p).data
         assert np.max(np.abs(got - want)) < 1e-6

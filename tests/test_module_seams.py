@@ -60,3 +60,13 @@ def test_guard_sees_a_private_import(tmp_path):
     bad.write_text("from .model import _ceil_to\nfrom . import tensor as T\nT._accum\n")
     assert _private_uses(bad) == {("trainer", "model", "_ceil_to"),
                                   ("trainer", "tensor", "_accum")}
+
+
+def test_no_module_lists_its_public_names():
+    """The leading underscore is the one statement of what is public: a
+    name without one is public, and no module keeps a second, hand-kept
+    list of its public names in ``__all__`` that could drift from it."""
+    listing = [path.name for path in sorted(SRC.glob("*.py"))
+               if any(isinstance(n, ast.Name) and n.id == "__all__" and isinstance(n.ctx, ast.Store)
+                      for n in ast.walk(ast.parse(path.read_text(), filename=str(path))))]
+    assert not listing, listing
