@@ -31,6 +31,10 @@ EXIT_USAGE = 2
 EXIT_CONFLICT = 3
 
 FAST_AUDIO_CYCLES = 6
+# train-toy's history CSV: column -> format of its value
+HISTORY_COLUMNS = {"epoch": "d", "train_loss": ".6f", "val_si_snri": ".6f", "lr": "g",
+                   "grad_norm": ".6g", "step_s": ".6f", "fwd_s": ".6f", "bwd_s": ".6f",
+                   "opt_s": ".6f", "peak_rss_mb": ".2f"}
 
 
 def _clamp_db(x: float) -> float:
@@ -57,8 +61,7 @@ def _load_model(args):
 def cmd_separate(args) -> int:
     params, cfg = _load_model(args)
     if not (cfg.audio_only or args.embedding):
-        print("error: a fused checkpoint needs at least one --embedding", file=sys.stderr)
-        return EXIT_USAGE
+        raise ConfigError("a fused checkpoint needs at least one --embedding")
     if args.fast:
         cfg = replace(cfg, n_audio_cycles=FAST_AUDIO_CYCLES)
     mixture, rate = load_wav(args.mixture)
@@ -87,14 +90,9 @@ def cmd_train_toy(args) -> int:
     hist_path = args.history or (str(args.out) + ".history.csv")
     with open(hist_path, "w", newline="") as fh:
         w = csv.writer(fh)
-        w.writerow(["epoch", "train_loss", "val_si_snri", "lr", "grad_norm", "step_s",
-                    "fwd_s", "bwd_s", "opt_s", "peak_rss_mb"])
-        for row in result.history:
-            w.writerow([row["epoch"], f"{row['train_loss']:.6f}",
-                        f"{row['val_si_snri']:.6f}", f"{row['lr']:g}",
-                        f"{row['grad_norm']:.6g}",
-                        *(f"{row[k]:.6f}" for k in ("step_s", "fwd_s", "bwd_s", "opt_s")),
-                        f"{row['peak_rss_mb']:.2f}"])
+        w.writerow(HISTORY_COLUMNS)
+        w.writerows([format(row[k], spec) for k, spec in HISTORY_COLUMNS.items()]
+                    for row in result.history)
     print(f"final si-snri: {_clamp_db(result.final_si_snri_db):.2f} dB "
           f"({result.steps_run} steps)")
     return EXIT_OK
@@ -110,8 +108,7 @@ def cmd_eval(args) -> int:
     if rows and [c.strip().casefold() for c in rows[0][:2]] == ["mixture", "reference"]:
         rows = rows[1:]
     if not rows:
-        print("error: empty pairs manifest", file=sys.stderr)
-        return EXIT_USAGE
+        raise FormatError("empty pairs manifest")
 
     out_fh = open(args.out, "w", newline="") if args.out else sys.stdout
     writer = csv.writer(out_fh)

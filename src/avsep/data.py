@@ -112,9 +112,9 @@ def synth_sources(n: int, length: int, seed: int) -> list[np.ndarray]:
     """
     if n < 1:
         raise ValueError("need at least one source")
+    out = np.empty((n, length))  # one request, so numpy refuses a pool too large at once
     rng = np.random.default_rng(seed)
     t = np.arange(length, dtype=np.float64)
-    out = []
     for k in range(n):
         lo = 0.25 * (k + 1) / (n + 2)
         hi = 0.25 * (k + 2) / (n + 2)
@@ -124,8 +124,8 @@ def synth_sources(n: int, length: int, seed: int) -> list[np.ndarray]:
         sig = sum(a * np.sin(2 * np.pi * f * t + p) for a, f, p in zip(amps, freqs, phases))
         sig = sig + 0.02 * rng.standard_normal(length)
         rms = np.sqrt(np.mean(sig * sig))
-        out.append((0.1 * sig / rms).astype(np.float64))
-    return out
+        out[k] = 0.1 * sig / rms
+    return list(out)
 
 
 def dynamic_mix_batch(

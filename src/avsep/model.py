@@ -70,32 +70,33 @@ class ModelConfig:
 
     def __post_init__(self):
         self.ffn_channels = tuple(self.ffn_channels)
-        for key in ("sample_rate", "enc_stride", "n_audio_channels", "n_video_channels",
-                    "n_video_in"):
-            if getattr(self, key) < 1:
-                raise ConfigError(f"{key} must be positive, got {getattr(self, key)}")
+        for f in fields(self):  # each value has its field's annotated type
+            value = getattr(self, f.name)
+            if f.type == "bool" and type(value) is not bool:
+                raise ConfigError(f"{f.name} must be true or false, got {value!r}")
+            if f.type == "int" and type(value) is not int:
+                raise ConfigError(f"{f.name} must be an integer, got {value!r}")
+            # a count is at least 1; n_audio_cycles may be 0, and enc_kernel's rule is below
+            least = {"n_audio_cycles": 0, "enc_kernel": -math.inf}.get(f.name, 1)
+            if f.type == "int" and value < least:
+                raise ConfigError(f"{f.name} must be at least {least}, got {value}")
+            if f.type == "tuple[int, int, int]" and not (
+                    len(value) == 3 and all(type(n) is int and n >= 1 for n in value)):
+                raise ConfigError(f"{f.name} must be three positive integers, got {value!r}")
         if not self.audio_only and self.n_video_in == self.n_video_channels:
             # encode tells raw features from embeddings by channel count alone
             raise ConfigError(f"n_video_in must differ from n_video_channels "
                               f"({self.n_video_channels})")
-        if self.q_kernel < 1 or self.q_kernel % 2 == 0:
-            raise ConfigError(f"q_kernel must be odd and positive, got {self.q_kernel}")
-        if self.depth < 1 or self.n_fusion_cycles < 1 or self.n_audio_cycles < 0:
-            raise ConfigError("depth >= 1, fusion cycles >= 1, audio cycles >= 0 required")
+        if self.q_kernel % 2 == 0:
+            raise ConfigError(f"q_kernel must be odd, got {self.q_kernel}")
         if self.enc_kernel != 2 * self.enc_stride:
             raise ConfigError("encoder kernel must be twice the stride")
         if self.intra_variant not in ("phi", "phi_prime"):
             raise ConfigError(f"unknown intra variant {self.intra_variant!r}")
-        if len(self.ffn_channels) != 3:
-            raise ConfigError("ffn_channels must be a triple")
-        if min(self.ffn_channels) < 1:
-            raise ConfigError(f"ffn_channels entries must be positive, got {self.ffn_channels}")
         if self.ffn_channels[2] != self.n_audio_channels:
             raise ConfigError("last ffn channel count must equal the audio embedding size")
-        if not 0.0 <= self.dropout_p < 1.0:
-            raise ConfigError("dropout_p must be in [0, 1)")
-        if self.n_speakers < 1:
-            raise ConfigError("n_speakers must be >= 1")
+        if type(self.dropout_p) not in (int, float) or not 0.0 <= self.dropout_p < 1.0:
+            raise ConfigError(f"dropout_p must be a number in [0, 1), got {self.dropout_p!r}")
         if self.n_speakers > 1 and not self.audio_only:
             raise ConfigError("multi-speaker masks require the audio-only variant")
         if self.depthwise and self.ffn_channels[1] % self.ffn_channels[0]:
@@ -574,10 +575,8 @@ def _config_to_dict(cfg: ModelConfig) -> dict:
 
 def _config_from_dict(d: dict) -> ModelConfig:
     try:
-        d = dict(d)
-        d["ffn_channels"] = tuple(d["ffn_channels"])
         return ModelConfig(**d)
-    except (TypeError, KeyError, ConfigError) as e:
+    except (TypeError, ConfigError) as e:  # TypeError: an unknown key, or not a mapping
         raise FormatError(f"bad config in checkpoint: {e}") from e
 
 
@@ -641,7 +640,7 @@ def load_checkpoint(path) -> tuple[ModelParams, ModelConfig]:
             )
         try:
             params = _skeleton(cfg)
-        except (ConfigError, TypeError) as e:  # TypeError: a mistyped config value
+        except ConfigError as e:
             raise FormatError(f"bad config in checkpoint: {e}") from e
         entries = list(named_tensors(params))
         if listed != [(n, t.shape) for n, t in entries]:

@@ -1,4 +1,6 @@
 import gc
+import json
+import struct
 import time
 
 import numpy as np
@@ -17,6 +19,16 @@ def tiny_config(**over) -> ModelConfig:
     )
     defaults.update(over)
     return ModelConfig(**defaults)
+
+
+def rewrite_manifest(path, edit):
+    """Apply ``edit`` to the checkpoint's manifest dict in place on disk."""
+    blob = path.read_bytes()
+    (mlen,) = struct.unpack_from("<Q", blob, 8)
+    manifest = json.loads(blob[16 : 16 + mlen])
+    edit(manifest)
+    mbytes = json.dumps(manifest).encode()
+    path.write_bytes(blob[:8] + struct.pack("<Q", len(mbytes)) + mbytes + blob[16 + mlen :])
 
 
 @pytest.fixture(scope="session")

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import tiny_config
+from conftest import rewrite_manifest, tiny_config
 
 from avsep.cli import main
 from avsep.data import (
@@ -157,7 +157,9 @@ class TestTrainToy:
         ("n_audio_channels = 1000000000000\nffn_channels = 16,32,1000000000000\n",
          "model too large to build"),
         ("sample_rate = 1000000000000000\n", "sample_rate = 1000000000000000"),
-    ], ids=["channels", "sample_rate"])
+        # the dynamic-mix pool: 10^9 sources of 4000 samples
+        ("dynamic_mix = true\npool_size = 1000000000\n", "1000000000 sources of 4000 samples"),
+    ], ids=["channels", "sample_rate", "pool_size"])
     def test_unallocatable_config_exits_2(self, tmp_path, capsys, text, named):
         cfg = tmp_path / "huge.cfg"
         cfg.write_text(text + "max_steps = 1\n")
@@ -350,6 +352,22 @@ class TestSeparate:
         best = max(si_snri(mixture, reference, w.data[0]) for w in out.waveforms)
         rows = list(csv.reader(report.open()))
         assert float(rows[1][1]) == pytest.approx(best, abs=1e-4)
+
+
+@pytest.mark.parametrize("command", ["separate", "eval"])
+def test_mistyped_checkpoint_config_exits_2(workdir, tmp_path, capsys, command):
+    # a float cycle count ends as a usage error, not a TypeError traceback
+    ckpt, pairs = tmp_path / "mistyped.iiac", tmp_path / "pairs.csv"
+    ckpt.write_bytes((workdir / "tiny.iiac").read_bytes())
+    rewrite_manifest(ckpt, lambda m: m["config"].update(n_audio_cycles=2.5))
+    pairs.write_text(f"{workdir / 'mix.wav'},{workdir / 'ref.wav'},{workdir / 'a.iiav'}\n")
+    args = {"separate": ["--mixture", str(workdir / "mix.wav"),
+                         "--embedding", str(workdir / "a.iiav"), "--out", str(tmp_path / "x")],
+            "eval": ["--pairs", str(pairs)]}[command]
+    assert main([command, "--checkpoint", str(ckpt), *args]) == 2
+    assert capsys.readouterr() == (
+        "", "error: bad config in checkpoint: n_audio_cycles must be an integer, got 2.5\n")
+    assert not list(tmp_path.glob("x*"))
 
 
 class TestEval:
