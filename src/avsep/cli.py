@@ -82,10 +82,7 @@ def cmd_separate(args) -> int:
 
 
 def cmd_train_toy(args) -> int:
-    cfg, settings = _load_configs(args.config)
-    if args.audio_only:
-        cfg = replace(cfg, audio_only=True, n_speakers=2)
-    result = train_toy(cfg, settings, log=lambda m: print(m, file=sys.stderr))
+    result = train_toy(*_load_configs(args.config), log=lambda m: print(m, file=sys.stderr))
     save_checkpoint(result.params, result.cfg, args.out)
     hist_path = args.history or (str(args.out) + ".history.csv")
     with open(hist_path, "w", newline="") as fh:
@@ -195,8 +192,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", help="run-config file (key = value lines)")
     p.add_argument("--out", required=True, help="checkpoint output path")
     p.add_argument("--history", help="loss-history CSV path (default: OUT.history.csv)")
-    p.add_argument("--audio-only", action="store_true",
-                   help="train the two-speaker audio-only variant with PIT")
     p.set_defaults(func=cmd_train_toy)
 
     p = sub.add_parser("eval", help="score separated outputs against references")

@@ -45,6 +45,26 @@ CHECKPOINT_VERSION = 1
 VIDEO_FPS = 25  # lip-frame rate the temporal grids are derived from
 
 
+def check_fields(obj, least: dict) -> None:
+    """Refuse, naming the key, a field of the config ``obj`` that breaks its
+    annotation: a bool holds a bool; an int an int, at least its ``least``
+    entry or else 1; a float an int or a float; a triple three positive ints."""
+    for f in fields(obj):
+        value, low = getattr(obj, f.name), least.get(f.name, 1)
+        if f.type == "bool" and type(value) is not bool:
+            raise ConfigError(f"{f.name} must be true or false, got {value!r}")
+        if f.type == "int" and type(value) is not int:
+            raise ConfigError(f"{f.name} must be an integer, got {value!r}")
+        if f.type == "int" and value < low:
+            raise ConfigError(f"{f.name} must be at least {low}, got {value}")
+        if f.type == "float" and type(value) not in (int, float):
+            raise ConfigError(f"{f.name} must be a number, got {value!r}")
+        if f.type == "tuple[int, int, int]" and not (
+                type(value) in (tuple, list) and len(value) == 3
+                and all(type(n) is int and n >= 1 for n in value)):
+            raise ConfigError(f"{f.name} must be three positive integers, got {value!r}")
+
+
 @dataclass
 class ModelConfig:
     sample_rate: int = 8000
@@ -69,20 +89,8 @@ class ModelConfig:
     depthwise: bool = False
 
     def __post_init__(self):
+        check_fields(self, {"n_audio_cycles": 0, "enc_kernel": -math.inf})  # its rule is below
         self.ffn_channels = tuple(self.ffn_channels)
-        for f in fields(self):  # each value has its field's annotated type
-            value = getattr(self, f.name)
-            if f.type == "bool" and type(value) is not bool:
-                raise ConfigError(f"{f.name} must be true or false, got {value!r}")
-            if f.type == "int" and type(value) is not int:
-                raise ConfigError(f"{f.name} must be an integer, got {value!r}")
-            # a count is at least 1; n_audio_cycles may be 0, and enc_kernel's rule is below
-            least = {"n_audio_cycles": 0, "enc_kernel": -math.inf}.get(f.name, 1)
-            if f.type == "int" and value < least:
-                raise ConfigError(f"{f.name} must be at least {least}, got {value}")
-            if f.type == "tuple[int, int, int]" and not (
-                    len(value) == 3 and all(type(n) is int and n >= 1 for n in value)):
-                raise ConfigError(f"{f.name} must be three positive integers, got {value!r}")
         if not self.audio_only and self.n_video_in == self.n_video_channels:
             # encode tells raw features from embeddings by channel count alone
             raise ConfigError(f"n_video_in must differ from n_video_channels "
@@ -95,7 +103,7 @@ class ModelConfig:
             raise ConfigError(f"unknown intra variant {self.intra_variant!r}")
         if self.ffn_channels[2] != self.n_audio_channels:
             raise ConfigError("last ffn channel count must equal the audio embedding size")
-        if type(self.dropout_p) not in (int, float) or not 0.0 <= self.dropout_p < 1.0:
+        if not 0.0 <= self.dropout_p < 1.0:
             raise ConfigError(f"dropout_p must be a number in [0, 1), got {self.dropout_p!r}")
         if self.n_speakers > 1 and not self.audio_only:
             raise ConfigError("multi-speaker masks require the audio-only variant")
@@ -197,15 +205,21 @@ class _Init:
     construction, so none is scanned. Without one it builds the skeleton
     that the cost accounting reads the shapes of and checkpoint loading
     fills: its values are undefined until a load overwrites them. A tensor
-    too large to allocate raises ConfigError."""
+    too large to allocate, or one past the first ``max_tensors``, raises
+    ConfigError before it is allocated."""
 
-    def __init__(self, rng: np.random.Generator | None, dtype, depthwise: bool):
+    def __init__(self, rng: np.random.Generator | None, dtype, depthwise: bool,
+                 max_tensors: float = math.inf):
         self.rng = rng
         self.dtype = dtype
         self.depthwise = depthwise  # down-convs and FFN middle conv get groups=C_in
+        self.max_tensors, self.built = max_tensors, 0
 
     def _leaf(self, shape, values) -> Tensor:
         """A leaf of ``shape`` filled with ``values()``, or in a skeleton unfilled."""
+        if self.built == self.max_tensors:
+            raise ConfigError(f"the config has more tensors than the {self.built} listed")
+        self.built += 1
         try:
             data = np.empty(shape, self.dtype)
             if self.rng is not None:
@@ -255,12 +269,13 @@ def build_params(cfg: ModelConfig, seed: int = 0, dtype=np.float32) -> ModelPara
     return _build(cfg, _Init(np.random.default_rng(seed), dtype, cfg.depthwise))
 
 
-def _skeleton(cfg: ModelConfig) -> ModelParams:
+def _skeleton(cfg: ModelConfig, max_tensors: float = math.inf) -> ModelParams:
     """The parameter tree of ``cfg``, built without a random draw: every
     tensor a ``<f4`` buffer of its own whose values are undefined, neither
     filled nor scanned (see :class:`_Init`). Only shapes may be read until
-    a load fills it. A config too large to allocate raises ConfigError."""
-    return _build(cfg, _Init(None, np.dtype("<f4"), cfg.depthwise))
+    a load fills it. A config too large to allocate, or of more than
+    ``max_tensors`` tensors, raises ConfigError."""
+    return _build(cfg, _Init(None, np.dtype("<f4"), cfg.depthwise, max_tensors))
 
 
 def _build(cfg: ModelConfig, ini: _Init) -> ModelParams:
@@ -573,13 +588,6 @@ def _config_to_dict(cfg: ModelConfig) -> dict:
     return d
 
 
-def _config_from_dict(d: dict) -> ModelConfig:
-    try:
-        return ModelConfig(**d)
-    except (TypeError, ConfigError) as e:  # TypeError: an unknown key, or not a mapping
-        raise FormatError(f"bad config in checkpoint: {e}") from e
-
-
 def save_checkpoint(params: ModelParams, cfg: ModelConfig, path) -> None:
     entries = list(named_tensors(params))
     manifest = {
@@ -603,8 +611,9 @@ def load_checkpoint(path) -> tuple[ModelParams, ModelConfig]:
     tensors are plain data, as from ``build_params``: the file is read
     straight into each buffer of :func:`_skeleton`'s tree, whose undefined
     values it overwrites, and each tensor is scanned for finiteness once,
-    right after its read. A malformed file or a non-finite value raises
-    ``FormatError``."""
+    right after its read. The tree is built up to the manifest's tensor
+    count, then names, shapes and payload size are checked against it. A
+    malformed file or a non-finite value raises ``FormatError``."""
     with open(path, "rb") as fh:
         head = fh.read(16)
         if head[:4] != CHECKPOINT_MAGIC:
@@ -620,7 +629,7 @@ def load_checkpoint(path) -> tuple[ModelParams, ModelConfig]:
             raise FormatError("truncated checkpoint manifest")
         try:
             manifest = json.loads(fh.read(mlen).decode())
-            cfg = _config_from_dict(manifest["config"])
+            config = manifest["config"]
             listed = [(e["name"], tuple(e["shape"])) for e in manifest["tensors"]]
             other = [e for e in manifest["tensors"] if e.get("dtype") != "f32"]
         except (ValueError, KeyError, TypeError) as e:
@@ -628,23 +637,21 @@ def load_checkpoint(path) -> tuple[ModelParams, ModelConfig]:
         if other:  # version 1 writes f32 only
             raise FormatError(f"checkpoint tensor {other[0]['name']} has dtype "
                               f"{other[0].get('dtype')!r}, expected 'f32'")
-        if not all(type(n) is int and n >= 0 for _, shape in listed for n in shape):
-            raise FormatError("checkpoint tensor shapes must be non-negative integers")
-
-        # the listed shapes must account for the payload before anything is built
-        payload = size - 16 - mlen
-        expected = 4 * sum(math.prod(shape) for _, shape in listed)
-        if payload != expected:
-            raise FormatError(
-                f"corrupt checkpoint payload: {payload} bytes, expected {expected}"
-            )
         try:
-            params = _skeleton(cfg)
+            cfg = ModelConfig(**config)  # TypeError: an unknown key, or not a mapping
+        except (TypeError, ConfigError) as e:
+            raise FormatError(f"bad config in checkpoint: {e}") from e
+        try:
+            params = _skeleton(cfg, len(listed))
         except ConfigError as e:
             raise FormatError(f"bad config in checkpoint: {e}") from e
         entries = list(named_tensors(params))
-        if listed != [(n, t.shape) for n, t in entries]:
+        # compared as text, so a listed 4.0 or true is not the built 4 or 1
+        if repr(listed) != repr([(n, t.shape) for n, t in entries]):
             raise FormatError("checkpoint tensor names or shapes do not match its config")
+        payload, expected = size - 16 - mlen, sum(t.data.nbytes for _, t in entries)
+        if payload != expected:
+            raise FormatError(f"corrupt checkpoint payload: {payload} bytes, expected {expected}")
         for name, t in entries:
             if fh.readinto(t.data) != t.data.nbytes:
                 raise FormatError(f"truncated checkpoint tensor {name}")

@@ -13,7 +13,7 @@ import numpy as np
 from . import metrics
 from .data import dynamic_mix_batch, energy_envelope, mix_at_snr, synth_sources
 from .errors import ConfigError, TrainingError
-from .model import ModelConfig, ModelParams, build_params, named_tensors, separate
+from .model import ModelConfig, ModelParams, build_params, check_fields, named_tensors, separate
 from .tensor import Tensor
 
 
@@ -158,10 +158,7 @@ class TrainSettings:
     pool_size: int = 4
 
     def __post_init__(self):
-        for key, low in (("max_steps", 1), ("steps_per_epoch", 1), ("seed", 0),
-                         ("plateau_patience", 1), ("stop_patience", 1), ("pool_size", 2)):
-            if getattr(self, key) < low:
-                raise ConfigError(f"{key} must be at least {low}, got {getattr(self, key)}")
+        check_fields(self, {"seed": 0, "pool_size": 2})
         for key in ("lr", "clip_norm", "mixture_seconds"):
             value = getattr(self, key)
             if not (math.isfinite(value) and value > 0):

@@ -191,11 +191,21 @@ class TestTrainToy:
         assert "error: non-finite loss at step 1" in capsys.readouterr().err
         assert not list(tmp_path.glob("x.iiac*"))
 
-    def test_audio_only_flag(self, tmp_path):
+    def test_audio_only_from_config_keys(self, tmp_path, capsys):
+        # the two run-config keys are the one way to ask for it; no flag is left
         cfg = tmp_path / "tiny.cfg"
-        cfg.write_text(TINY_CFG.replace("max_steps = 30", "max_steps = 5"))
-        assert main(["train-toy", "--config", str(cfg), "--audio-only",
+        cfg.write_text(TINY_CFG.replace("max_steps = 30", "max_steps = 5")
+                       + "audio_only = true\nn_speakers = 2\n")
+        assert main(["train-toy", "--config", str(cfg),
                      "--out", str(tmp_path / "ao.iiac")]) == 0
+        params, model_cfg = load_checkpoint(tmp_path / "ao.iiac")
+        assert model_cfg.audio_only and model_cfg.n_speakers == 2
+        assert params.video_down is None and params.mask_head is not None
+        with pytest.raises(SystemExit) as exit_info:
+            main(["train-toy", "--config", str(cfg), "--audio-only",
+                  "--out", str(tmp_path / "flag.iiac")])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments: --audio-only" in capsys.readouterr().err
 
     def test_depthwise_config_key(self, tmp_path):
         cfg = tmp_path / "dw.cfg"
@@ -328,10 +338,10 @@ class TestSeparate:
         # the two-speaker audio-only model separates both speakers at once;
         # the embedding is not read, and eval scores the nearer output
         cfg = tmp_path / "tiny.cfg"
-        cfg.write_text(TINY_CFG.replace("max_steps = 30", "max_steps = 10"))
+        cfg.write_text(TINY_CFG.replace("max_steps = 30", "max_steps = 10")
+                       + "audio_only = true\nn_speakers = 2\n")
         ckpt = tmp_path / "ao.iiac"
-        assert main(["train-toy", "--config", str(cfg), "--audio-only",
-                     "--out", str(ckpt)]) == 0
+        assert main(["train-toy", "--config", str(cfg), "--out", str(ckpt)]) == 0
         rc = main(["separate", "--mixture", str(workdir / "mix.wav"),
                    "--embedding", str(tmp_path / "absent.iiav"),
                    "--checkpoint", str(ckpt), "--out", str(tmp_path / "sep")])
@@ -367,6 +377,18 @@ def test_mistyped_checkpoint_config_exits_2(workdir, tmp_path, capsys, command):
     assert main([command, "--checkpoint", str(ckpt), *args]) == 2
     assert capsys.readouterr() == (
         "", "error: bad config in checkpoint: n_audio_cycles must be an integer, got 2.5\n")
+    assert not list(tmp_path.glob("x*"))
+
+
+def test_checkpoint_ffn_channels_that_are_no_triple_exit_2(workdir, tmp_path, capsys):
+    ckpt = tmp_path / "five.iiac"
+    ckpt.write_bytes((workdir / "tiny.iiac").read_bytes())
+    rewrite_manifest(ckpt, lambda m: m["config"].update(ffn_channels=5))
+    assert main(["separate", "--checkpoint", str(ckpt), "--mixture", str(workdir / "mix.wav"),
+                 "--embedding", str(workdir / "a.iiav"), "--out", str(tmp_path / "x")]) == 2
+    assert capsys.readouterr() == (
+        "", "error: bad config in checkpoint: ffn_channels must be three positive integers, "
+            "got 5\n")
     assert not list(tmp_path.glob("x*"))
 
 

@@ -1,6 +1,8 @@
 import hashlib
 import json
 import struct
+import time
+import tracemalloc
 from dataclasses import fields, replace
 from types import SimpleNamespace
 
@@ -578,8 +580,8 @@ class TestCheckpointIO:
         save_checkpoint(build_params(cfg, seed=5), cfg, path)
         allocated, skeleton = [], M._skeleton
 
-        def recorded(c):
-            tree = skeleton(c)
+        def recorded(c, max_tensors):
+            tree = skeleton(c, max_tensors)
             allocated.extend(t.data for _, t in named_tensors(tree))
             return tree
 
@@ -620,16 +622,37 @@ class TestCheckpointIO:
 
     @pytest.mark.parametrize("key, value", [(f.name, "false" if f.type == "bool" else 2.5)
                                             for f in fields(ModelConfig)
-                                            if f.type in ("int", "bool")])
+                                            if f.type in ("int", "bool")]
+                             + [("dropout_p", "x"), ("ffn_channels", 5)])
     def test_mistyped_config_value_rejected(self, tmp_path, key, value):
-        # a float count or a string switch is refused at load, named, and
-        # neither loads nor fails later in the model with a TypeError
+        # a float count, a string switch or number, or a triple that is no
+        # sequence is refused at load, named, and neither loads nor fails
+        # later in the model with a TypeError
         cfg = tiny_config()
         path = tmp_path / "m.iiac"
         save_checkpoint(build_params(cfg, seed=0), cfg, path)
         rewrite_manifest(path, lambda m: m["config"].update({key: value}))
         with pytest.raises(FormatError, match=f"^bad config in checkpoint: {key} must be "):
             load_checkpoint(path)
+
+    def test_config_of_more_tensors_than_listed_is_refused_before_they_are_built(self, tmp_path):
+        # a valid depth far past the file's tensor list is refused once the
+        # build passes the listed count, not after building the whole tree
+        cfg = ModelConfig()
+        path = tmp_path / "m.iiac"
+        save_checkpoint(build_params(cfg, seed=0), cfg, path)
+        rewrite_manifest(path, lambda m: m["config"].update(depth=20000))
+        tracemalloc.start()
+        try:
+            t0 = time.perf_counter()
+            with pytest.raises(FormatError, match="^bad config in checkpoint: the config has "
+                                                  "more tensors than the 108 listed$"):
+                load_checkpoint(path)
+            elapsed = time.perf_counter() - t0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert elapsed < 0.5 and peak < 10e6, (elapsed, peak)
 
     def test_magic_and_version(self, tmp_path):
         cfg = tiny_config()

@@ -1,6 +1,7 @@
 import math
 import tracemalloc
 import weakref
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -355,6 +356,15 @@ class TestTrainToy:
     def test_fewer_than_one_step_rejected(self, field):
         with pytest.raises(ConfigError, match=field):
             self._settings(**{field: 0})
+
+    @pytest.mark.parametrize("key, value", [
+        (f.name, value) for f in fields(TrainSettings)
+        for value in {"int": (2.5, True), "bool": ("false",), "float": ("x", True)}[f.type]])
+    def test_mistyped_setting_rejected(self, key, value):
+        # each field is checked against its annotation, as ModelConfig's are:
+        # "false" would otherwise switch dynamic mixing on, 2.5 end in a TypeError
+        with pytest.raises(ConfigError, match=f"^{key} must be "):
+            TrainSettings(**{key: value})
 
     def test_more_than_two_speakers_rejected_before_building(self, monkeypatch):
         # the toy mixture has two sources, so a third output has no reference

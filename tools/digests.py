@@ -10,6 +10,10 @@ The lines cover:
   (``ModelConfig()``, 40 steps, 10 per epoch, input sets 0..31): each
   set's history without its timing and memory columns, final SI-SNRi,
   steps run and saved ``.iiac`` bytes;
+- the two-speaker audio-only toy run as ``train-toy`` trains it from the
+  run-config keys ``audio_only = true`` and ``n_speakers = 2`` (4 steps):
+  its history CSV without the timing and memory columns, and its
+  ``.iiac`` bytes;
 - every ``checks.run_all()`` result;
 - full-scale ``separate`` on 1 s through the CLI, full cycles and
   ``--fast``, on perfbench's seed-0 inputs, and paper-scale ``separate`` on
@@ -72,6 +76,17 @@ def sweep(work: Path) -> None:
              + path.read_bytes())
 
 
+def audio_only_toy(work: Path) -> None:
+    config, out = work / "ao.cfg", work / "ao.iiac"
+    config.write_text("audio_only = true\nn_speakers = 2\nmax_steps = 4\n")
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        if cli.main(["train-toy", "--config", str(config), "--out", str(out)]) != cli.EXIT_OK:
+            raise SystemExit("train-toy.audio-only: train-toy failed")
+    history = [line.split(",")[:len(HISTORY_KEYS)]
+               for line in Path(f"{out}.history.csv").read_text().splitlines()]
+    emit("train-toy.audio-only", repr(history).encode() + out.read_bytes())
+
+
 def separate_through_cli(work: Path, name: str, cfg: ModelConfig, runs: dict) -> None:
     """Write perfbench's seed-0 inputs at ``cfg``, then run the CLI's
     ``separate`` once per ``{suffix: extra arguments}`` entry of ``runs``."""
@@ -111,6 +126,7 @@ def main() -> int:
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp)
         sweep(work)
+        audio_only_toy(work)
         for r in checks.run_all():
             emit(f"checks.{r.name}", repr(r).encode())
         separate_through_cli(work, "separate-full", full_scale_config(),
