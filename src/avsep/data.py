@@ -7,6 +7,7 @@ nothing reads ambient entropy.
 
 from __future__ import annotations
 
+import os
 import struct
 import wave as _wave
 from dataclasses import dataclass
@@ -174,20 +175,23 @@ def save_embedding(path, t: np.ndarray) -> None:
 
 
 def load_embedding(path) -> np.ndarray:
+    """Read a ``.iiav`` file; its size is checked before its payload is read."""
     with open(path, "rb") as fh:
-        blob = fh.read()
-    if blob[:4] != EMBEDDING_MAGIC:
-        raise FormatError(f"{path}: bad embedding magic")
-    if len(blob) < 12:
-        raise FormatError(f"{path}: truncated embedding header")
-    nv, tv = struct.unpack_from("<II", blob, 4)
-    expected = 12 + 4 * nv * tv
-    if len(blob) != expected:
-        raise FormatError(f"{path}: payload is {len(blob) - 12} bytes, header says {4 * nv * tv}")
-    arr = np.frombuffer(blob[12:], dtype="<f4").reshape(nv, tv)
+        head = fh.read(12)
+        if head[:4] != EMBEDDING_MAGIC:
+            raise FormatError(f"{path}: bad embedding magic")
+        if len(head) < 12:
+            raise FormatError(f"{path}: truncated embedding header")
+        nv, tv = struct.unpack_from("<II", head, 4)
+        size = os.fstat(fh.fileno()).st_size
+        if size != 12 + 4 * nv * tv:
+            raise FormatError(f"{path}: payload is {size - 12} bytes, header says {4 * nv * tv}")
+        arr = np.empty((nv, tv), dtype="<f4")
+        if fh.readinto(arr) != arr.nbytes:  # the file shrank after the size check
+            raise FormatError(f"{path}: truncated embedding payload")
     if not np.all(np.isfinite(arr)):
         raise FormatError(f"{path}: non-finite values in the embedding")
-    return arr.copy()
+    return arr
 
 
 def energy_envelope(wave: np.ndarray, sample_rate: int) -> np.ndarray:

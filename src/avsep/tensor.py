@@ -10,16 +10,9 @@ returns plain data. :func:`_accum` drops the gradient of an input off
 the tape (:attr:`Tensor.on_tape`), which most backwards compute anyway;
 only the inputs of ``conv1d`` and ``q_op`` and ``gate``'s two inputs skip
 that work.
-``Tensor.backward()`` walks the tape once in reverse topological order
-and consumes it: once a non-leaf node has passed its ``grad`` to its
-parents, it drops that ``grad``, its parents and its backward closure,
-so the node and whatever the closure saved are freed before the walk
-reaches the parents, and only the leaves keep a ``grad``. A tape is
-therefore walked once: afterwards its root is plain data, and a second
-``backward()`` on it raises :class:`GeometryError`, as does one on a
-loss that no marked leaf reaches or one whose tape shares a node with a
-tape walked already. Differentiating again means running the forward
-again.
+:meth:`Tensor.tape` states the walk, the op nodes a ``backward()`` runs in
+its order; :meth:`Tensor.backward` consumes the tape as it walks it, so
+differentiating again means running the forward again.
 It hands each backward its upstream gradient read-only, so a backward
 that passes it on, whole or as a view, cannot make it an input's
 ``grad``: :func:`_accum` copies read-only gradients and keeps a new
@@ -60,7 +53,6 @@ from .errors import GeometryError
 
 FD_EPS = 1e-5  # the central-difference step of both gradient oracles
 
-_DONE = object()  # Tensor.backward's post-order marker
 _WALKED = object()  # the _backward of a node that a backward() has consumed
 
 
@@ -118,55 +110,58 @@ class Tensor:
 
     # -- autodiff ------------------------------------------------------
 
-    def backward(self) -> None:
-        """Seed d(self)/d(self)=1 and accumulate gradients on every leaf.
+    def tape(self) -> list[Tensor]:
+        """The op nodes that ``backward()`` from this root runs, each once
+        and after its parents, the root last: a depth-first post-order that
+        enters a node's parents last to first. ``backward()`` runs them from
+        the end, so this order fixes how a shared leaf's gradients are
+        summed. Leaves run no backward and are not listed: a leaf root, or a
+        root ``backward()`` has walked (plain data now), has an empty tape.
+        A node that a ``backward()`` has consumed raises GeometryError."""
+        if not self._parents:
+            return []
+        order: list[Tensor] = []
+        seen = {self}  # Tensor hashes by identity
+        stack = [(self, reversed(self._parents))]
+        while stack:
+            node, parents = stack[-1]
+            for p in parents:
+                if p._backward is _WALKED:
+                    raise GeometryError("backward() reaches a node of a tape that was walked already")
+                if p._parents and p not in seen:
+                    seen.add(p)
+                    stack.append((p, reversed(p._parents)))
+                    break
+            else:  # every op parent is listed
+                stack.pop()
+                order.append(node)
+        return order
 
-        ``self`` must be scalar (size 1) and on the tape. Each tape node is
-        visited exactly once; fan-out gradients sum into the leaves' own
-        buffers. Once a non-leaf node's backward has run, the node drops its
-        ``grad``, parents and closure, so the walk frees the tape as it
-        goes: after the call only leaves hold a ``grad``, and ``self`` is
-        plain data. A root off the tape, or a tape that reaches a node of
-        one walked already, raises :class:`GeometryError` before any
-        ``grad`` changes.
-        """
+    def backward(self) -> None:
+        """Seed d(self)/d(self)=1 and run the backward of each node of
+        :meth:`tape`, root first; fan-out gradients sum into the leaves'
+        own buffers. ``self`` must be scalar (size 1) and on the tape.
+        Each node drops its ``grad``, parents and closure once its backward
+        has run, so the walk frees the tape as it goes: after the call only
+        leaves hold a ``grad``, and ``self`` is plain data. A root off the
+        tape, or a tape that reaches a node of one walked already, raises
+        :class:`GeometryError` before any ``grad`` changes."""
         if self.size != 1:
             raise GeometryError(f"backward() requires a scalar root, got shape {self.shape}")
         if not self.on_tape:
             raise GeometryError("backward() on a root off the tape: no marked leaf "
                                 "reaches it, or its graph was walked already")
-        # depth-first post-order: a node follows its parents; _DONE on the
-        # stack marks that the node below it has had its parents pushed
-        topo: list[Tensor] = []
-        seen: set[Tensor] = set()  # Tensor hashes by identity
-        stack: list = [self]
-        while stack:
-            node = stack.pop()
-            if node is _DONE:
-                topo.append(stack.pop())
-                continue
-            if node in seen:
-                continue
-            if node._backward is _WALKED:
-                raise GeometryError("backward() reaches a node of a tape that was walked already")
-            seen.add(node)
-            stack.append(node)
-            stack.append(_DONE)
-            for p in node._parents:
-                if p not in seen:
-                    stack.append(p)
-        del seen  # topo alone holds the tape now, and gives each node up in turn
+        nodes = self.tape()  # alone holds the tape now, and gives each node up in turn
         self.grad = np.ones_like(self.data)
-        while topo:
-            node = topo.pop()
-            back, g = node._backward, node.grad
-            if back is not None and g is not None:
+        while nodes:
+            node = nodes.pop()
+            g = node.grad
+            if g is not None:
                 g.flags.writeable = False
-                back(g)
-            if node._parents:
-                node.grad = None
-                node._parents = ()
-                node._backward = _WALKED
+                node._backward(g)
+            node.grad = None
+            node._parents = ()
+            node._backward = _WALKED
 
 
 def _accum(t: Tensor, g: np.ndarray) -> None:

@@ -431,21 +431,16 @@ def test_a_model_step_keeps_no_q_intermediate(over):
     out = separate(Tensor(mix[None, :]), Tensor(energy_envelope(mix, cfg.sample_rate)), cfg, p,
                    np.random.default_rng(1))
     loss = metrics.pit_si_snr_loss(out.waveforms, [rng.standard_normal(800)])
-    readers, seen, stack = {}, set(), [loss]
-    while stack:
-        node = stack.pop()
-        if node in seen:
-            continue
-        seen.add(node)
+    nodes, readers = loss.tape(), {}
+    for node in nodes:
         for parent in node._parents:
             readers.setdefault(parent, []).append(node)
-            stack.append(parent)
 
     def op(node):
-        return node._backward.__qualname__.split(".")[0] if node._backward else None
+        return node._backward.__qualname__.split(".")[0]
 
-    assert {"conv1d", "interp_resample"} <= {op(n) for n in seen}
-    for node in seen:
+    assert {"conv1d", "interp_resample"} <= {op(n) for n in nodes}
+    for node in nodes:
         reads = {op(r) for r in readers.get(node, [])}
         assert not (op(node) == "conv1d" and reads == {"gln"})
         assert not (op(node) == "interp_resample" and reads == {"conv1d"})
@@ -568,18 +563,12 @@ def test_every_upstream_gradient_of_a_model_step_is_c_contiguous():
     mix = rng.standard_normal(800).astype(np.float32)
     out = separate(Tensor(mix[None, :]), Tensor(energy_envelope(mix, cfg.sample_rate)), cfg, p)
     loss = metrics.pit_si_snr_loss(out.waveforms, [rng.standard_normal(800)])
-    seen, stack, flags = set(), [loss], []
-    while stack:
-        node = stack.pop()
-        if id(node) in seen:
-            continue
-        seen.add(id(node))
-        stack.extend(node._parents)
-        if node._backward is not None:
-            def spy(g, back=node._backward):
-                flags.append(np.asarray(g).flags.c_contiguous)
-                back(g)
-            node._backward = spy
+    flags = []
+    for node in loss.tape():
+        def spy(g, back=node._backward):
+            flags.append(np.asarray(g).flags.c_contiguous)
+            back(g)
+        node._backward = spy
     loss.backward()
     assert len(flags) > 90 and all(flags)  # this tape records 96 nodes
     assert all(t.grad.flags.c_contiguous for _, t in named_tensors(p) if t.grad is not None)

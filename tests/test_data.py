@@ -1,4 +1,6 @@
 import struct
+import time
+import tracemalloc
 import wave
 
 import numpy as np
@@ -115,6 +117,22 @@ class TestEmbeddingIO:
     def test_1d_rejected(self, tmp_path):
         with pytest.raises(GeometryError):
             save_embedding(tmp_path / "x.iiav", np.zeros(5, dtype=np.float32))
+
+    def test_size_is_checked_before_the_payload_is_read(self, tmp_path):
+        # a sparse 64 MB file whose header lists one value: refused from its
+        # header and size alone, without reading or allocating the payload
+        path = tmp_path / "big.iiav"
+        with open(path, "wb") as fh:
+            fh.write(b"IIAV" + struct.pack("<II", 1, 1))
+            fh.truncate(64 << 20)
+        tracemalloc.start()
+        start = time.perf_counter()
+        with pytest.raises(FormatError, match=f"payload is {(64 << 20) - 12} bytes, header says 4$"):
+            load_embedding(path)
+        elapsed = time.perf_counter() - start
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        assert elapsed < 0.05 and peak < 1 << 20
 
 
 class TestMixing:

@@ -215,6 +215,50 @@ class TestTapeMemory:
         np.testing.assert_allclose(w.grad, dh * x.data, rtol=1e-15)
 
 
+class TestTape:
+    def _diamond(self):
+        # x -> a, b -> a*b -> loss, with a plain leaf c beside x under b
+        x, c = _leaf([0.5, -1.5]), Tensor([3.0, 2.0], dtype=np.float64)
+        a, b = T.scale(x, 2.0), T.ew_mul(x, c)
+        ab = T.ew_mul(a, b)
+        return x, (a, b, ab), T.sum_all(ab)
+
+    def test_lists_each_op_node_once_after_its_parents_and_no_leaf(self):
+        _, (a, b, ab), loss = self._diamond()
+        tape = loss.tape()
+        # parents are entered last to first, so b's branch is listed before a's
+        assert [id(n) for n in tape] == [id(b), id(a), id(ab), id(loss)]
+        listed = {id(n): i for i, n in enumerate(tape)}
+        for i, node in enumerate(tape):
+            assert all(listed[id(p)] < i for p in node._parents if p._parents)
+        assert all(node._parents for node in tape)
+
+    def test_backward_runs_the_tape_from_its_end(self):
+        x, _, loss = self._diamond()
+        tape, ran = loss.tape(), []
+        for node in tape:
+            def spy(g, node=node, back=node._backward):
+                ran.append(id(node))
+                back(g)
+            node._backward = spy
+        loss.backward()
+        assert ran == [id(n) for n in reversed(tape)]
+        np.testing.assert_array_equal(x.grad, 2.0 * 2.0 * x.data * np.array([3.0, 2.0]))
+
+    def test_a_leaf_root_and_a_walked_root_have_an_empty_tape(self):
+        assert Tensor([1.0]).tape() == [] and _leaf([1.0]).tape() == []
+        _, _, loss = self._diamond()
+        loss.backward()
+        assert loss.tape() == []
+
+    def test_a_loss_that_shares_a_walked_node_raises(self):
+        _, (_, b, _), loss = self._diamond()
+        second = T.sum_all(b)
+        loss.backward()
+        with pytest.raises(GeometryError, match="walked already"):
+            second.tape()
+
+
 class TestOpGradients:
     @pytest.mark.parametrize("op", [T.ew_add, T.ew_sub, T.ew_mul])
     def test_binary_ops_match_finite_difference(self, op, rng):

@@ -157,6 +157,22 @@ class TestAdam:
                 np.testing.assert_array_equal(t.data, ref[n])
         assert st.step == 4 and st.m.dtype == st.v.dtype == dtype
 
+    def test_matches_kingma_and_ba_with_the_constants_written_out(self, rng):
+        # Algorithm 1 of Kingma and Ba (arXiv 1412.6980) with its defaults
+        # as literals, so a wrong module constant cannot move the reference
+        theta = rng.uniform(1.0, 2.0, 6)
+        flat = _flat([theta])
+        st = AdamState(lr=0.01)
+        m = v = np.zeros(6)
+        for t in range(1, 4):
+            g = rng.standard_normal(6)
+            flat.grad[:] = g
+            adam_step(flat, st)
+            m = 0.9 * m + (1.0 - 0.9) * g
+            v = 0.999 * v + (1.0 - 0.999) * g * g
+            theta = theta - 0.01 * (m / (1.0 - 0.9 ** t)) / (np.sqrt(v / (1.0 - 0.999 ** t)) + 1e-8)
+            np.testing.assert_allclose(flat.data, theta, rtol=1e-12, atol=0)
+
     def test_state_persists_across_steps(self):
         flat = _flat([[0.0]])
         st = AdamState(lr=0.1)
@@ -416,13 +432,8 @@ class TestTrainToy:
             live.append([sum(r() is not None for r in refs) for refs in (taped, outputs)])
             loss = forward(*args)
             losses.append(loss)
-            seen, stack = set(), list(loss._parents)
-            while stack:
-                node = stack.pop()
-                if node._parents and id(node) not in seen:
-                    seen.add(id(node))
-                    taped.append(weakref.ref(node.data))
-                    stack.extend(node._parents)
+            # the root comes last on its tape, and `losses` keeps it
+            taped.extend(weakref.ref(node.data) for node in loss.tape()[:-1])
             return loss
 
         def watched_separate(*args):

@@ -10,10 +10,11 @@ The lines cover:
   (``ModelConfig()``, 40 steps, 10 per epoch, input sets 0..31): each
   set's history without its timing and memory columns, final SI-SNRi,
   steps run and saved ``.iiac`` bytes;
-- the two-speaker audio-only toy run as ``train-toy`` trains it from the
-  run-config keys ``audio_only = true`` and ``n_speakers = 2`` (4 steps):
-  its history CSV without the timing and memory columns, and its
-  ``.iiac`` bytes;
+- two 4-step ``train-toy`` runs from run-config keys: the two-speaker
+  audio-only model (``audio_only = true``, ``n_speakers = 2``) and dynamic
+  mixing (``dynamic_mix = true``, ``pool_size = 4``). For each, its
+  history CSV without the timing and memory columns, and its ``.iiac``
+  bytes;
 - every ``checks.run_all()`` result;
 - full-scale ``separate`` on 1 s through the CLI, full cycles and
   ``--fast``, on perfbench's seed-0 inputs, and paper-scale ``separate`` on
@@ -76,15 +77,16 @@ def sweep(work: Path) -> None:
              + path.read_bytes())
 
 
-def audio_only_toy(work: Path) -> None:
-    config, out = work / "ao.cfg", work / "ao.iiac"
-    config.write_text("audio_only = true\nn_speakers = 2\nmax_steps = 4\n")
+def toy_through_cli(work: Path, name: str, keys: str) -> None:
+    """Run ``train-toy`` for 4 steps from the run-config lines ``keys``."""
+    config, out = work / f"{name}.cfg", work / f"{name}.iiac"
+    config.write_text(keys + "max_steps = 4\n")
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         if cli.main(["train-toy", "--config", str(config), "--out", str(out)]) != cli.EXIT_OK:
-            raise SystemExit("train-toy.audio-only: train-toy failed")
+            raise SystemExit(f"train-toy.{name}: train-toy failed")
     history = [line.split(",")[:len(HISTORY_KEYS)]
                for line in Path(f"{out}.history.csv").read_text().splitlines()]
-    emit("train-toy.audio-only", repr(history).encode() + out.read_bytes())
+    emit(f"train-toy.{name}", repr(history).encode() + out.read_bytes())
 
 
 def separate_through_cli(work: Path, name: str, cfg: ModelConfig, runs: dict) -> None:
@@ -126,7 +128,8 @@ def main() -> int:
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp)
         sweep(work)
-        audio_only_toy(work)
+        toy_through_cli(work, "audio-only", "audio_only = true\nn_speakers = 2\n")
+        toy_through_cli(work, "dynamic-mix", "dynamic_mix = true\npool_size = 4\n")
         for r in checks.run_all():
             emit(f"checks.{r.name}", repr(r).encode())
         separate_through_cli(work, "separate-full", full_scale_config(),
