@@ -58,12 +58,18 @@ def _load_model(args):
     return params, cfg
 
 
+def _fast(cfg, fast: bool):
+    """``cfg``, cut to at most ``FAST_AUDIO_CYCLES`` audio-only cycles if ``fast``."""
+    if not fast:
+        return cfg
+    return replace(cfg, n_audio_cycles=min(FAST_AUDIO_CYCLES, cfg.n_audio_cycles))
+
+
 def cmd_separate(args) -> int:
     params, cfg = _load_model(args)
     if not (cfg.audio_only or args.embedding):
         raise ConfigError("a fused checkpoint needs at least one --embedding")
-    if args.fast:
-        cfg = replace(cfg, n_audio_cycles=FAST_AUDIO_CYCLES)
+    cfg = _fast(cfg, args.fast)
     mixture, rate = load_wav(args.mixture)
     if rate != cfg.sample_rate:
         raise FormatError(
@@ -145,9 +151,8 @@ def cmd_eval(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    cfg = full_scale_config() if args.full_scale else _load_configs(args.config)[0]
-    if args.fast:
-        cfg = replace(cfg, n_audio_cycles=FAST_AUDIO_CYCLES)
+    cfg = _fast(full_scale_config() if args.full_scale else _load_configs(args.config)[0],
+                args.fast)
     macs = mac_breakdown(cfg, args.audio_seconds)  # refuses a bad duration before any output
     for title, rows in (("parameters", param_breakdown(cfg)),
                         (f"macs @ {args.audio_seconds:g}s", macs)):
@@ -185,7 +190,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="output prefix; writes PREFIX.k.wav")
     p.add_argument("--config", help="optional run-config; must agree with the checkpoint")
     p.add_argument("--fast", action="store_true",
-                   help=f"run {FAST_AUDIO_CYCLES} audio-only refinement cycles")
+                   help=f"run at most {FAST_AUDIO_CYCLES} audio-only refinement cycles")
     p.set_defaults(func=cmd_separate)
 
     p = sub.add_parser("train-toy", help="overfit a synthetic mixture and save a checkpoint")
@@ -209,7 +214,7 @@ def _build_parser() -> argparse.ArgumentParser:
     source.add_argument("--full-scale", action="store_true",
                         help="use the full-scale reference configuration")
     p.add_argument("--fast", action="store_true",
-                   help=f"count with {FAST_AUDIO_CYCLES} audio-only cycles")
+                   help=f"count with at most {FAST_AUDIO_CYCLES} audio-only refinement cycles")
     p.add_argument("--audio-seconds", type=float, default=1.0)
     p.set_defaults(func=cmd_bench)
 

@@ -10,7 +10,6 @@ from __future__ import annotations
 import os
 import struct
 import wave as _wave
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -18,23 +17,6 @@ from .errors import FormatError, GeometryError
 from .model import VIDEO_FPS
 
 EMBEDDING_MAGIC = b"IIAV"
-
-
-@dataclass
-class MixtureSpec:
-    """One synthetic training/eval example: the first source is the
-    target, the rest are interference scaled to hit target_snr_db."""
-
-    sources: list[np.ndarray]
-    gains: list[float]
-    target_snr_db: float
-
-    @property
-    def mixture(self) -> np.ndarray:
-        acc = self.sources[0] * self.gains[0]
-        for src, g in zip(self.sources[1:], self.gains[1:]):
-            acc = acc + src * g
-        return acc
 
 
 # ---------------------------------------------------------------------------
@@ -45,8 +27,6 @@ def load_wav(path) -> tuple[np.ndarray, int]:
     """Read a mono PCM16 WAV into float32 samples in [-1, 1)."""
     try:
         with _wave.open(str(path), "rb") as fh:
-            if fh.getcomptype() != "NONE":
-                raise FormatError(f"{path}: compressed WAV not supported")
             if fh.getnchannels() != 1:
                 raise FormatError(f"{path}: only mono supported, got {fh.getnchannels()} channels")
             if fh.getsampwidth() != 2:
@@ -129,35 +109,17 @@ def synth_sources(n: int, length: int, seed: int) -> list[np.ndarray]:
     return list(out)
 
 
-def dynamic_mix_batch(
-    pool: list[np.ndarray], batch: int, rng: np.random.Generator
-) -> list[MixtureSpec]:
-    """Sample 2 distinct sources per item and mix at a uniform-in-dB SNR
-    in [-5, 5]. Unordered pairs are not repeated within a batch while the
-    pool allows it."""
+def remix(pool: list[np.ndarray], rng: np.random.Generator
+          ) -> tuple[np.ndarray, list[np.ndarray]]:
+    """Dynamic mixing: draw 2 distinct sources from ``pool`` and an SNR
+    uniform in [-5, 5] dB; returns (mixture, [target, scaled interferer])."""
     if len(pool) < 2:
         raise ValueError("pool must hold at least two sources")
-    n_pairs = len(pool) * (len(pool) - 1) // 2
-    used: set[frozenset[int]] = set()
-    out = []
-    for _ in range(batch):
-        while True:
-            i, j = rng.choice(len(pool), size=2, replace=False)
-            key = frozenset((int(i), int(j)))
-            if key not in used or len(used) >= n_pairs:
-                used.add(key)
-                break
-        snr = float(rng.uniform(-5.0, 5.0))
-        _, scaled = mix_at_snr(pool[int(i)], [pool[int(j)]], snr)
-        gain = float(np.sqrt((scaled @ scaled) / (pool[int(j)] @ pool[int(j)])))
-        out.append(
-            MixtureSpec(
-                sources=[pool[int(i)], pool[int(j)]],
-                gains=[1.0, gain],
-                target_snr_db=snr,
-            )
-        )
-    return out
+    i, j = (int(k) for k in rng.choice(len(pool), size=2, replace=False))
+    _, scaled = mix_at_snr(pool[i], [pool[j]], float(rng.uniform(-5.0, 5.0)))
+    # pool[j] times its gain, not `scaled`, whose last bits differ: the draws' bits are pinned
+    interferer = pool[j] * float(np.sqrt((scaled @ scaled) / (pool[j] @ pool[j])))
+    return pool[i] + interferer, [pool[i], interferer]
 
 
 # ---------------------------------------------------------------------------

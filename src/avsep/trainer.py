@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import metrics
-from .data import dynamic_mix_batch, energy_envelope, mix_at_snr, synth_sources
+from .data import energy_envelope, mix_at_snr, remix, synth_sources
 from .errors import ConfigError, TrainingError
 from .model import ModelConfig, ModelParams, build_params, check_fields, named_tensors, separate
 from .tensor import Tensor
@@ -209,7 +209,8 @@ def train_toy(cfg: ModelConfig, settings: TrainSettings,
               log=None) -> TrainResult:
     """Overfit a single synthetic two-source mixture (or dynamically mixed
     pool) and return the trained parameters plus the loss history. A
-    mixture or model too large to allocate raises ConfigError."""
+    mixture or model too large to allocate raises ConfigError; a non-finite
+    loss, gradient or validation output raises TrainingError."""
     if cfg.n_speakers > 2:
         raise ConfigError(f"n_speakers = {cfg.n_speakers}, but the toy mixture has two sources")
     rng = np.random.default_rng(settings.seed)
@@ -248,9 +249,7 @@ def train_toy(cfg: ModelConfig, settings: TrainSettings,
         for _ in range(n_steps):
             t0 = time.perf_counter()  # forward plus loss, with the step's data
             if settings.dynamic_mix:
-                spec = dynamic_mix_batch(pool, 1, rng)[0]
-                mix = spec.mixture
-                refs = [src * g for src, g in zip(spec.sources, spec.gains)]
+                mix, refs = remix(pool, rng)
                 vfeat = None if cfg.audio_only else energy_envelope(refs[0], cfg.sample_rate)
             else:
                 mix, refs, vfeat = mixture, [target, scaled_interf], video_feat
@@ -273,8 +272,11 @@ def train_toy(cfg: ModelConfig, settings: TrainSettings,
         fwd_s, bwd_s, opt_s = fwd_s / n_steps, bwd_s / n_steps, opt_s / n_steps
 
         flat.mark(False)  # so validation records no tape
-        _, val = metrics.pit_best(  # the separated output dies with this call
-            val_refs, [w.data[0] for w in _separate(mixture, video_feat, cfg, p).waveforms])
+        waves = [w.data[0] for w in _separate(mixture, video_feat, cfg, p).waveforms]
+        if not all(np.isfinite(w).all() for w in waves):
+            raise TrainingError(f"non-finite validation output after step {steps_run}")
+        _, val = metrics.pit_best(val_refs, waves)
+        del waves  # so no separated output lives into the next epoch
         val_si_snri = val - val_base
         peak_rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024  # KiB on Linux
         # train_loss and grad_norm (pre-clip) are the epoch's last step's

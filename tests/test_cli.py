@@ -180,15 +180,23 @@ class TestTrainToy:
         assert "Traceback" not in err
         assert not (tmp_path / "x.iiac").exists()
 
-    def test_non_finite_loss_exits_1_and_writes_nothing(self, tmp_path, capsys):
+    @pytest.mark.parametrize("steps_per_epoch, message", [
+        (10, "non-finite loss at step 1"),
+        (1, "non-finite validation output after step 1"),  # validation runs first
+    ])
+    def test_non_finite_loss_exits_1_and_writes_nothing(self, tmp_path, capsys,
+                                                        steps_per_epoch, message):
         # the first Adam step at this rate moves the weights by about 1e30,
-        # so the second forward overflows float32
+        # so the next forward overflows float32
         cfg = tmp_path / "blowup.cfg"
-        cfg.write_text(TINY_CFG + "lr = 1e30\n")
+        cfg.write_text(TINY_CFG.replace("steps_per_epoch = 10",
+                                        f"steps_per_epoch = {steps_per_epoch}")
+                       + "lr = 1e30\n")
         with np.errstate(over="ignore", invalid="ignore"):
             rc = main(["train-toy", "--config", str(cfg), "--out", str(tmp_path / "x.iiac")])
         assert rc == 1
-        assert "error: non-finite loss at step 1" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert f"error: {message}\n" in err and "Traceback" not in err
         assert not list(tmp_path.glob("x.iiac*"))
 
     def test_audio_only_from_config_keys(self, tmp_path, capsys):
@@ -255,11 +263,13 @@ class TestSeparate:
         assert main(args + ["--config", str(workdir / "tiny.cfg")]) == 0  # an agreeing one
 
     def test_fast_flag_runs(self, workdir, tmp_path):
-        rc = main(["separate", "--mixture", str(workdir / "mix.wav"),
-                   "--embedding", str(workdir / "a.iiav"),
-                   "--checkpoint", str(workdir / "tiny.iiac"), "--fast",
-                   "--out", str(tmp_path / "f")])
-        assert rc == 0
+        args = ["separate", "--mixture", str(workdir / "mix.wav"),
+                "--embedding", str(workdir / "a.iiav"),
+                "--checkpoint", str(workdir / "tiny.iiac")]
+        assert main(args + ["--fast", "--out", str(tmp_path / "f")]) == 0
+        # the tiny model has 1 audio cycle, fewer than --fast's cap, so nothing changes
+        assert main(args + ["--out", str(tmp_path / "n")]) == 0
+        assert (tmp_path / "f.0.wav").read_bytes() == (tmp_path / "n.0.wav").read_bytes()
 
 
     def test_non_finite_waveform_exits_2_and_writes_nothing(self, workdir, tmp_path, capsys):
@@ -521,6 +531,15 @@ class TestBench:
         m_fast = int(fast.split("macs @ 1s: ")[1].split("\n")[0])
         assert p_full == p_fast
         assert m_fast < m_full
+
+    def test_fast_never_adds_cycles(self, tmp_path, capsys):
+        cfg = tmp_path / "tiny.cfg"
+        cfg.write_text(TINY_CFG)  # 1 audio cycle, fewer than --fast's cap
+        macs = []
+        for extra in ([], ["--fast"]):
+            assert main(["bench", "--config", str(cfg)] + extra) == 0
+            macs.append(int(capsys.readouterr().out.split("macs @ 1s: ")[1].split("\n")[0]))
+        assert macs[1] == macs[0]
 
     def test_config_expresses_paper_scale_routing(self, tmp_path, capsys):
         cfg = tmp_path / "paper.cfg"

@@ -1,3 +1,4 @@
+import hashlib
 import struct
 import time
 import tracemalloc
@@ -7,11 +8,11 @@ import numpy as np
 import pytest
 
 from avsep.data import (
-    dynamic_mix_batch,
     energy_envelope,
     load_embedding,
     load_wav,
     mix_at_snr,
+    remix,
     save_embedding,
     save_wav,
     synth_sources,
@@ -83,6 +84,17 @@ class TestWavIO:
         path = tmp_path / "junk.wav"
         path.write_bytes(b"not a wav file")
         with pytest.raises(FormatError):
+            load_wav(path)
+
+    def test_float_wav_rejected(self, tmp_path):
+        # a WAVE_FORMAT_IEEE_FLOAT (format 3) file, which the wave module refuses itself
+        data = np.zeros(4, dtype="<f4").tobytes()
+        fmt = struct.pack("<HHIIHH", 3, 1, 8000, 8000 * 4, 4, 32)
+        body = (b"WAVE" + b"fmt " + struct.pack("<I", len(fmt)) + fmt
+                + b"data" + struct.pack("<I", len(data)) + data)
+        path = tmp_path / "float.wav"
+        path.write_bytes(b"RIFF" + struct.pack("<I", len(body)) + body)
+        with pytest.raises(FormatError, match=r"malformed WAV \(unknown format: 3\)"):
             load_wav(path)
 
 
@@ -186,34 +198,36 @@ class TestSynthSources:
         assert si_snr(a, mix) < si_snr(a, a + 0.01 * b)
 
 
-class TestDynamicMix:
-    def test_snr_range_and_distinct_pairs(self):
+class TestRemix:
+    def test_snr_range_and_distinct_sources(self):
         pool = synth_sources(4, 2000, seed=0)
         rng = np.random.default_rng(9)
-        batch = dynamic_mix_batch(pool, 6, rng)
-        assert len(batch) == 6
-        pairs = set()
-        for spec in batch:
-            assert -5.0 <= spec.target_snr_db <= 5.0
-            assert len(spec.sources) == 2
-            assert spec.sources[0] is not spec.sources[1]
-            pairs.add(frozenset(id(s) for s in spec.sources))
-        # pool of 4 -> 6 unordered pairs; a 6-item batch must use them all
-        assert len(pairs) == 6
+        for _ in range(20):
+            mix, (target, interf) = remix(pool, rng)
+            # the target is a pool source; the interferer a multiple of another one
+            i = next(k for k, s in enumerate(pool) if s is target)
+            (j,) = [k for k, s in enumerate(pool)
+                    if np.allclose(interf * (s @ s), s * (interf @ s))]
+            assert i != j
+            snr = 10.0 * np.log10((target @ target) / (interf @ interf))
+            assert -5.0 <= snr <= 5.0
+            np.testing.assert_array_equal(mix, target + interf)
 
-    def test_mixture_property_matches_gains(self):
-        pool = synth_sources(3, 1000, seed=1)
-        spec = dynamic_mix_batch(pool, 1, np.random.default_rng(2))[0]
-        want = spec.sources[0] * spec.gains[0] + spec.sources[1] * spec.gains[1]
-        np.testing.assert_allclose(spec.mixture, want, atol=1e-12)
-        got = 10.0 * np.log10(
-            (spec.sources[0] @ spec.sources[0])
-            / ((spec.sources[1] * spec.gains[1]) @ (spec.sources[1] * spec.gains[1])))
-        assert got == pytest.approx(spec.target_snr_db, abs=1e-6)
-
-    def test_small_pool_rejected(self):
+    def test_one_source_pool_rejected(self):
         with pytest.raises(ValueError):
-            dynamic_mix_batch([np.ones(8)], 1, np.random.default_rng(0))
+            remix([np.ones(8)], np.random.default_rng(0))
+
+    def test_draw_bits_pinned(self):
+        # 5 draws' mixtures and references, as <f8 bytes, in one running hash
+        pool = synth_sources(4, 2000, seed=0)
+        rng = np.random.default_rng(11)
+        h = hashlib.sha256()
+        for _ in range(5):
+            mix, refs = remix(pool, rng)
+            for a in (mix, *refs):
+                h.update(np.asarray(a, "<f8").tobytes())
+        assert h.hexdigest() == (
+            "c28cb99364f2b7082c9dbefed794ac21f7f7847ff64f631c6e7e8e19bcd1cf7c")
 
 
 class TestEnergyEnvelope:

@@ -668,6 +668,12 @@ class TestCheckpointIO:
         with pytest.raises(FormatError):
             load_checkpoint(path)
 
+    def test_truncated_header_rejected(self, tmp_path):
+        path = tmp_path / "short.iiac"
+        path.write_bytes(b"IIAC" + b"\x01\x00")
+        with pytest.raises(FormatError, match="truncated checkpoint header"):
+            load_checkpoint(path)
+
     def test_bad_version_rejected(self, tmp_path):
         cfg = tiny_config()
         path = tmp_path / "m.iiac"

@@ -85,6 +85,9 @@ def test_bad_line_names_its_key(text, key):
     ("ffn_channels", "ffn_channels = 0, 32, 16"),
     ("q_kernel", "q_kernel = 0"),
     ("q_kernel", "q_kernel = 2"),
+    ("dropout_p", "dropout_p = 1.0"),
+    ("dropout_p", "dropout_p = -0.5"),
+    ("n_video_channels", "depthwise = true\nn_video_channels = 12"),
 ])
 def test_out_of_range_model_value_names_its_key(key, text):
     with pytest.raises(ConfigError, match=key):
