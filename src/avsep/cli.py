@@ -8,8 +8,11 @@ from __future__ import annotations
 
 import argparse
 import csv
+import os
 import sys
 from dataclasses import replace
+
+import numpy as np
 
 from . import checks, metrics, runconfig
 from .data import load_embedding, load_wav, save_wav
@@ -58,6 +61,14 @@ def _load_model(args):
     return params, cfg
 
 
+def _check_dest(path) -> None:
+    """Refuse an output path whose directory does not exist, before any
+    load or step."""
+    folder = os.path.dirname(path) or "."
+    if not os.path.isdir(folder):
+        raise ConfigError(f"{path}: directory {folder} does not exist")
+
+
 def _fast(cfg, fast: bool):
     """``cfg``, cut to at most ``FAST_AUDIO_CYCLES`` audio-only cycles if ``fast``."""
     if not fast:
@@ -66,6 +77,7 @@ def _fast(cfg, fast: bool):
 
 
 def cmd_separate(args) -> int:
+    _check_dest(f"{args.out}.0.wav")
     params, cfg = _load_model(args)
     if not (cfg.audio_only or args.embedding):
         raise ConfigError("a fused checkpoint needs at least one --embedding")
@@ -88,9 +100,11 @@ def cmd_separate(args) -> int:
 
 
 def cmd_train_toy(args) -> int:
+    hist_path = args.history or (str(args.out) + ".history.csv")
+    _check_dest(args.out)
+    _check_dest(hist_path)
     result = train_toy(*_load_configs(args.config), log=lambda m: print(m, file=sys.stderr))
     save_checkpoint(result.params, result.cfg, args.out)
-    hist_path = args.history or (str(args.out) + ".history.csv")
     with open(hist_path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(HISTORY_COLUMNS)
@@ -227,7 +241,10 @@ def main(argv=None) -> int:
     ap = _build_parser()
     args = ap.parse_args(argv)
     try:
-        return args.func(args)
+        # every non-finite result ends in a named error below, so numpy's
+        # floating-point warnings would only repeat it with source lines
+        with np.errstate(all="ignore"):
+            return args.func(args)
     except ConfigConflictError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_CONFLICT

@@ -51,7 +51,9 @@ def save_wav(path, samples: np.ndarray, sample_rate: int) -> None:
     x = x * 32768.0
     q = np.sign(x) * np.floor(np.abs(x) + 0.5)
     q = np.clip(q, -32768, 32767).astype("<i2")
-    with _wave.open(str(path), "wb") as fh:
+    # wave.open(path) leaves a half-built writer whose __del__ raises when
+    # the open fails, so the file is opened first
+    with open(path, "wb") as f, _wave.open(f, "wb") as fh:
         fh.setnchannels(1)
         fh.setsampwidth(2)
         fh.setframerate(sample_rate)

@@ -200,7 +200,7 @@ def conv1d(x: Tensor, p: Conv1dParams) -> Tensor:
 
     def back(grad):
         _conv_param_grads(grad, _columns(x.data, p), p)
-        if x.requires_grad or x._parents:
+        if x.requires_grad:
             _accum(x, _overlap_add(grad, p, l_in, x.data.dtype))
 
     return _node(y, parents, back)
@@ -381,9 +381,9 @@ def gate(x: Tensor, m: Tensor, add: bool = False) -> Tensor:
         s = _sigmoid(ms)
         if up:
             s = _resample(s, l, r, idx)
-        if x.requires_grad or x._parents:
+        if x.requires_grad:
             _accum(x, g * s)
-        if not (m.requires_grad or m._parents):
+        if not m.requires_grad:
             return
         gm = g * xd
         gm *= s
@@ -481,7 +481,7 @@ def q_op(x: Tensor, p: QParams, length: int | None = None) -> Tensor:
         z -= m
         gz = _gln_backward(g, z, inv, norm)
         _conv_param_grads(gz, cols, conv)
-        if x.requires_grad or x._parents:
+        if x.requires_grad:
             _accum(x, _resample_adjoint(_overlap_add(gz, conv, length, xd.dtype), l, r, idx))
 
     parents = (x, conv.weight, norm.gain, norm.bias)

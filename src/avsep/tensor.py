@@ -3,16 +3,17 @@
 The computation graph is a dynamic tape. Nothing is on it by default:
 parameters are plain data, and whoever differentiates sets
 ``requires_grad = True`` on the leaves it wants gradients for (the trainer
-and the gradient harness do this for their own leaves). An operation with
-a marked or taped input returns a tape node holding references to its
-parents and a closure that propagates the upstream gradient; otherwise it
-returns plain data. :func:`_accum` drops the gradient of an input off
-the tape (:attr:`Tensor.on_tape`), which most backwards compute anyway;
-only the inputs of ``conv1d`` and ``q_op`` and ``gate``'s two inputs skip
-that work.
+and the gradient harness do this for their own leaves). ``requires_grad``
+is the one mark of the tape: an operation with a marked input returns a
+marked tape node holding references to its parents and a closure that
+propagates the upstream gradient; otherwise it returns plain data.
+:func:`_accum` drops the gradient of an unmarked input, which most
+backwards compute anyway; only the inputs of ``conv1d`` and ``q_op`` and
+``gate``'s two inputs skip that work.
 :meth:`Tensor.tape` states the walk, the op nodes a ``backward()`` runs in
-its order; :meth:`Tensor.backward` consumes the tape as it walks it, so
-differentiating again means running the forward again.
+its order; :meth:`Tensor.backward` consumes the tape as it walks it and
+unmarks each node it walks, so differentiating again means running the
+forward again.
 It hands each backward its upstream gradient read-only, so a backward
 that passes it on, whole or as a view, cannot make it an input's
 ``grad``: :func:`_accum` copies read-only gradients and keeps a new
@@ -97,12 +98,6 @@ class Tensor:
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, dtype={self.dtype.name})"
 
-    @property
-    def on_tape(self) -> bool:
-        """True when gradients flow into this tensor: a marked leaf or the
-        result of an op with an input on the tape."""
-        return self.requires_grad or bool(self._parents)
-
     def item(self) -> float:
         if self.size != 1:
             raise GeometryError(f"item() on non-scalar tensor of shape {self.shape}")
@@ -140,15 +135,15 @@ class Tensor:
     def backward(self) -> None:
         """Seed d(self)/d(self)=1 and run the backward of each node of
         :meth:`tape`, root first; fan-out gradients sum into the leaves'
-        own buffers. ``self`` must be scalar (size 1) and on the tape.
-        Each node drops its ``grad``, parents and closure once its backward
-        has run, so the walk frees the tape as it goes: after the call only
-        leaves hold a ``grad``, and ``self`` is plain data. A root off the
-        tape, or a tape that reaches a node of one walked already, raises
-        :class:`GeometryError` before any ``grad`` changes."""
+        own buffers. ``self`` must be scalar (size 1) and marked.
+        Each node drops its mark, ``grad``, parents and closure once its
+        backward has run, so the walk frees the tape as it goes: after the
+        call only leaves hold a ``grad`` or a mark, and ``self`` is plain
+        data. An unmarked root, or a tape that reaches a node of one walked
+        already, raises :class:`GeometryError` before any ``grad`` changes."""
         if self.size != 1:
             raise GeometryError(f"backward() requires a scalar root, got shape {self.shape}")
-        if not self.on_tape:
+        if not self.requires_grad:
             raise GeometryError("backward() on a root off the tape: no marked leaf "
                                 "reaches it, or its graph was walked already")
         nodes = self.tape()  # alone holds the tape now, and gives each node up in turn
@@ -159,13 +154,14 @@ class Tensor:
             if g is not None:
                 g.flags.writeable = False
                 node._backward(g)
+            node.requires_grad = False
             node.grad = None
             node._parents = ()
             node._backward = _WALKED
 
 
 def _accum(t: Tensor, g: np.ndarray) -> None:
-    """Add ``g`` to ``t.grad`` when ``t`` is on the tape. The first
+    """Add ``g`` to ``t.grad`` when ``t`` is marked. The first
     gradient is stored as it is when it is a writable, C-contiguous buffer
     of its own or a whole reshape of one, which is what a backward's fresh
     result is; anything else is copied: the read-only upstream gradient
@@ -173,7 +169,7 @@ def _accum(t: Tensor, g: np.ndarray) -> None:
     a part of a larger buffer, or a non-contiguous array. A backward never
     hands one writable buffer to two inputs, nor one that anything else
     keeps."""
-    if not (t.requires_grad or t._parents):
+    if not t.requires_grad:
         return
     g = np.asarray(g, dtype=t.data.dtype)  # an op on a 0-d array returns a numpy scalar
     if t.grad is not None:
@@ -198,18 +194,19 @@ def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 
 
 def _node(out: np.ndarray, parents: tuple[Tensor, ...], back) -> Tensor:
-    """The result of an op: a tape node over ``parents`` with backward
-    ``back`` when a parent is on the tape, else plain data. Not scanned for
-    non-finite values; the boundaries check those."""
+    """The result of an op: a marked tape node over ``parents`` with
+    backward ``back`` when a parent is marked, else plain data. Not scanned
+    for non-finite values; the boundaries check those."""
     t = Tensor.__new__(Tensor)
     t.data = np.asarray(out)
-    t.requires_grad = False
     t.grad = None
     for p in parents:
-        if p.requires_grad or p._parents:  # p.on_tape, without the property call
+        if p.requires_grad:
+            t.requires_grad = True
             t._parents = parents
             t._backward = back
             return t
+    t.requires_grad = False
     t._parents = ()
     t._backward = None
     return t

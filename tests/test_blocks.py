@@ -58,6 +58,8 @@ class TestScalePyramid:
     def test_rejects_wrong_halving(self):
         with pytest.raises(GeometryError):
             ScalePyramid(levels=[Tensor(np.zeros((2, 8))), Tensor(np.zeros((2, 5)))])
+        with pytest.raises(GeometryError, match="at least one level"):
+            ScalePyramid(levels=[])
 
     def test_depth(self):
         p = ScalePyramid(levels=[Tensor(np.zeros((2, 8))), Tensor(np.zeros((2, 4)))])
@@ -358,6 +360,13 @@ class TestTopDown:
         v_want = intra_a_global(v_bar[0], v_want, p.local_intra_v[0])
         assert np.max(np.abs(s0.data - s_want.data)) < 1e-6
         assert np.max(np.abs(v0.data - v_want.data)) < 1e-6
+
+    def test_depth_zero_rejected(self, rng):
+        p = build_params(ModelConfig(n_audio_channels=4, n_video_channels=4, depth=2,
+                                     ffn_channels=(4, 8, 4)), seed=0, dtype=np.float64)
+        audio = _pyramid(rng, 4, 16, 0)
+        with pytest.raises(GeometryError, match="needs depth >= 1"):
+            top_down_pass(audio, None, audio.levels[0], None, p)
 
     def test_prime_variant_skips_global_q(self, rng):
         cfg = ModelConfig(n_audio_channels=4, n_video_channels=4, depth=2,

@@ -73,6 +73,16 @@ def _overflowing_checkpoint(path):
     save_checkpoint(p, cfg, path)
 
 
+def _cli(*args):
+    """``python -m avsep.cli ARGS`` in a new process, where numpy's warnings
+    reach stderr as a user sees them."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    return subprocess.run([sys.executable, "-m", "avsep.cli", *map(str, args)],
+                          env=env, capture_output=True, text=True)
+
+
 @pytest.fixture(scope="module")
 def workdir(tmp_path_factory):
     root = tmp_path_factory.mktemp("cli")
@@ -192,12 +202,23 @@ class TestTrainToy:
         cfg.write_text(TINY_CFG.replace("steps_per_epoch = 10",
                                         f"steps_per_epoch = {steps_per_epoch}")
                        + "lr = 1e30\n")
-        with np.errstate(over="ignore", invalid="ignore"):
-            rc = main(["train-toy", "--config", str(cfg), "--out", str(tmp_path / "x.iiac")])
+        rc = main(["train-toy", "--config", str(cfg), "--out", str(tmp_path / "x.iiac")])
         assert rc == 1
         err = capsys.readouterr().err
         assert f"error: {message}\n" in err and "Traceback" not in err
         assert not list(tmp_path.glob("x.iiac*"))
+
+    @pytest.mark.parametrize("flag", ["--out", "--history"])
+    def test_destination_in_a_missing_directory_exits_2_before_training(self, tmp_path,
+                                                                       capsys, flag):
+        cfg = tmp_path / "tiny.cfg"
+        cfg.write_text(TINY_CFG)
+        dest = tmp_path / "absent" / "x"
+        assert main(["train-toy", "--config", str(cfg), "--out", str(tmp_path / "x.iiac"),
+                     flag, str(dest)]) == 2
+        out, err = capsys.readouterr()
+        assert (out, err) == ("", f"error: {dest}: directory {dest.parent} does not exist\n")
+        assert sorted(tmp_path.iterdir()) == [cfg]  # no epoch ran, nothing was written
 
     def test_audio_only_from_config_keys(self, tmp_path, capsys):
         # the two run-config keys are the one way to ask for it; no flag is left
@@ -274,14 +295,22 @@ class TestSeparate:
 
     def test_non_finite_waveform_exits_2_and_writes_nothing(self, workdir, tmp_path, capsys):
         _overflowing_checkpoint(tmp_path / "big.iiac")
-        with np.errstate(over="ignore", invalid="ignore"):
-            rc = main(["separate", "--mixture", str(workdir / "mix.wav"),
-                       "--embedding", str(workdir / "a.iiav"),
-                       "--checkpoint", str(tmp_path / "big.iiac"),
-                       "--out", str(tmp_path / "sep")])
+        rc = main(["separate", "--mixture", str(workdir / "mix.wav"),
+                   "--embedding", str(workdir / "a.iiav"),
+                   "--checkpoint", str(tmp_path / "big.iiac"),
+                   "--out", str(tmp_path / "sep")])
         assert rc == 2
         assert "non-finite" in capsys.readouterr().err
         assert not (tmp_path / "sep.0.wav").exists()
+
+    def test_out_in_a_missing_directory_prints_one_error_line(self, workdir, tmp_path):
+        # in a new process, where an exception ignored in a destructor shows
+        dest = tmp_path / "absent" / "o"
+        done = _cli("separate", "--mixture", workdir / "mix.wav",
+                    "--embedding", workdir / "a.iiav",
+                    "--checkpoint", workdir / "tiny.iiac", "--out", dest)
+        assert (done.returncode, done.stdout) == (2, "")
+        assert done.stderr == f"error: {dest}.0.wav: directory {dest.parent} does not exist\n"
 
     def test_mixture_at_another_rate_exits_2_and_writes_nothing(self, workdir, tmp_path,
                                                                 capsys):
@@ -372,6 +401,24 @@ class TestSeparate:
         best = max(si_snri(mixture, reference, w.data[0]) for w in out.waveforms)
         rows = list(csv.reader(report.open()))
         assert float(rows[1][1]) == pytest.approx(best, abs=1e-4)
+
+
+@pytest.mark.parametrize("command", ["train-toy", "separate"])
+def test_non_finite_run_prints_only_its_error_line(workdir, tmp_path, command):
+    # in a new process, where numpy's overflow and invalid-value warnings show
+    if command == "train-toy":
+        cfg = tmp_path / "blowup.cfg"
+        cfg.write_text(TINY_CFG.replace("steps_per_epoch = 10", "steps_per_epoch = 1")
+                       .replace("max_steps = 30", "max_steps = 3") + "lr = 1e30\n")
+        args, rc = ("--config", cfg, "--out", tmp_path / "x.iiac"), 1
+        want = "error: non-finite validation output after step 1\n"
+    else:
+        _overflowing_checkpoint(tmp_path / "big.iiac")
+        args, rc = ("--mixture", workdir / "mix.wav", "--embedding", workdir / "a.iiav",
+                    "--checkpoint", tmp_path / "big.iiac", "--out", tmp_path / "o"), 2
+        want = f"error: {tmp_path / 'o'}.0.wav: non-finite samples; nothing written\n"
+    done = _cli(command, *args)
+    assert (done.returncode, done.stderr) == (rc, want)
 
 
 @pytest.mark.parametrize("command", ["separate", "eval"])
@@ -491,9 +538,8 @@ class TestEval:
             [str(workdir / "mix.wav"), str(workdir / "ref.wav"), str(workdir / "a.iiav")],
         ])
         out = tmp_path / "report.csv"
-        with np.errstate(over="ignore", invalid="ignore"):
-            rc = main(["eval", "--pairs", str(pairs),
-                       "--checkpoint", str(tmp_path / "big.iiac"), "--out", str(out)])
+        rc = main(["eval", "--pairs", str(pairs),
+                   "--checkpoint", str(tmp_path / "big.iiac"), "--out", str(out)])
         assert rc == 1
         assert "non-finite signal" in capsys.readouterr().err
         assert list(csv.reader(out.open())) == [["path", "si_snri", "sdri"]]
@@ -568,11 +614,7 @@ class TestBench:
     def test_module_entry_point_prints_what_main_prints(self, capsys):
         assert main(["bench", "--full-scale"]) == 0
         want = capsys.readouterr().out
-        src = str(Path(__file__).resolve().parents[1] / "src")
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
-        done = subprocess.run([sys.executable, "-m", "avsep.cli", "bench", "--full-scale"],
-                              env=env, capture_output=True, text=True)
+        done = _cli("bench", "--full-scale")
         assert (done.returncode, done.stdout, done.stderr) == (0, want, "")
 
     @pytest.mark.parametrize("seconds", ["0", "nan", "inf", "0.0001"])

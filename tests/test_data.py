@@ -1,5 +1,7 @@
+import gc
 import hashlib
 import struct
+import sys
 import time
 import tracemalloc
 import wave
@@ -79,6 +81,15 @@ class TestWavIO:
         with pytest.raises(FormatError):
             save_wav(path, np.array([0.0, bad, 0.1]), 8000)
         assert not path.exists()
+
+    def test_missing_directory_raises_only_its_os_error(self, tmp_path, monkeypatch):
+        # a failed wave.open(path) leaves a half-built writer whose __del__ raises
+        unraisable = []
+        monkeypatch.setattr(sys, "unraisablehook", unraisable.append)
+        with pytest.raises(FileNotFoundError):
+            save_wav(tmp_path / "absent" / "o.wav", np.zeros(8), 8000)
+        gc.collect()
+        assert unraisable == []
 
     def test_garbage_rejected(self, tmp_path):
         path = tmp_path / "junk.wav"
@@ -190,6 +201,10 @@ class TestSynthSources:
             for j in range(i + 1, 3):
                 r = (srcs[i] @ srcs[j]) / np.sqrt((srcs[i] @ srcs[i]) * (srcs[j] @ srcs[j]))
                 assert abs(r) < 0.05
+
+    def test_no_sources_rejected(self):
+        with pytest.raises(ValueError, match="at least one source"):
+            synth_sources(0, 100, seed=0)
 
     def test_sources_separable_by_si_snr(self):
         # each source should score far better against itself than the other

@@ -51,6 +51,8 @@ class TestSiSnr:
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError):
             si_snr(np.ones(4), np.ones(5))
+        with pytest.raises(ValueError, match="length mismatch"):
+            sdr(np.ones(4), np.ones(5))
 
     @pytest.mark.parametrize("metric", [si_snr, sdr])
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
@@ -137,6 +139,8 @@ class TestPit:
     def test_count_mismatch_rejected(self):
         with pytest.raises(ValueError):
             pit_best([np.ones(4)], [np.ones(4), np.ones(4)])
+        with pytest.raises(ValueError, match="count mismatch"):
+            pit_si_snr_loss([Tensor(np.ones((1, 4)))], [np.ones(4), np.ones(4)])
 
 
 class TestDifferentiableLoss:

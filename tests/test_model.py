@@ -103,6 +103,15 @@ class TestGeometry:
         p = build_params(cfg, seed=0)
         with pytest.raises(GeometryError):
             separate(Tensor(np.zeros((1, 100))), None, cfg, p)
+        # and each embedding's length divides by 2^depth (4 here)
+        e = Tensor(np.zeros((4, 8), dtype=np.float32))
+        odd = Tensor(np.zeros((4, 6), dtype=np.float32))
+        with pytest.raises(GeometryError, match="the fused model needs video features"):
+            separation_features(e, None, cfg, p)
+        with pytest.raises(GeometryError, match="audio embedding length must divide"):
+            separation_features(odd, e, cfg, p)
+        with pytest.raises(GeometryError, match="video embedding length must divide"):
+            separation_features(e, odd, cfg, p)
 
     def test_depthwise_routing(self, rng):
         # down-convs depthwise, FFN middle conv depthwise with multiplier 2,
@@ -592,7 +601,7 @@ class TestCheckpointIO:
             assert a is buf, name  # read into the skeleton's buffer, not a second one
             assert a.flags.writeable and a.flags.c_contiguous and a.flags.owndata, name
             assert a.base is None and a.dtype == np.dtype("<f4"), name
-            assert not t.requires_grad and not t.on_tape and t.grad is None, name
+            assert not t.requires_grad and t.grad is None, name
 
         named = list(named_tensors(p))
         before = [t.data.copy() for _, t in named]

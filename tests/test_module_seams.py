@@ -62,6 +62,15 @@ def test_guard_sees_a_private_import(tmp_path):
                                   ("trainer", "tensor", "_accum")}
 
 
+def test_only_tensor_reads_the_tape_links():
+    """``requires_grad`` is the one mark of the tape; a node's ``_parents``
+    are the tape's own plumbing, which only ``tensor`` reads."""
+    readers = sorted(path.name for path in SRC.glob("*.py") if path.stem != "tensor"
+                     and any(isinstance(n, ast.Attribute) and n.attr == "_parents"
+                             for n in ast.walk(ast.parse(path.read_text(), filename=str(path)))))
+    assert not readers, readers
+
+
 def test_no_module_lists_its_public_names():
     """The leading underscore is the one statement of what is public: a
     name without one is public, and no module keeps a second, hand-kept

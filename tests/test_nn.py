@@ -94,6 +94,14 @@ class TestConv1d:
         p = _conv_params(rng, 2, 3, 3)
         with pytest.raises(GeometryError):
             conv1d(Tensor(np.zeros((4, 10))), p)
+        # an input without a channel axis, to each op that convolves
+        with pytest.raises(GeometryError, match=r"^conv1d expects \[C, L\]"):
+            conv1d(Tensor(np.zeros(10)), p)
+        with pytest.raises(GeometryError, match=r"^conv_transpose1d expects \[C, L\]"):
+            conv_transpose1d(Tensor(np.zeros(10)), p)
+        q = QParams(conv=p, gln=GlnParams(gain=Tensor(np.ones(2)), bias=Tensor(np.zeros(2))))
+        with pytest.raises(GeometryError, match=r"^q_op expects \[C, L\]"):
+            q_op(Tensor(np.zeros(10)), q)
 
     def test_groups_must_divide_channels(self, rng):
         # 2 groups cannot split 3 output channels
@@ -101,6 +109,13 @@ class TestConv1d:
             Conv1dParams(weight=Tensor(np.zeros((3, 2, 5))), bias=None, groups=2)
         with pytest.raises(GeometryError):
             Conv1dParams(weight=Tensor(np.zeros((4, 2, 5))), bias=None, groups=0)
+        # nor is a weight of another rank or a geometry no conv has
+        with pytest.raises(GeometryError, match="must be 3-D"):
+            Conv1dParams(weight=Tensor(np.zeros((4, 2))), bias=None)
+        for k, stride, padding in [(0, 1, 0), (5, 0, 0), (5, 1, -1)]:
+            with pytest.raises(GeometryError, match="invalid conv geometry"):
+                Conv1dParams(weight=Tensor(np.zeros((4, 2, k))), bias=None,
+                             stride=stride, padding=padding)
         # nor 3 input channels: 2 groups of 1 read 2 channels
         p = _conv_params(rng, 4, 2, 5, groups=2)
         assert p.in_channels == 2
@@ -113,6 +128,10 @@ class TestConv1d:
         p = _conv_params(rng, 1, 1, 8)
         with pytest.raises(GeometryError):
             conv1d(Tensor(np.zeros((1, 4))), p)
+        # the adjoint's length (L-1)*stride + K - 2*padding: 0 + 1 - 2
+        p = _conv_params(rng, 1, 1, 1, padding=1)
+        with pytest.raises(GeometryError, match="output would be empty"):
+            conv_transpose1d(Tensor(np.zeros((1, 1))), p)
 
     @given(l=st.integers(1, 200), k=st.integers(1, 16),
            s=st.integers(1, 8), pad=st.integers(0, 8))
@@ -180,6 +199,17 @@ class TestPoolingAndResampling:
     def test_avg_pool_divisibility(self):
         with pytest.raises(GeometryError):
             avg_pool1d(Tensor(np.zeros((1, 10))), 3)
+        with pytest.raises(GeometryError, match="pool ratio must be >= 1"):
+            avg_pool1d(Tensor(np.zeros((1, 10))), 0)
+
+    def test_target_length_must_be_positive(self, rng):
+        # interp_resample, and q_op, which resamples its input itself
+        with pytest.raises(GeometryError, match="target length must be positive"):
+            interp_resample(Tensor(np.zeros((2, 5))), 0)
+        q = QParams(conv=_conv_params(rng, 2, 2, 1),
+                    gln=GlnParams(gain=Tensor(np.ones(2)), bias=Tensor(np.zeros(2))))
+        with pytest.raises(GeometryError, match="target length must be positive"):
+            q_op(Tensor(np.zeros((2, 5))), q, 0)
 
     def test_nearest_index_formula(self, rng):
         x = rng.standard_normal((2, 5))
@@ -316,6 +346,8 @@ class TestPadCrop:
     def test_crop_bounds(self):
         with pytest.raises(GeometryError):
             crop_time(Tensor(np.zeros((1, 4))), 5)
+        with pytest.raises(GeometryError, match="pad length must be nonnegative"):
+            pad_right(Tensor(np.zeros((1, 4))), -1)
 
     def test_slice_channels_routes_gradient_to_its_rows(self, rng):
         x = Tensor(rng.standard_normal((6, 5)), dtype=np.float64, requires_grad=True)
@@ -331,6 +363,11 @@ class TestDropout:
     def test_identity_at_inference(self, rng):
         x = Tensor(rng.standard_normal((3, 7)))
         assert dropout(x, 0.5, rng=None) is x
+
+    @pytest.mark.parametrize("p", [1.0, -0.5, np.nan])
+    def test_probability_outside_unit_interval_rejected(self, p, rng):
+        with pytest.raises(ValueError, match=r"must be in \[0, 1\)"):
+            dropout(Tensor(np.ones((2, 3))), p, rng)
 
     def test_identity_at_p_zero(self, rng):
         x = Tensor(rng.standard_normal((3, 7)))

@@ -126,12 +126,17 @@ class TestTapeMemory:
         loss = T.sum_all(T.ew_add(T.ew_mul(y, h), x))
         return x, w, (h, y, loss), loss
 
-    def test_on_tape_is_read_only(self):
+    def test_requires_grad_is_true_exactly_on_the_tape(self):
         plain, marked = Tensor([1.0]), _leaf([1.0])
-        assert not plain.on_tape and marked.on_tape
-        assert T.scale(marked, 2.0).on_tape and not T.scale(plain, 2.0).on_tape
-        with pytest.raises(AttributeError):
-            marked.on_tape = False
+        assert not T.scale(plain, 2.0).requires_grad
+        assert not T.ew_mul(plain, plain).requires_grad
+        assert T.scale(marked, 2.0).requires_grad
+        assert T.ew_mul(plain, T.scale(marked, 2.0)).requires_grad
+        x, w, nodes, loss = self._graph()
+        assert all(n.requires_grad for n in nodes)
+        loss.backward()
+        assert not any(n.requires_grad for n in nodes)  # every walked node
+        assert x.requires_grad and w.requires_grad and marked.requires_grad
 
     def test_second_backward_doubles_the_leaf_grads(self):
         x, w = _leaf([1.0, 2.0]), _leaf([3.0, 5.0])
@@ -163,7 +168,7 @@ class TestTapeMemory:
         assert b_alive() is not None
         loss.backward()
         assert alive_in_a == [False]
-        assert not a.on_tape and a.grad is None
+        assert not a.requires_grad and a.grad is None
         y = 1.0 / (1.0 + np.exp(-2.0 * x.data))
         np.testing.assert_allclose(x.grad, 2.0 * y * (1.0 - y), rtol=1e-15)
 
@@ -171,8 +176,8 @@ class TestTapeMemory:
         x, w, nodes, loss = self._graph()
         loss.backward()
         for n in nodes:
-            assert not n.on_tape and n.grad is None
-        assert x.on_tape and w.on_tape  # marked leaves stay marked
+            assert not n.requires_grad and n.grad is None
+        assert x.requires_grad and w.requires_grad  # marked leaves stay marked
 
     def test_a_second_backward_raises_and_changes_no_grad(self):
         x, w, _, loss = self._graph()
@@ -192,7 +197,7 @@ class TestTapeMemory:
         before = x.grad.tobytes()
         with pytest.raises(GeometryError, match="walked already"):
             second.backward()  # through h, whose backward first.backward() consumed
-        assert x.grad.tobytes() == before and second.on_tape
+        assert x.grad.tobytes() == before and second.requires_grad
 
     def test_a_loss_no_marked_leaf_reaches_raises_and_changes_no_grad(self):
         x = _leaf([1.0, 2.0])

@@ -89,7 +89,7 @@ class TestFlatParams:
         flat.grad[:] = 1.0
         flat.mark(False)
         assert all(not t.requires_grad and t.grad is None for t in _tensors(flat))
-        assert not T.sum_all(_tensors(flat)[1]).on_tape
+        assert not T.sum_all(_tensors(flat)[1]).requires_grad
         flat.mark(True)  # marked again, each grad is its view once more
         np.testing.assert_array_equal(_tensors(flat)[1].grad, [1.0, 1.0])
 
@@ -321,7 +321,7 @@ def test_a_step_backward_gives_its_tape_back_while_the_root_is_held():
     finally:
         tracemalloc.stop()
     assert taped > 1 << 20  # the tape this step recorded
-    assert after < 64 << 10 and not loss.on_tape and loss.data.shape == ()
+    assert after < 64 << 10 and not loss.requires_grad and loss.data.shape == ()
 
 
 class TestSchedule:
@@ -449,7 +449,7 @@ class TestTrainToy:
         assert len(taped) > 3 * 90  # every node of each step's tape below its root
         assert all(r() is None for r in taped + outputs)
         # each loss the trainer still held as the next forward started is plain data
-        assert all(not loss.on_tape and loss.data.shape == () for loss in losses)
+        assert all(not loss.requires_grad and loss.data.shape == () for loss in losses)
 
     def test_returns_plain_parameters_off_the_tape(self):
         res = train_toy(tiny_config(), self._settings(max_steps=2, steps_per_epoch=1))
@@ -457,7 +457,7 @@ class TestTrainToy:
         assert params and all(not t.requires_grad and t.grad is None for _, t in params)
         out = separate(Tensor(res.mixture[None, :].astype(np.float32)),
                        Tensor(res.video_feat.astype(np.float32)), res.cfg, res.params)
-        assert all(not w.on_tape and w._backward is None for w in out.masks + out.waveforms)
+        assert all(not w.requires_grad and w._backward is None for w in out.masks + out.waveforms)
 
     def test_loss_decreases(self):
         res = train_toy(tiny_config(), self._settings(max_steps=50, steps_per_epoch=10))
