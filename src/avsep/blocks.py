@@ -35,9 +35,9 @@ class ScalePyramid:
     def __post_init__(self):
         if not self.levels:
             raise GeometryError("pyramid needs at least one level")
-        c, l0 = self.levels[0].shape
+        c, l0 = self.levels[0].data.shape
         for i, lv in enumerate(self.levels):
-            if lv.shape != (c, l0 >> i):
+            if lv.data.shape != (c, l0 >> i):
                 raise GeometryError(
                     f"pyramid level {i} has shape {lv.shape}, expected {(c, l0 >> i)}"
                 )
@@ -75,8 +75,8 @@ def _q_up(y: Tensor, length: int, q: QParams) -> Tensor:
     repeats equally often, which leaves the gLN's mean and variance
     unchanged, so the whole Q runs at ``y``'s length and the result is
     left for the gate to upsample."""
-    c, l = q.conv, y.shape[1]
-    if c.kernel > 1 or c.stride > 1 or c.padding or l > length:
+    c, l = q.conv, y.data.shape[1]
+    if c.weight.data.shape[2] > 1 or c.stride > 1 or c.padding or l > length:
         return q_op(y, q, length)
     if length % l == 0:
         return q_op(y, q)
@@ -86,7 +86,7 @@ def _q_up(y: Tensor, length: int, q: QParams) -> Tensor:
 def intra_a_global(x: Tensor, y: Tensor, q: QParams) -> Tensor:
     """sigmoid(Q(up(y))) * x + Q(up(y)); the modulation term is computed
     once and reused for both the gate and the additive path."""
-    return gate(x, _q_up(y, x.shape[1], q), add=True)
+    return gate(x, _q_up(y, x.data.shape[1], q), add=True)
 
 
 def intra_a_prime(x: Tensor, y: Tensor) -> Tensor:
@@ -136,7 +136,7 @@ def inter_a_t(
 def inter_a_m(s_bar: Tensor, v_bar: Tensor, q: QParams) -> Tensor:
     """Video-derived gate applied to same-scale audio features:
     sigmoid(Q(up(v))) * s."""
-    return gate(s_bar, _q_up(v_bar, s_bar.shape[1], q))
+    return gate(s_bar, _q_up(v_bar, s_bar.data.shape[1], q))
 
 
 def _global_modulation(levels: list[Tensor], g: Tensor, qs: list[QParams] | None):
@@ -185,7 +185,7 @@ def inter_a_b(s0: Tensor, v0: Tensor, p: InterBParams) -> tuple[Tensor, Tensor]:
     Each branch gates the *other* modality (resampled onto this branch's
     time grid) with its own features, maps the product back to its own
     channel count, and adds the result to the original features."""
-    t_a, t_v = s0.shape[1], v0.shape[1]
+    t_a, t_v = s0.data.shape[1], v0.data.shape[1]
     fused_s = gate(interp_resample(v0, t_a), q_op(s0, p.gate_s))
     e_s = T.ew_add(s0, q_op(fused_s, p.out_s))
     fused_v = gate(interp_resample(s0, t_v), q_op(v0, p.gate_v))

@@ -116,6 +116,8 @@ def cmd_train_toy(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    if args.out:
+        _check_dest(args.out)
     params, cfg = _load_model(args)
     try:
         with open(args.pairs, "r", encoding="utf-8-sig", newline="") as fh:

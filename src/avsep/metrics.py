@@ -108,7 +108,10 @@ def pit_best(references: Sequence, estimates: Sequence) -> tuple[tuple[int, ...]
 
 def si_snr_loss(estimate: Tensor, reference: np.ndarray) -> Tensor:
     """Negated scale-invariant SNR as a scalar loss tensor."""
-    ref = np.asarray(reference, dtype=estimate.dtype).reshape(estimate.shape)
+    ref = np.asarray(reference, dtype=estimate.dtype)
+    if ref.size != estimate.data.size:
+        raise ValueError("reference/estimate length mismatch")
+    ref = ref.reshape(estimate.data.shape)
     energy = float(ref.reshape(-1) @ ref.reshape(-1))
     if energy == 0.0:
         raise ValueError("reference signal is all zero")

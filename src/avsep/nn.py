@@ -91,15 +91,22 @@ def conv_transpose1d_out_len(l_in: int, kernel: int, stride: int, padding: int) 
     return (l_in - 1) * stride + kernel - 2 * padding
 
 
-def _columns(x: np.ndarray, p: Conv1dParams) -> np.ndarray:
-    """The im2col columns [G, C_in/G*K, L_out] of ``x`` [C_in, L] zero-padded
-    by ``p.padding``. With K = 1, stride 1 and no padding they are a view of
-    ``x``, and with ``groups == C_in`` a strided view of ``x`` or of its
-    padded copy, so they may not be written to."""
-    k = p.weight.data.shape[2]
-    stride, pad, groups = p.stride, p.padding, p.groups
+def _cl(x: Tensor, op: str) -> np.ndarray:
+    """The data of ``x``, refused with GeometryError unless it is [C, L]."""
+    d = x.data
+    if d.ndim != 2:
+        raise GeometryError(f"{op} expects [C, L], got {d.shape}")
+    return d
+
+
+def _columns(x: np.ndarray, k: int, stride: int, pad: int, groups: int) -> np.ndarray:
+    """The im2col columns of ``x`` [C_in, L] zero-padded by ``pad`` for
+    ``k`` taps: one [C_in*K, L_out] matrix for one group, else
+    [G, C_in/G*K, L_out]. With K = 1, stride 1 and no padding they are
+    ``x`` itself or a view of it, and with ``groups == C_in`` a strided
+    view of ``x`` or of its padded copy, so they may not be written to."""
     if k == 1 and stride == 1 and not pad:
-        return x.reshape(groups, -1, x.shape[1])
+        return x if groups == 1 else x.reshape(groups, -1, x.shape[1])
     if pad:  # zero-filled copy; np.pad costs more than the conv at small sizes
         xp = np.zeros((x.shape[0], x.shape[1] + 2 * pad), dtype=x.dtype)
         xp[:, pad:-pad] = x
@@ -111,7 +118,8 @@ def _columns(x: np.ndarray, p: Conv1dParams) -> np.ndarray:
     s0, s1 = x.strides
     # a window view over x's buffer: a fifth of as_strided's fixed cost
     win = np.ndarray((c, k, l_out), x.dtype, x, 0, (s0, s1, s1 * stride))
-    return win.reshape(groups, -1, l_out)  # copies when K > 1 and groups < C_in
+    # copies when K > 1 and groups < C_in
+    return win.reshape(c * k, l_out) if groups == 1 else win.reshape(groups, -1, l_out)
 
 
 def _correlate(x: np.ndarray, p: Conv1dParams) -> tuple[np.ndarray, np.ndarray]:
@@ -120,12 +128,13 @@ def _correlate(x: np.ndarray, p: Conv1dParams) -> tuple[np.ndarray, np.ndarray]:
     :func:`_columns`, and the groups run as one batched matmul (one plain
     matmul when there is one group). Returns the result [C_out, L_out] in a
     new buffer and the columns the weight gradient reads."""
-    cols = _columns(x, p)
-    w = p.weight.data
-    if p.groups == 1:
-        y = w.reshape(w.shape[0], -1) @ cols[0]
+    w, groups = p.weight.data, p.groups
+    c_out = w.shape[0]
+    cols = _columns(x, w.shape[2], p.stride, p.padding, groups)
+    if groups == 1:  # ndarray.dot makes matmul's BLAS call without its ufunc dispatch
+        y = w.reshape(c_out, -1).dot(cols)
     else:
-        y = (p.weight_blocks() @ cols).reshape(w.shape[0], cols.shape[2])
+        y = (p.weight_blocks() @ cols).reshape(c_out, cols.shape[2])
     if p.bias is not None:
         y += p.bias.data[:, None]
     return y, cols
@@ -166,7 +175,7 @@ def _weight_grad(y: np.ndarray, cols: np.ndarray, p: Conv1dParams) -> np.ndarray
     """Weight gradient from the [C_out, L] side and the [C_in] side's columns."""
     shape = p.weight.data.shape
     if p.groups == 1:
-        return (y @ cols[0].T).reshape(shape)
+        return (y @ cols.T).reshape(shape)
     return (y.reshape(p.groups, -1, cols.shape[2]) @ cols.transpose(0, 2, 1)).reshape(shape)
 
 
@@ -191,19 +200,17 @@ def conv1d(x: Tensor, p: Conv1dParams) -> Tensor:
     _, c_group, k = w.data.shape
     if c_in != c_group * p.groups:
         raise GeometryError(f"conv1d channel mismatch: input {c_in}, weight {c_group * p.groups}")
-    stride, pad = p.stride, p.padding
-    if conv1d_out_len(l_in, k, stride, pad) < 1:
-        raise GeometryError(f"conv1d input too short: L={l_in}, K={k}, stride={stride}, pad={pad}")
-
-    y = _correlate(xd, p)[0]
-    parents = (x, w) if bias is None else (x, w, bias)
+    if l_in + 2 * p.padding < k:  # conv1d_out_len < 1
+        raise GeometryError(f"conv1d input too short: L={l_in}, K={k}, "
+                            f"stride={p.stride}, pad={p.padding}")
 
     def back(grad):
-        _conv_param_grads(grad, _columns(x.data, p), p)
+        d = x.data
+        _conv_param_grads(grad, _columns(d, k, p.stride, p.padding, p.groups), p)
         if x.requires_grad:
-            _accum(x, _overlap_add(grad, p, l_in, x.data.dtype))
+            _accum(x, _overlap_add(grad, p, l_in, d.dtype))
 
-    return _node(y, parents, back)
+    return _node(_correlate(xd, p)[0], (x, w) if bias is None else (x, w, bias), back)
 
 
 def conv_transpose1d(x: Tensor, p: Conv1dParams) -> Tensor:
@@ -213,11 +220,9 @@ def conv_transpose1d(x: Tensor, p: Conv1dParams) -> Tensor:
     ``p.in_channels`` channels and length ``(L-1)*stride + K - 2*padding``.
     It adds no bias: ``p.bias`` must be None.
     """
-    if x.data.ndim != 2:
-        raise GeometryError(f"conv_transpose1d expects [C, L], got {x.shape}")
+    c, l_in = _cl(x, "conv_transpose1d").shape
     if p.bias is not None:
         raise GeometryError("conv_transpose1d takes no bias")
-    c, l_in = x.shape
     if c != p.out_channels:
         raise GeometryError(
             f"conv_transpose1d channel mismatch: input {c}, weight {p.out_channels}"
@@ -263,9 +268,9 @@ def avg_pool1d(x: Tensor, ratio: int) -> Tensor:
     Equal bit for bit to ``reshape(C, L // ratio, ratio).mean(axis=2)``,
     which it computes at ratio 1 and for windows longer than 128, where
     numpy's pairwise sum splits the window."""
+    c, l = _cl(x, "avg_pool1d").shape
     if ratio < 1:
         raise GeometryError("pool ratio must be >= 1")
-    c, l = x.shape
     if l % ratio:
         raise GeometryError(f"length {l} not divisible by pool ratio {ratio}")
     x3 = x.data.reshape(c, l // ratio, ratio)
@@ -305,15 +310,14 @@ def _resample(a: np.ndarray, target_len: int, r: int, idx: np.ndarray | None) ->
     c, l = a.shape
     if 1 < r <= 4:
         y = np.empty((c, target_len), dtype=a.dtype)
-        y3 = y.reshape(c, l, r)
         for k in range(r):
-            y3[:, :, k] = a
+            y[:, k::r] = a
         return y
     if r:
-        return np.repeat(a, r, axis=1)
+        return a.repeat(r, axis=1)
     if target_len < l:
-        return np.take(a, idx, axis=1)
-    return np.repeat(a, np.bincount(idx, minlength=l), axis=1)
+        return a.take(idx, axis=1)
+    return a.repeat(np.bincount(idx, minlength=l), axis=1)
 
 
 def _resample_adjoint(g: np.ndarray, l: int, r: int, idx: np.ndarray | None) -> np.ndarray:
@@ -344,9 +348,9 @@ def _resample_adjoint(g: np.ndarray, l: int, r: int, idx: np.ndarray | None) -> 
 def interp_resample(x: Tensor, target_len: int) -> Tensor:
     """Nearest-neighbor temporal resampling: out[c, t] = x[c, floor(t*L/T)],
     written C-ordered by :func:`_resample`."""
+    l = _cl(x, "interp_resample").shape[1]
     if target_len < 1:
         raise GeometryError("target length must be positive")
-    l = x.shape[1]
     r, idx = _nearest_map(l, target_len)
 
     def back(g):
@@ -367,7 +371,7 @@ def gate(x: Tensor, m: Tensor, add: bool = False) -> Tensor:
     if xd.ndim != 2 or md.ndim != 2 or xd.shape[0] != md.shape[0]:
         raise GeometryError(f"gate needs [C, L] inputs with equal C: {xd.shape} vs {md.shape}")
     l_m, l = md.shape[1], xd.shape[1]
-    r, idx = _nearest_map(l_m, l)
+    r, idx = (1, None) if l_m == l else _nearest_map(l_m, l)
     up = l_m < l
     ms = _resample(md, l, r, idx) if l_m > l else md  # the modulation at the shorter length
     y = _sigmoid(ms)
@@ -441,7 +445,7 @@ def gln(x: Tensor, p: GlnParams) -> Tensor:
     with ``m`` and ``v`` the mean and variance over all C*T entries. ``v``
     is the mean of ``(x - m)**2``, taken after the mean, so a large mean
     does not cancel away a small spread."""
-    y, m, inv = _gln_forward(x.data, p)
+    y, m, inv = _gln_forward(_cl(x, "gln"), p)
 
     def back(g):
         _accum(x, _gln_backward(g, x.data - m, inv, p))
@@ -457,27 +461,26 @@ def q_op(x: Tensor, p: QParams, length: int | None = None) -> Tensor:
     that keeps ``x`` and gLN's mean and inverse scale but neither the
     resampled copy nor the conv output: its backward rebuilds both (one
     resample and one im2col matrix product), then runs gLN's and the
-    conv's backward. The forward runs the public :func:`conv1d` on a
-    stand-in off the tape. Each instance owns its own parameters."""
+    conv's backward. The forward runs the public :func:`conv1d` on ``x``,
+    or on a plain-data stand-in for its resampled copy, and keeps only the
+    data of that conv's result. Each instance owns its own parameters."""
     xd = x.data
     if xd.ndim != 2:
         raise GeometryError(f"q_op expects [C, L], got {xd.shape}")
     l = xd.shape[1]
-    if length is None:
-        length = l
+    if length is None or length == l:
+        length, r, idx, up = l, 1, None, x
     elif length < 1:
         raise GeometryError("target length must be positive")
-    r, idx = _nearest_map(l, length)
+    else:
+        r, idx = _nearest_map(l, length)
+        up = Tensor.unscanned(_resample(xd, length, r, idx))
     conv, norm = p.conv, p.gln
-
-    def up():
-        return xd if r == 1 else _resample(xd, length, r, idx)
-
-    z = conv1d(Tensor.unscanned(up()), conv).data
-    y, m, inv = _gln_forward(z, norm, out=z)
+    z = conv1d(up, conv).data
+    y, m, inv = _gln_forward(z, norm, z)
 
     def back(g):
-        z, cols = _correlate(up(), conv)
+        z, cols = _correlate(xd if r == 1 else _resample(xd, length, r, idx), conv)
         z -= m
         gz = _gln_backward(g, z, inv, norm)
         _conv_param_grads(gz, cols, conv)
@@ -492,29 +495,31 @@ def ffn(x: Tensor, p: FfnParams) -> Tensor:
     """Three chained convolutions (middle one padded to preserve length)
     followed by one global layer norm; the last conv and the norm are one
     :func:`q_op` node."""
-    return q_op(conv1d(conv1d(x, p.conv0), p.conv1), QParams(conv=p.conv2, gln=p.gln))
+    return q_op(conv1d(conv1d(x, p.conv0), p.conv1), QParams(p.conv2, p.gln))
 
 
 def pad_right(x: Tensor, n: int) -> Tensor:
     """Append n zero frames along time."""
+    xd = _cl(x, "pad_right")
     if n < 0:
         raise GeometryError("pad length must be nonnegative")
     if n == 0:
         return x
+    c, l = xd.shape
 
     def back(g):
-        _accum(x, g[:, : x.shape[1]])
+        _accum(x, g[:, :l])
 
-    c, l = x.shape
-    y = np.zeros((c, l + n), dtype=x.dtype)  # np.pad's fixed cost exceeds the copy
-    y[:, :l] = x.data
+    y = np.zeros((c, l + n), dtype=xd.dtype)  # np.pad's fixed cost exceeds the copy
+    y[:, :l] = xd
     return _node(y, (x,), back)
 
 
 def crop_time(x: Tensor, length: int) -> Tensor:
     """Keep the first `length` frames along time."""
-    if not 1 <= length <= x.shape[1]:
-        raise GeometryError(f"cannot crop length {x.shape[1]} to {length}")
+    l = _cl(x, "crop_time").shape[1]
+    if not 1 <= length <= l:
+        raise GeometryError(f"cannot crop length {l} to {length}")
 
     def back(g):
         gx = np.zeros_like(x.data)
@@ -525,7 +530,10 @@ def crop_time(x: Tensor, length: int) -> Tensor:
 
 
 def slice_channels(x: Tensor, lo: int, hi: int) -> Tensor:
-    """Keep channels ``lo:hi``."""
+    """Keep channels ``lo:hi``, a non-empty range of ``x``'s."""
+    c = _cl(x, "slice_channels").shape[0]
+    if not 0 <= lo < hi <= c:
+        raise GeometryError(f"cannot slice channels {lo}:{hi} of {c}")
 
     def back(g):
         gx = np.zeros_like(x.data)

@@ -25,9 +25,9 @@ gradients simply accumulate on the shared leaves.
 ``Tensor(data)`` rejects non-finite caller-supplied data. Two
 constructors skip that scan: :func:`_node`, which builds op results,
 and :meth:`Tensor.unscanned`, which wraps an array as a plain-data leaf
-(``q_op``'s conv input, and every parameter ``avsep.model`` builds:
-drawn in place, or in the skeleton undefined until a checkpoint load
-fills them).
+(the resampled input of ``q_op``'s conv, and every parameter
+``avsep.model`` builds: drawn in place, or in the skeleton undefined
+until a checkpoint load fills them).
 Finiteness is checked at the boundaries instead (the file readers,
 ``save_wav``, the trainer's loss and Adam step, and the metrics).
 
@@ -55,6 +55,8 @@ from .errors import GeometryError
 FD_EPS = 1e-5  # the central-difference step of both gradient oracles
 
 _WALKED = object()  # the _backward of a node that a backward() has consumed
+_DONE = object()  # on Tensor.tape's stack: the node below it is ready to list
+_new = object.__new__  # a Tensor without __init__'s copy, cast and scan
 
 
 class Tensor:
@@ -116,20 +118,22 @@ class Tensor:
         if not self._parents:
             return []
         order: list[Tensor] = []
-        seen = {self}  # Tensor hashes by identity
-        stack = [(self, reversed(self._parents))]
+        seen = set()  # Tensor hashes by identity
+        stack: list = [self]
         while stack:
-            node, parents = stack[-1]
-            for p in parents:
-                if p._backward is _WALKED:
-                    raise GeometryError("backward() reaches a node of a tape that was walked already")
-                if p._parents and p not in seen:
-                    seen.add(p)
-                    stack.append((p, reversed(p._parents)))
-                    break
-            else:  # every op parent is listed
-                stack.pop()
-                order.append(node)
+            node = stack.pop()
+            if node is _DONE:  # every op parent of the node below it is listed
+                order.append(stack.pop())
+            elif node not in seen:
+                seen.add(node)
+                stack.append(node)
+                stack.append(_DONE)
+                for p in node._parents:  # popped last to first
+                    if p._parents:
+                        if p not in seen:
+                            stack.append(p)
+                    elif p._backward is _WALKED:
+                        raise GeometryError("backward() reaches a node of a tape that was walked already")
         return order
 
     def backward(self) -> None:
@@ -194,11 +198,12 @@ def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 
 
 def _node(out: np.ndarray, parents: tuple[Tensor, ...], back) -> Tensor:
-    """The result of an op: a marked tape node over ``parents`` with
-    backward ``back`` when a parent is marked, else plain data. Not scanned
-    for non-finite values; the boundaries check those."""
-    t = Tensor.__new__(Tensor)
-    t.data = np.asarray(out)
+    """The result of an op over the array ``out`` (an op on 0-d arrays
+    wraps its numpy scalar first): a marked tape node over ``parents``
+    with backward ``back`` when a parent is marked, else plain data. Not
+    scanned for non-finite values; the boundaries check those."""
+    t = _new(Tensor)
+    t.data = out
     t.grad = None
     for p in parents:
         if p.requires_grad:
@@ -219,7 +224,7 @@ def ew_add(a: Tensor, b: Tensor) -> Tensor:
         _accum(a, _unbroadcast(g, a.shape))
         _accum(b, _unbroadcast(g, b.shape))
 
-    return _node(a.data + b.data, (a, b), back)
+    return _node(np.asarray(a.data + b.data), (a, b), back)
 
 
 def ew_sub(a: Tensor, b: Tensor) -> Tensor:
@@ -229,7 +234,7 @@ def ew_sub(a: Tensor, b: Tensor) -> Tensor:
         _accum(a, _unbroadcast(g, a.shape))
         _accum(b, _unbroadcast(-g, b.shape))
 
-    return _node(a.data - b.data, (a, b), back)
+    return _node(np.asarray(a.data - b.data), (a, b), back)
 
 
 def ew_mul(a: Tensor, b: Tensor) -> Tensor:
@@ -239,14 +244,14 @@ def ew_mul(a: Tensor, b: Tensor) -> Tensor:
         _accum(a, _unbroadcast(g * b.data, a.shape))
         _accum(b, _unbroadcast(g * a.data, b.shape))
 
-    return _node(a.data * b.data, (a, b), back)
+    return _node(np.asarray(a.data * b.data), (a, b), back)
 
 
 def scale(x: Tensor, c: float) -> Tensor:
     def back(g):
         _accum(x, g * c)
 
-    return _node(x.data * c, (x,), back)
+    return _node(np.asarray(x.data * c), (x,), back)
 
 
 @np.errstate(over="ignore")  # as a decorator it builds no context object per call
@@ -274,21 +279,21 @@ def relu(x: Tensor) -> Tensor:
     def back(g):
         _accum(x, g * (x.data > 0))
 
-    return _node(np.maximum(x.data, 0), (x,), back)
+    return _node(np.asarray(np.maximum(x.data, 0)), (x,), back)
 
 
 def log(x: Tensor) -> Tensor:
     def back(g):
         _accum(x, g / x.data)
 
-    return _node(np.log(x.data), (x,), back)
+    return _node(np.asarray(np.log(x.data)), (x,), back)
 
 
 def sum_all(x: Tensor) -> Tensor:
     def back(g):
         _accum(x, np.broadcast_to(g, x.shape))
 
-    return _node(x.data.sum(keepdims=False).reshape(()), (x,), back)
+    return _node(np.asarray(np.add.reduce(x.data, axis=None)), (x,), back)
 
 
 def finite_difference_grad(f: Callable[[np.ndarray], float], x: np.ndarray) -> np.ndarray:

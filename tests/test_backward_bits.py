@@ -196,6 +196,25 @@ def test_one_by_one_adjoint_is_the_gemm(groups, dtype):
     np.testing.assert_array_equal(got, correlate_reference(x, p)[0])
 
 
+@pytest.mark.parametrize("dtype", DTYPES)
+@pytest.mark.parametrize("order", ["C", "F"])
+@pytest.mark.parametrize("c_out,c_in,k,l", [
+    (1, 1, 1, 1), (1, 3, 1, 9), (6, 1, 1, 9), (6, 4, 1, 1), (1, 4, 5, 9), (6, 4, 5, 1),
+    (6, 4, 5, 30), (16, 16, 1, 200),
+])
+def test_dense_correlation_is_the_matmul_of_its_columns(c_out, c_in, k, l, order, dtype):
+    # the one-group product runs through ndarray.dot, which makes the same
+    # BLAS call as @ on every layout here: row, column and 1x1 operands
+    # included, and a column-major input that a pointwise conv reads as is
+    rng = np.random.default_rng(c_out * c_in * k * l)
+    p = Conv1dParams(weight=Tensor(_arr(rng, (c_out, c_in, k), dtype)), bias=None,
+                     padding=k // 2)
+    x = np.asarray(_arr(rng, (c_in, l), dtype), order=order)
+    got, cols = _correlate(x, p)
+    assert got.dtype == dtype
+    np.testing.assert_array_equal(got, p.weight.data.reshape(c_out, -1) @ cols)
+
+
 @pytest.mark.parametrize("k,stride,pad", [(1, 2, 0), (1, 1, 1), (5, 1, 2), (5, 2, 0)])
 def test_other_adjoints_keep_the_overlap_add(k, stride, pad):
     rng = np.random.default_rng(k)

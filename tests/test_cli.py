@@ -456,6 +456,17 @@ class TestEval:
             csv.writer(fh).writerows(rows)
         return path
 
+    def test_out_in_a_missing_directory_exits_2_before_the_checkpoint_is_read(
+            self, tmp_path, capsys):
+        # checked first, as separate and train-toy check theirs: neither the
+        # missing checkpoint nor the missing manifest is reached
+        dest = tmp_path / "absent" / "report.csv"
+        assert main(["eval", "--pairs", str(tmp_path / "none.csv"),
+                     "--checkpoint", str(tmp_path / "none.iiac"), "--out", str(dest)]) == 2
+        assert capsys.readouterr() == (
+            "", f"error: {dest}: directory {dest.parent} does not exist\n")
+        assert not list(tmp_path.iterdir())
+
     def test_report_with_mean_row(self, workdir, tmp_path):
         pairs = self._pairs(workdir, tmp_path, [
             [str(workdir / "mix.wav"), str(workdir / "ref.wav"), str(workdir / "a.iiav")],

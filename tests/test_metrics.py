@@ -54,6 +54,11 @@ class TestSiSnr:
         with pytest.raises(ValueError, match="length mismatch"):
             sdr(np.ones(4), np.ones(5))
 
+    def test_loss_names_a_length_mismatch(self):
+        # of another size, not only another shape: no reshape error leaks out
+        with pytest.raises(ValueError, match="^reference/estimate length mismatch$"):
+            si_snr_loss(Tensor(np.ones((1, 10))), np.ones(12))
+
     @pytest.mark.parametrize("metric", [si_snr, sdr])
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_non_finite_signal_rejected(self, metric, bad):

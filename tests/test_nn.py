@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -102,6 +104,21 @@ class TestConv1d:
         q = QParams(conv=p, gln=GlnParams(gain=Tensor(np.ones(2)), bias=Tensor(np.zeros(2))))
         with pytest.raises(GeometryError, match=r"^q_op expects \[C, L\]"):
             q_op(Tensor(np.zeros(10)), q)
+
+    @pytest.mark.parametrize("op,call", [
+        ("gln", lambda x: gln(x, GlnParams(gain=Tensor(np.ones(2)), bias=Tensor(np.zeros(2))))),
+        ("pad_right", lambda x: pad_right(x, 2)),
+        ("avg_pool1d", lambda x: avg_pool1d(x, 2)),
+        ("crop_time", lambda x: crop_time(x, 2)),
+        ("interp_resample", lambda x: interp_resample(x, 4)),
+        ("slice_channels", lambda x: slice_channels(x, 0, 1)),
+    ])
+    @pytest.mark.parametrize("shape", [(10,), (2, 2, 10)])
+    def test_every_time_op_refuses_another_rank(self, op, call, shape):
+        # each names itself and the shape, as conv1d, conv_transpose1d and q_op do
+        message = re.escape(f"{op} expects [C, L], got {shape}")
+        with pytest.raises(GeometryError, match=f"^{message}$"):
+            call(Tensor(np.zeros(shape)))
 
     def test_groups_must_divide_channels(self, rng):
         # 2 groups cannot split 3 output channels
@@ -357,6 +374,11 @@ class TestPadCrop:
         want = np.zeros((6, 5))
         want[2:4] = 3.0
         np.testing.assert_array_equal(x.grad, want)
+
+    @pytest.mark.parametrize("lo,hi", [(1, 5), (2, 1), (1, 1), (-1, 1), (0, 3)])
+    def test_slice_channels_refuses_a_range_outside_the_channels(self, lo, hi):
+        with pytest.raises(GeometryError, match=rf"^cannot slice channels {lo}:{hi} of 2$"):
+            slice_channels(Tensor(np.zeros((2, 5))), lo, hi)
 
 
 class TestDropout:
