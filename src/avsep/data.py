@@ -15,6 +15,7 @@ import numpy as np
 
 from .errors import FormatError, GeometryError
 from .model import VIDEO_FPS
+from .tensor import all_finite
 
 EMBEDDING_MAGIC = b"IIAV"
 
@@ -46,7 +47,7 @@ def save_wav(path, samples: np.ndarray, sample_rate: int) -> None:
     """Quantize (round half away from zero, clipped) and write PCM16 mono.
     Non-finite samples are a FormatError, raised before the file is opened."""
     x = np.asarray(samples, dtype=np.float64).reshape(-1)
-    if not np.all(np.isfinite(x)):
+    if not all_finite(x):
         raise FormatError(f"{path}: non-finite samples; nothing written")
     x = x * 32768.0
     q = np.sign(x) * np.floor(np.abs(x) + 0.5)
@@ -153,7 +154,7 @@ def load_embedding(path) -> np.ndarray:
         arr = np.empty((nv, tv), dtype="<f4")
         if fh.readinto(arr) != arr.nbytes:  # the file shrank after the size check
             raise FormatError(f"{path}: truncated embedding payload")
-    if not np.all(np.isfinite(arr)):
+    if not all_finite(arr):
         raise FormatError(f"{path}: non-finite values in the embedding")
     return arr
 

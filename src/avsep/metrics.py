@@ -27,7 +27,7 @@ _LOG10 = math.log(10.0)
 
 def _flat(x) -> np.ndarray:
     a = np.asarray(x, dtype=np.float64).reshape(-1)
-    if not np.all(np.isfinite(a)):
+    if not T.all_finite(a):
         raise ValueError("non-finite signal")
     return a
 

@@ -655,6 +655,6 @@ def load_checkpoint(path) -> tuple[ModelParams, ModelConfig]:
         for name, t in entries:
             if fh.readinto(t.data) != t.data.nbytes:
                 raise FormatError(f"truncated checkpoint tensor {name}")
-            if not np.all(np.isfinite(t.data)):
+            if not T.all_finite(t.data):
                 raise FormatError(f"non-finite values in checkpoint tensor {name}")
     return params, cfg

@@ -29,7 +29,8 @@ and :meth:`Tensor.unscanned`, which wraps an array as a plain-data leaf
 ``avsep.model`` builds: drawn in place, or in the skeleton undefined
 until a checkpoint load fills them).
 Finiteness is checked at the boundaries instead (the file readers,
-``save_wav``, the trainer's loss and Adam step, and the metrics).
+``save_wav``, the trainer's loss, Adam step and validation output, and
+the metrics), each array by :func:`all_finite`.
 
 Ops never write to their inputs' data; only the trainer updates its
 parameters' data in place, between steps. ``ew_add``, ``ew_sub`` and
@@ -59,6 +60,15 @@ _DONE = object()  # on Tensor.tape's stack: the node below it is ready to list
 _new = object.__new__  # a Tensor without __init__'s copy, cast and scan
 
 
+def all_finite(a: np.ndarray) -> bool:
+    """``np.all(np.isfinite(a))`` for a float array, without its bool mask
+    the size of ``a`` and without a warning. A NaN anywhere makes both
+    reductions NaN, and an infinity is always the maximum or the minimum;
+    neither reduction can overflow."""
+    return a.size == 0 or bool(np.isfinite(np.maximum.reduce(a, axis=None))
+                               and np.isfinite(np.minimum.reduce(a, axis=None)))
+
+
 class Tensor:
     """A dense row-major array plus the tape bookkeeping for autodiff."""
 
@@ -68,7 +78,7 @@ class Tensor:
         arr = np.asarray(data, dtype=dtype)
         if arr.dtype not in (np.float32, np.float64):
             arr = arr.astype(np.float32)
-        if not np.all(np.isfinite(arr)):
+        if not all_finite(arr):
             raise ValueError("non-finite values in tensor")
         self.data = arr
         self.requires_grad = requires_grad

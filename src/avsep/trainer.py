@@ -14,7 +14,7 @@ from . import metrics
 from .data import energy_envelope, mix_at_snr, remix, synth_sources
 from .errors import ConfigError, TrainingError
 from .model import ModelConfig, ModelParams, build_params, check_fields, named_tensors, separate
-from .tensor import Tensor
+from .tensor import Tensor, all_finite
 
 
 ADAM_BETA1 = 0.9
@@ -65,9 +65,9 @@ def adam_step(flat: FlatParams, state: AdamState) -> None:
     Raises :class:`TrainingError` naming the first parameter with a
     non-finite gradient, before anything changes."""
     g = flat.grad
-    if not np.isfinite(g).all():
+    if not all_finite(g):
         name = next(n for (n, _), span in zip(flat.params, flat.spans)
-                    if not np.isfinite(g[span]).all())
+                    if not all_finite(g[span]))
         raise TrainingError(f"non-finite gradient for parameter {name!r}")
     if state.m is None:
         state.m, state.v = np.zeros_like(g), np.zeros_like(g)
@@ -273,7 +273,7 @@ def train_toy(cfg: ModelConfig, settings: TrainSettings,
 
         flat.mark(False)  # so validation records no tape
         waves = [w.data[0] for w in _separate(mixture, video_feat, cfg, p).waveforms]
-        if not all(np.isfinite(w).all() for w in waves):
+        if not all(all_finite(w) for w in waves):
             raise TrainingError(f"non-finite validation output after step {steps_run}")
         _, val = metrics.pit_best(val_refs, waves)
         del waves  # so no separated output lives into the next epoch

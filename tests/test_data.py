@@ -75,7 +75,7 @@ class TestWavIO:
         with pytest.raises(FormatError):
             load_wav(path)
 
-    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_samples_not_written(self, tmp_path, bad):
         path = tmp_path / "n.wav"
         with pytest.raises(FormatError):
@@ -140,6 +140,15 @@ class TestEmbeddingIO:
     def test_1d_rejected(self, tmp_path):
         with pytest.raises(GeometryError):
             save_embedding(tmp_path / "x.iiav", np.zeros(5, dtype=np.float32))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_payload_rejected(self, tmp_path, bad):
+        path = tmp_path / "n.iiav"
+        emb = np.zeros((2, 5), dtype=np.float32)
+        emb[1, 4] = bad
+        save_embedding(path, emb)
+        with pytest.raises(FormatError, match="non-finite values in the embedding$"):
+            load_embedding(path)
 
     def test_size_is_checked_before_the_payload_is_read(self, tmp_path):
         # a sparse 64 MB file whose header lists one value: refused from its

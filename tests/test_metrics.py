@@ -60,7 +60,7 @@ class TestSiSnr:
             si_snr_loss(Tensor(np.ones((1, 10))), np.ones(12))
 
     @pytest.mark.parametrize("metric", [si_snr, sdr])
-    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_signal_rejected(self, metric, bad):
         est = np.ones(8)
         est[3] = bad

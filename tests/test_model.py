@@ -528,6 +528,33 @@ class TestCheckpointIO:
                            match=r"^non-finite values in checkpoint tensor video_stub\.1\.bias$"):
             load_checkpoint(path)
 
+    @pytest.mark.parametrize("bad", [-np.inf, np.inf])
+    def test_infinity_in_a_middle_tensor_is_named(self, tmp_path, bad):
+        cfg = tiny_config()
+        p = build_params(cfg, seed=0)
+        named = list(named_tensors(p))
+        name, t = named[len(named) // 2]
+        t.data.reshape(-1)[t.size // 2] = bad
+        path = tmp_path / "m.iiac"
+        save_checkpoint(p, cfg, path)
+        with pytest.raises(FormatError, match=f"^non-finite values in checkpoint tensor {name}$"):
+            load_checkpoint(path)
+
+    def test_load_allocates_little_beyond_the_tensors(self, tmp_path):
+        # the finiteness scan builds no mask the size of a tensor: the
+        # largest here, each FFN's conv1.weight, has 1,310,720 elements (5.2 MB)
+        cfg = ModelConfig(n_audio_channels=64, n_video_channels=64, ffn_channels=(64, 4096, 64))
+        path = tmp_path / "m.iiac"
+        save_checkpoint(build_params(cfg, seed=0), cfg, path)
+        tracemalloc.start()
+        try:
+            p, _ = load_checkpoint(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        payload = sum(t.data.nbytes for _, t in named_tensors(p))
+        assert payload > 13e6 and peak - payload < 256 << 10, (payload, peak)
+
     def test_non_integer_manifest_shape_rejected(self, tmp_path):
         cfg = tiny_config()
         path = tmp_path / "m.iiac"
@@ -552,15 +579,15 @@ class TestCheckpointIO:
 
     @staticmethod
     def _count_scanned(monkeypatch) -> list[int]:
-        """Patch ``np.isfinite`` to add the size of every array it scans to
-        the returned list's one entry."""
-        scanned, isfinite = [0], np.isfinite
+        """Patch ``tensor.all_finite`` to add the size of every array it
+        scans to the returned list's one entry."""
+        scanned, all_finite = [0], T.all_finite
 
-        def counting(x, *args, **kwargs):
-            scanned[0] += np.size(x)
-            return isfinite(x, *args, **kwargs)
+        def counting(a):
+            scanned[0] += a.size
+            return all_finite(a)
 
-        monkeypatch.setattr(np, "isfinite", counting)
+        monkeypatch.setattr(T, "all_finite", counting)
         return scanned
 
     @pytest.mark.parametrize("over", [{}, {"depthwise": True},

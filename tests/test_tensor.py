@@ -30,6 +30,8 @@ class TestConstruction:
             Tensor([1.0, math.nan])
         with pytest.raises(ValueError):
             Tensor([math.inf])
+        with pytest.raises(ValueError):
+            Tensor([2.0, -math.inf])
 
     def test_op_results_not_scanned(self):
         # finiteness is checked where data enters and leaves, not per op,
@@ -43,6 +45,45 @@ class TestConstruction:
         with pytest.raises(GeometryError):
             Tensor([1.0, 2.0]).item()
         assert Tensor([[3.0]]).item() == 3.0
+
+
+class TestAllFinite:
+    """``all_finite`` gives ``np.all(np.isfinite(a))``'s verdict without a
+    mask and without a warning."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("where", [0, 3, 6])
+    def test_one_non_finite_value_anywhere_fails(self, dtype, bad, where):
+        a = np.arange(7, dtype=dtype)
+        a[where] = bad
+        assert T.all_finite(a) is False
+        assert T.all_finite(a.reshape(7, 1)) is False
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_both_infinities_fail(self, dtype):
+        assert T.all_finite(np.array([-math.inf, 1.0, math.inf], dtype=dtype)) is False
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_empty_passes(self, dtype):
+        assert T.all_finite(np.empty(0, dtype=dtype)) is True
+        assert T.all_finite(np.empty((3, 0), dtype=dtype)) is True
+
+    def test_values_near_the_maximum_pass_without_a_warning(self):
+        big = np.full(4, 3e38, np.float32)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert T.all_finite(big) is True
+            assert T.all_finite(-big) is True
+            assert T.all_finite(np.array([np.finfo(np.float64).max, -1.0])) is True
+            assert T.all_finite(np.array([1.0, math.nan])) is False
+
+    def test_0d_and_strided_arrays(self):
+        assert T.all_finite(np.array(2.5)) is True
+        assert T.all_finite(np.array(math.nan)) is False
+        a = np.ones((4, 6))
+        a[1, 1] = math.inf
+        assert T.all_finite(a[:, ::2]) is True and T.all_finite(a[:, 1::2]) is False
 
 
 class TestBroadcastRules:

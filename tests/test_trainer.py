@@ -132,6 +132,16 @@ class TestAdam:
         assert st.step == 0 and st.m is None and st.v is None
         np.testing.assert_array_equal(flat.data, [1.0, 2.0, 3.0, 4.0])
 
+    @pytest.mark.parametrize("bad", [-math.inf, math.inf])
+    def test_infinity_in_the_last_of_three_names_it_and_changes_nothing(self, bad):
+        flat = _flat([[1.0], [2.0, 3.0], [4.0]], np.float32)
+        flat.grad[:] = [0.5, 0.1, 0.3, bad]
+        st = AdamState(lr=0.001)
+        with pytest.raises(TrainingError, match="'p2'"):
+            adam_step(flat, st)
+        assert st.step == 0 and st.m is None and st.v is None
+        np.testing.assert_array_equal(flat.data, [1.0, 2.0, 3.0, 4.0])
+
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_matches_a_per_tensor_update_bit_for_bit(self, dtype, rng):
         shapes = [(4, 3, 5), (7,), (2, 9)]
